@@ -37,7 +37,7 @@ from .core import (
     WeightPair,
 )
 from .expr import Node, eval_value, parse, to_source
-from .jets import Jet4, derivatives_at, eval_jet, fourth_derivative, second_derivative
+from .jets import Jet4, eval_jet
 from .means import (
     MeanSet,
     all_means,
@@ -92,11 +92,9 @@ __all__ = [
     "bisected_trapezoid_identity_residual",
     "classic_hh",
     "convexity_profile",
-    "derivatives_at",
     "eval_jet",
     "eval_value",
     "f_ratio",
-    "fourth_derivative",
     "identric_enclosure",
     "identric_of_squares_enclosure",
     "integrate_mean",
@@ -108,7 +106,6 @@ __all__ = [
     "ratio_limit_scan",
     "reciprocal_log_mean_defect",
     "run_suite",
-    "second_derivative",
     "simpson_defect_bound",
     "simpson_estimate",
     "simpson_identity_residual",

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
-from .expr import Node, eval_value, parse
+from .expr import Node, as_node, eval_value
 from .jets import eval_jet
 from .quadrature import integrate_mean, integrate_mean_fn
 
@@ -84,10 +84,6 @@ class SimpsonEstimate:
     err_bound: float
 
 
-def _node(f: Node | str) -> Node:
-    return parse(f) if isinstance(f, str) else f
-
-
 def _three_values(node: Node, iv: Interval) -> tuple[float, float, float]:
     return eval_value(node, iv.a), eval_value(node, iv.mid), eval_value(node, iv.b)
 
@@ -99,14 +95,14 @@ def classic_hh(f: Node | str, iv: Interval) -> Enclosure:
     convexity_profile.  For concave f the pair inverts and Enclosure
     construction fails.
     """
-    node = _node(f)
+    node = as_node(f)
     fa, fm, fb = _three_values(node, iv)
     return Enclosure(fm, 0.5 * (fa + fb))
 
 
 def weighted_value(f: Node | str, iv: Interval, w: WeightPair) -> float:
     """w_end*(f(a)+f(b)) + w_mid*f(mid), exactly as written."""
-    node = _node(f)
+    node = as_node(f)
     fa, fm, fb = _three_values(node, iv)
     return w.endpoint_weight * (fa + fb) + w.midpoint_weight * fm
 
@@ -122,7 +118,7 @@ def bisected_trapezoid(f: Node | str, iv: Interval) -> float:
 
 def simpson_value(f: Node | str, iv: Interval) -> float:
     """Weights (1/6, 2/3): single-panel Simpson, normalized to a mean."""
-    node = _node(f)
+    node = as_node(f)
     fa, fm, fb = _three_values(node, iv)
     return (fa + 4.0 * fm + fb) / 6.0
 
@@ -143,7 +139,7 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
     """
     if n < 33:
         raise ValueError(f"need at least 33 sample points, got {n}")
-    node = _node(f)
+    node = as_node(f)
     d2s: list[float] = []
     d4s: list[float] = []
     for x in _chebyshev_nodes(iv, n):
@@ -168,10 +164,19 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
     return ConvexityProfile(f_convex, f2_shape, min_f2, n)
 
 
-def _require_shape(prof: ConvexityProfile) -> str:
+def _f2_shape(node: Node, iv: Interval, prof: ConvexityProfile | None) -> str:
+    """Determinate shape of f'' from prof, profiling f when prof is None."""
+    if prof is None:
+        prof = convexity_profile(node, iv)
     if prof.f2_shape not in ("convex", "concave"):
         raise ValueError("shape of f'' is indeterminate; sandwich not certified")
     return prof.f2_shape
+
+
+def _three_f2(node: Node, iv: Interval) -> tuple[float, float, float]:
+    """f''(a), f''(mid), f''(b)."""
+    d2a, d2m, d2b = (eval_jet(node, x).derivatives[2] for x in (iv.a, iv.mid, iv.b))
+    return d2a, d2m, d2b
 
 
 # --- defect sandwiches -------------------------------------------------------
@@ -185,11 +190,9 @@ def bisected_trapezoid_defect(
     f'' convex:  len^2/48 * f''(mid) <= D <= len^2/96 * (f''(a)+f''(b));
     f'' concave: the two expressions swap roles.
     """
-    node = _node(f)
-    shape = _require_shape(prof if prof is not None else convexity_profile(node, iv))
-    d2a = eval_jet(node, iv.a).derivatives[2]
-    d2m = eval_jet(node, iv.mid).derivatives[2]
-    d2b = eval_jet(node, iv.b).derivatives[2]
+    node = as_node(f)
+    shape = _f2_shape(node, iv, prof)
+    d2a, d2m, d2b = _three_f2(node, iv)
     sq = iv.length ** 2
     mid_side = sq / 48.0 * d2m
     end_side = sq / 96.0 * (d2a + d2b)
@@ -205,8 +208,8 @@ def simpson_one_sided_bound(
 
     Upper bound when f'' is convex, lower bound when f'' is concave.
     """
-    node = _node(f)
-    shape = _require_shape(prof if prof is not None else convexity_profile(node, iv))
+    node = as_node(f)
+    shape = _f2_shape(node, iv, prof)
     return OneSidedBound(simpson_value(node, iv), shape == "convex")
 
 
@@ -218,11 +221,9 @@ def simpson_defect_bound(
     f'' convex:  encloses simpson_value - mean, hi = len^2/324 * (f''(a)+f''(b)-2f''(mid));
     f'' concave: encloses mean - simpson_value, hi = len^2/324 * (2f''(mid)-f''(a)-f''(b)).
     """
-    node = _node(f)
-    shape = _require_shape(prof if prof is not None else convexity_profile(node, iv))
-    d2a = eval_jet(node, iv.a).derivatives[2]
-    d2m = eval_jet(node, iv.mid).derivatives[2]
-    d2b = eval_jet(node, iv.b).derivatives[2]
+    node = as_node(f)
+    shape = _f2_shape(node, iv, prof)
+    d2a, d2m, d2b = _three_f2(node, iv)
     curv = d2a + d2b - 2.0 * d2m
     if shape == "concave":
         curv = -curv
@@ -233,7 +234,7 @@ def mean_enclosure_via_defect(
     f: Node | str, iv: Interval, prof: ConvexityProfile | None = None
 ) -> Enclosure:
     """Convert the bisected-trapezoid defect sandwich into a mean bracket."""
-    node = _node(f)
+    node = as_node(f)
     d = bisected_trapezoid_defect(node, iv, prof)
     v = bisected_trapezoid(node, iv)
     return Enclosure(v - d.upper, v - d.lower)
@@ -252,7 +253,7 @@ def symmetric_point_triple(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    node = _node(h)
+    node = as_node(h)
     x = iv.a * (0.5 * t) + iv.b * (1.0 - 0.5 * t)
     y = iv.a + iv.b - x
     fa, fm, fb = _three_values(node, iv)
@@ -277,7 +278,7 @@ def bisected_trapezoid_identity_residual(
     symmetric substitution of symmetric_point_triple.  Both sides use
     the independent integrator; residual should vanish to tolerance.
     """
-    node = _node(f)
+    node = as_node(f)
     lhs = bisected_trapezoid(node, iv) - integrate_mean(node, iv, tol).value
     unit = Interval(0.0, 1.0)
     kernel = lambda t: t * (1.0 - t) * _pair_curvature(node, iv, t)
@@ -294,7 +295,7 @@ def simpson_identity_residual(
     kernel changes sign, which is what makes the Simpson defect
     second-order small.
     """
-    node = _node(f)
+    node = as_node(f)
     lhs = simpson_value(node, iv) - integrate_mean(node, iv, tol).value
     unit = Interval(0.0, 1.0)
     kernel = lambda t: t * (2.0 - 3.0 * t) * _pair_curvature(node, iv, t)
@@ -312,7 +313,7 @@ def simpson_estimate(f: Node | str, iv: Interval, n: int = 33) -> SimpsonEstimat
     max sampled at n Chebyshev points plus both endpoints.  The bound
     is certified only insofar as the sampled max dominates |f''''|.
     """
-    node = _node(f)
+    node = as_node(f)
     m4 = 0.0
     for x in _chebyshev_nodes(iv, n) + [iv.a, iv.b]:
         m4 = max(m4, abs(eval_jet(node, x).derivatives[4]))
@@ -340,7 +341,7 @@ def adaptive_enclosure(
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    node = _node(f)
+    node = as_node(f)
     if prof is None:
         prof = convexity_profile(node, iv)
     if prof.f_convex != "yes":

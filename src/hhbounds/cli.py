@@ -18,22 +18,12 @@ from typing import Any
 from . import bounds
 from .core import BudgetError, DomainError, Interval, ParseError
 from .expr import eval_value, parse
-from .means import (
-    all_means,
-    identric_enclosure,
-    identric_of_squares_enclosure,
-    log_mean_enclosure,
-    reciprocal_log_mean_defect,
-)
+from .means import BRACKETS, all_means
 from .quadrature import integrate_mean
 from .search import SearchError, best_constant_search, f_ratio
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 _CONTAIN_SLACK = 1e-9
-
-
-class _Violation(Exception):
-    """Raised internally when a checked claim fails; maps to exit code 1."""
 
 
 def _require(condition: bool, message: str) -> None:
@@ -130,22 +120,9 @@ def _run_means(args) -> tuple[dict[str, Any], list[str], str]:
     status = "ok"
     if args.enclose is not None:
         _require(args.a != args.b, "enclosures need two distinct arguments")
-        a, b = args.a, args.b
-        if args.enclose == "L":
-            encl, target = log_mean_enclosure(a, b), ms.logarithmic
-            citations.append("log-mean-bracket")
-        elif args.enclose == "I":
-            encl = identric_enclosure(a, b, use_printed_constant=args.printed_constant)
-            target = ms.identric
-            citations.append("identric-bracket")
-        elif args.enclose == "Isq":
-            encl = identric_of_squares_enclosure(a, b)
-            target = all_means(a * a, b * b).identric
-            citations.append("identric-square-bracket")
-        else:
-            encl = reciprocal_log_mean_defect(a, b)
-            target = 0.5 * (1.0 / ms.arithmetic + 1.0 / ms.harmonic) - 1.0 / ms.logarithmic
-            citations.append("reciprocal-defect")
+        citation, bracket = BRACKETS[args.enclose]
+        encl, target = bracket(args.a, args.b, ms, args.printed_constant)
+        citations.append(citation)
         contained = encl.contains(target, slack=_CONTAIN_SLACK * (1.0 + abs(target)))
         outputs.update(
             {
@@ -273,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("means", help="elementary means and certified brackets")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--enclose", choices=("L", "I", "Isq", "recipL"), default=None)
+    p.add_argument("--enclose", choices=tuple(BRACKETS), default=None)
     p.add_argument("--printed-constant", action="store_true")
     p.set_defaults(run=_run_means)
 
@@ -288,11 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_search_alpha)
 
     p = sub.add_parser("verify", help="run seeded property suites")
-    p.add_argument(
-        "--suite",
-        choices=("identities", "inequalities", "means", "all"),
-        required=True,
-    )
+    p.add_argument("--suite", choices=(*SUITE_NAMES, "all"), required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--printed-constant", action="store_true")

@@ -200,7 +200,7 @@ class _Parser:
             self.advance()
             ekind, etext, eoff = self.peek()
             exponent = self.factor()
-            folded = _fold_const(exponent)
+            folded = _constant(exponent)
             if folded is None:
                 raise ParseError("exponent must be a constant", eoff)
             return Pow(base, folded)
@@ -223,7 +223,7 @@ class _Parser:
                 arg = self.sum()
                 self.expect_punct(",")
                 skind, stext, soff = self.peek()
-                soft = _fold_const(self.sum())
+                soft = _constant(self.sum())
                 if soft is None:
                     raise ParseError("hyp softness must be a constant", soff)
                 self.expect_punct(")")
@@ -237,50 +237,17 @@ class _Parser:
         raise ParseError(f"unexpected token {shown!r}", off)
 
 
-def _fold_const(node: Node) -> float | None:
-    """Evaluate a variable-free subtree to a float, else None."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Unary):
-        v = _fold_const(node.arg)
-        if v is None:
-            return None
-        try:
-            return _apply_unary(node.fn, v)
-        except DomainError:
-            return None
-    if isinstance(node, BinOp):
-        lv = _fold_const(node.left)
-        rv = _fold_const(node.right)
-        if lv is None or rv is None:
-            return None
-        if node.op == "/" and rv == 0.0:
-            return None
-        return _apply_bin(node.op, lv, rv)
-    if isinstance(node, Pow):
-        bv = _fold_const(node.base)
-        if bv is None:
-            return None
-        try:
-            return _pow_value(bv, node.exponent)
-        except DomainError:
-            return None
-    if isinstance(node, Hyp):
-        av = _fold_const(node.arg)
-        if av is None:
-            return None
-        return math.hypot(av, node.softness)
-    raise TypeError(f"unknown node {node!r}")
-
-
 def parse(src: str) -> Node:
     """Parse source text into an expression tree.
 
     Raises ParseError (with a 0-based offset) on any syntax problem.
     """
     return _Parser(src).parse()
+
+
+def as_node(f: Node | str) -> Node:
+    """The tree of f: source text is parsed, a tree passes through."""
+    return parse(f) if isinstance(f, str) else f
 
 
 # --- printing --------------------------------------------------------------
@@ -420,6 +387,16 @@ def eval_value(node: Node, x: float) -> float:
     if isinstance(node, Hyp):
         return math.hypot(eval_value(node.arg, x), node.softness)
     raise TypeError(f"unknown node {node!r}")
+
+
+def _constant(node: Node) -> float | None:
+    """Value of a variable-free subtree; None if it has x or is undefined."""
+    if contains_var(node):
+        return None
+    try:
+        return eval_value(node, 0.0)
+    except DomainError:
+        return None
 
 
 def contains_var(node: Node) -> bool:

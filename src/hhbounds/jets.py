@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainError
-from .expr import BinOp, Const, Hyp, Node, Pow, Unary, Var, parse
+from .expr import BinOp, Const, Hyp, Node, Pow, Unary, Var, as_node
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
@@ -224,7 +224,7 @@ def eval_jet(f: Node | str, x: float, domain_guard: bool = True) -> Jet4:
     With domain_guard=False a domain violation yields a NaN jet instead
     of raising, so samplers can probe near singular points safely.
     """
-    node = parse(f) if isinstance(f, str) else f
+    node = as_node(f)
     try:
         c = _jet(node, x)
     except DomainError:
@@ -233,15 +233,3 @@ def eval_jet(f: Node | str, x: float, domain_guard: bool = True) -> Jet4:
         return Jet4(x, _NAN_COEFFS)
     return Jet4(x, c)
 
-
-def derivatives_at(f: Node | str, x: float, domain_guard: bool = True) -> Coeffs:
-    """Shorthand for eval_jet(...).derivatives."""
-    return eval_jet(f, x, domain_guard).derivatives
-
-
-def second_derivative(f: Node | str, x: float, domain_guard: bool = True) -> float:
-    return eval_jet(f, x, domain_guard).derivatives[2]
-
-
-def fourth_derivative(f: Node | str, x: float, domain_guard: bool = True) -> float:
-    return eval_jet(f, x, domain_guard).derivatives[4]

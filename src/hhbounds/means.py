@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .core import Enclosure
 
 __all__ = [
+    "BRACKETS",
     "MeanSet",
     "all_means",
     "log_mean_enclosure",
@@ -111,9 +112,9 @@ def all_means(a: float, b: float) -> MeanSet:
     return MeanSet(harm, geom, logm, idm, arith, gini)
 
 
-def _arith_minus_harm(a: float, b: float) -> float:
-    # stable form of A - H; the naive difference cancels near a = b
-    return (b - a) ** 2 / (2.0 * (a + b))
+def _arith_harm(a: float, b: float) -> tuple[float, float, float]:
+    """A, H and A - H, the last in a form that does not cancel near a = b."""
+    return 0.5 * (a + b), 2.0 * a * b / (a + b), (b - a) ** 2 / (2.0 * (a + b))
 
 
 def _arith_minus_geom(a: float, b: float) -> float:
@@ -143,9 +144,7 @@ def reciprocal_log_mean_defect(a: float, b: float) -> Enclosure:
     trapezoid defect sandwich specialized to f(t) = 1/t.
     """
     a, b = _check_distinct(a, b)
-    arith = 0.5 * (a + b)
-    harm = 2.0 * a * b / (a + b)
-    gap = _arith_minus_harm(a, b)
+    arith, harm, gap = _arith_harm(a, b)
     lower = gap / (6.0 * arith * arith)
     upper = arith * gap / (6.0 * harm * harm) * (4.0 / harm - 3.0 / arith)
     return Enclosure(lower, upper)
@@ -157,9 +156,7 @@ def _identric_exponent(a: float, b: float) -> float:
     Algebraically equal to (2/81)(A-H)^2(2A+H)/(A H^2), which is how it
     is evaluated; the raw form loses all digits for near-equal inputs.
     """
-    arith = 0.5 * (a + b)
-    harm = 2.0 * a * b / (a + b)
-    gap = _arith_minus_harm(a, b)
+    arith, harm, gap = _arith_harm(a, b)
     return (2.0 / 81.0) * gap * gap * (2.0 * arith + harm) / (arith * harm * harm)
 
 
@@ -188,10 +185,41 @@ def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
     exp(-(4/81)(A-H)^2/(A*H)).
     """
     a, b = _check_distinct(a, b)
-    arith = 0.5 * (a + b)
-    harm = 2.0 * a * b / (a + b)
+    arith, harm, gap = _arith_harm(a, b)
     log_gini = (a * math.log(a) + b * math.log(b)) / (a + b)
     upper = math.exp((4.0 * math.log(arith) + 2.0 * log_gini) / 3.0)
-    gap = _arith_minus_harm(a, b)
     exponent = (4.0 / 81.0) * gap * gap / (arith * harm)
     return Enclosure(upper * math.exp(-exponent), upper)
+
+
+# Bracket kind -> (citation, fn(a, b, all_means(a, b), printed_constant)
+# returning the bracket and the value it must contain).  The lambdas look
+# the bracket functions up when called, so wrappers installed on this
+# module's names (bench/spans.py) see every call.
+BRACKETS = {
+    "L": (
+        "log-mean-bracket",
+        lambda a, b, ms, printed: (log_mean_enclosure(a, b), ms.logarithmic),
+    ),
+    "I": (
+        "identric-bracket",
+        lambda a, b, ms, printed: (
+            identric_enclosure(a, b, use_printed_constant=printed),
+            ms.identric,
+        ),
+    ),
+    "Isq": (
+        "identric-square-bracket",
+        lambda a, b, ms, printed: (
+            identric_of_squares_enclosure(a, b),
+            all_means(a * a, b * b).identric,
+        ),
+    ),
+    "recipL": (
+        "reciprocal-defect",
+        lambda a, b, ms, printed: (
+            reciprocal_log_mean_defect(a, b),
+            0.5 * (1.0 / ms.arithmetic + 1.0 / ms.harmonic) - 1.0 / ms.logarithmic,
+        ),
+    ),
+}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import BudgetError, DomainError, Interval
-from .expr import Node, eval_value, parse
+from .expr import Node, as_node, eval_value
 
 _MAX_DEPTH = 56
 
@@ -103,5 +103,5 @@ def integrate_mean(
     max_evals: int = 1_000_000,
 ) -> QuadResult:
     """Mean of an expression over iv: integral of f divided by length."""
-    node = parse(f) if isinstance(f, str) else f
+    node = as_node(f)
     return integrate_mean_fn(lambda x: eval_value(node, x), iv, tol, max_evals)

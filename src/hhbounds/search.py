@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .bounds import convexity_profile
 from .core import Interval
-from .expr import BinOp, Const, Hyp, Node, Pow, Var, eval_value, parse
+from .expr import BinOp, Const, Hyp, Node, Pow, Var, as_node, eval_value, parse
 from .quadrature import integrate_mean
 
 __all__ = [
@@ -79,7 +79,7 @@ class CounterexampleReport:
 
 def f_ratio(f: Node | str, iv: Interval, tol: float = 1e-10) -> RatioReport:
     """(mean - f(mid)) / (f(a) + f(b) - 2 f(mid)) via the oracle mean."""
-    node = parse(f) if isinstance(f, str) else f
+    node = as_node(f)
     fa = eval_value(node, iv.a)
     fm = eval_value(node, iv.mid)
     fb = eval_value(node, iv.b)
@@ -94,7 +94,7 @@ def ratio_limit_scan(
     f: Node | str, a: float, h_list: list[float], tol: float = 1e-10
 ) -> list[RatioReport]:
     """F ratios on [a, a+h] for each h; tends to 1/6 as h shrinks."""
-    node = parse(f) if isinstance(f, str) else f
+    node = as_node(f)
     return [f_ratio(node, Interval(a, a + h), tol) for h in h_list]
 
 
@@ -169,22 +169,6 @@ _RECHECK_FACTOR = 4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
-
-    def take(self) -> bool:
-        if self.exhausted:
-            return False
-        self.used += 1
-        return True
-
-
 def _candidate_ratio(build, params: tuple[float, ...], tol: float) -> float:
     """Score one parameter vector; -inf when infeasible."""
     node = build(params)
@@ -219,12 +203,11 @@ def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10
     box: list[tuple[float, float]] = FAMILIES[family]["box"]
     build = FAMILIES[family]["build"]
     rng = random.Random(seed)
-    ledger: list[tuple[float, tuple[float, ...]]] = []
-    spent = _Budget(budget)
+    ledger: list[tuple[float, tuple[float, ...]]] = []  # one entry per evaluation
 
     def score(params: tuple[float, ...]) -> float:
         clipped = tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(params, box))
-        if not spent.take():
+        if len(ledger) >= budget:
             return -math.inf
         r = _candidate_ratio(build, clipped, tol)
         ledger.append((r, clipped))
@@ -247,7 +230,7 @@ def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10
         grid = [(u, v) for u in axes[0] for v in axes[1]]
     for params in grid:
         score(params)
-        if spent.exhausted:
+        if len(ledger) >= budget:
             break
 
     def golden_line(center: tuple[float, ...], dim: int, window: float) -> tuple[float, ...]:
@@ -259,7 +242,7 @@ def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10
         f1 = score(with_dim(x1))
         f2 = score(with_dim(x2))
         for _ in range(14):
-            if spent.exhausted:
+            if len(ledger) >= budget:
                 break
             if f1 < f2:
                 lo, x1, f1 = x1, x2, f2
@@ -274,14 +257,14 @@ def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10
     # Phase 2: coordinate refinement around the incumbent.
     windows = [span / per_dim for span in spans]
     for _ in range(10):
-        if spent.exhausted or not ledger:
+        if len(ledger) >= budget or not ledger:
             break
         best = max(ledger, key=lambda e: (e[0], tuple(-p for p in e[1])))
         if best[0] == -math.inf:
             break
         center = best[1]
         for dim in range(dims):
-            if spent.exhausted:
+            if len(ledger) >= budget:
                 break
             center = golden_line(center, dim, windows[dim])
         windows = [w * 0.4 for w in windows]
@@ -295,5 +278,5 @@ def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10
         node = build(params)
         prof = convexity_profile(node, UNIT, _RECHECK_FACTOR * _PROFILE_N)
         if prof.f_convex == "yes":
-            return SearchResult(family, ratio, params, spent.used, seed)
+            return SearchResult(family, ratio, params, len(ledger), seed)
     raise SearchError(f"no feasible candidate in family {family!r} within budget {budget}")

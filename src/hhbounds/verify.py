@@ -13,22 +13,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import bounds
 from .core import Interval, WeightPair
 from .expr import BinOp, Const, Hyp, Node, Pow, Unary, Var, eval_value, parse, to_source
 from .jets import eval_jet
 from .means import (
+    BRACKETS,
     all_means,
     identric_enclosure,
-    identric_of_squares_enclosure,
     log_mean_enclosure,
     reciprocal_log_mean_defect,
 )
 from .quadrature import integrate_mean
 from .search import f_ratio, left_counterexample
-
-SUITE_NAMES = ("identities", "inequalities", "means")
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,29 @@ class Case:
     iv: Interval
 
 
-class _Corpus:
-    """Random convex integrands over subintervals of (0.1, 5)."""
+class _Context:
+    """What every property reads: the corpus, trial counts and the flag.
+
+    One context serves every suite of a run, so "all" builds the corpus
+    and integrates its means once.
+    """
 
     FAMILIES = ("exp(x)", "1/x", "-log(x)", "x*log(x)")
 
-    def __init__(self, rng: random.Random, count: int):
-        self.cases: list[Case] = []
+    def __init__(self, samples: int, seed: int, printed_constant: bool):
+        self.samples = samples
+        self.seed = seed
+        self.printed_constant = printed_constant
+        self.mean_trials = max(10 * samples, 100)
+        self.bracket_trials = max(samples, 50)
         self._means: dict[int, float] = {}
-        for _ in range(count):
+
+    @cached_property
+    def cases(self) -> list[Case]:
+        """Random convex integrands over subintervals of (0.1, 5)."""
+        rng = random.Random(self.seed)
+        cases = []
+        for _ in range(self.samples):
             kind = rng.randrange(5)
             a = rng.uniform(0.1, 4.5)
             b = rng.uniform(a + 0.05, 5.0)
@@ -61,13 +74,24 @@ class _Corpus:
                 src = self.FAMILIES[kind]
             else:
                 src = f"x^{rng.uniform(1.2, 6.0)!r}"
-            self.cases.append(Case(src, parse(src), Interval(a, b)))
+            cases.append(Case(src, parse(src), Interval(a, b)))
+        return cases
 
     def mean(self, i: int) -> float:
         if i not in self._means:
             c = self.cases[i]
             self._means[i] = integrate_mean(c.node, c.iv, 1e-10).value
         return self._means[i]
+
+    @cached_property
+    def shaped(self) -> list[tuple[int, Case, bounds.ConvexityProfile]]:
+        """(index, case, profile) of the cases whose f'' has a determinate shape."""
+        out = []
+        for i, c in enumerate(self.cases):
+            prof = bounds.convexity_profile(c.node, c.iv, 65)
+            if prof.f2_shape != "indeterminate":
+                out.append((i, c, prof))
+        return out
 
 
 def _fmt(case: Case) -> str:
@@ -81,7 +105,7 @@ def _ok(n: int) -> tuple[bool, str]:
 # --- identities ---------------------------------------------------------------
 
 
-def _prop_oracle_cubic_exactness(rng, corpus):
+def _prop_oracle_cubic_exactness(rng, ctx):
     for trial in range(40):
         coeffs = [rng.uniform(-3.0, 3.0) for _ in range(4)]
         a = rng.uniform(-2.0, 2.0)
@@ -97,21 +121,21 @@ def _prop_oracle_cubic_exactness(rng, corpus):
     return _ok(40)
 
 
-def _prop_oracle_additivity(rng, corpus):
-    for i, case in enumerate(corpus.cases):
+def _prop_oracle_additivity(rng, ctx):
+    for i, case in enumerate(ctx.cases):
         cut = case.iv.a + case.iv.length * rng.uniform(0.3, 0.7)
         left = integrate_mean(case.node, Interval(case.iv.a, cut), 1e-11)
         right = integrate_mean(case.node, Interval(cut, case.iv.b), 1e-11)
         combined = (
             (cut - case.iv.a) * left.value + (case.iv.b - cut) * right.value
         ) / case.iv.length
-        whole = corpus.mean(i)
+        whole = ctx.mean(i)
         if abs(whole - combined) > 1e-11 * (1.0 + abs(whole)):
             return False, f"additivity off by {whole - combined:.3e} for {_fmt(case)}"
-    return _ok(len(corpus.cases))
+    return _ok(len(ctx.cases))
 
 
-def _prop_oracle_closed_forms(rng, corpus):
+def _prop_oracle_closed_forms(rng, ctx):
     def mean_exp(a, b):
         return (math.exp(b) - math.exp(a)) / (b - a)
 
@@ -142,25 +166,19 @@ def _prop_oracle_closed_forms(rng, corpus):
     return _ok(100)
 
 
-def _identity_prop(which):
-    fn = (
-        bounds.bisected_trapezoid_identity_residual
-        if which == "bt"
-        else bounds.simpson_identity_residual
-    )
-
-    def prop(rng, corpus):
-        for case in corpus.cases:
-            check = fn(case.node, case.iv, tol=1e-9)
+def _identity_prop(residual: str):
+    def prop(rng, ctx):
+        for case in ctx.cases:
+            check = getattr(bounds, residual)(case.node, case.iv, tol=1e-9)
             scale = 1.0 + max(abs(check.lhs), abs(check.rhs))
             if check.residual > 1e-8 * scale:
                 return False, f"residual {check.residual:.3e} for {_fmt(case)}"
-        return _ok(len(corpus.cases))
+        return _ok(len(ctx.cases))
 
     return prop
 
 
-def _prop_affine_exactness(rng, corpus):
+def _prop_affine_exactness(rng, ctx):
     for trial in range(50):
         c = rng.uniform(-5.0, 5.0)
         d = rng.uniform(-5.0, 5.0)
@@ -182,8 +200,8 @@ def _prop_affine_exactness(rng, corpus):
     return _ok(50)
 
 
-def _prop_ratio_affine_invariance(rng, corpus):
-    picks = corpus.cases[: min(20, len(corpus.cases))]
+def _prop_ratio_affine_invariance(rng, ctx):
+    picks = ctx.cases[: min(20, len(ctx.cases))]
     for case in picks:
         base = f_ratio(case.node, case.iv)
         if base.degenerate:
@@ -218,7 +236,7 @@ def _random_expr(rng: random.Random, depth: int) -> Node:
     return Unary(fn, _random_expr(rng, depth - 1))
 
 
-def _prop_parse_print_roundtrip(rng, corpus):
+def _prop_parse_print_roundtrip(rng, ctx):
     for trial in range(50):
         tree = _random_expr(rng, 4)
         once = parse(to_source(tree))
@@ -228,7 +246,7 @@ def _prop_parse_print_roundtrip(rng, corpus):
     return _ok(50)
 
 
-def _prop_jet_polynomial_exactness(rng, corpus):
+def _prop_jet_polynomial_exactness(rng, ctx):
     for trial in range(60):
         coeffs = [rng.uniform(-4.0, 4.0) for _ in range(5)]
         node = Const(coeffs[0])
@@ -248,19 +266,19 @@ def _prop_jet_polynomial_exactness(rng, corpus):
 # --- inequalities -------------------------------------------------------------
 
 
-def _prop_classic_containment(rng, corpus):
-    for i, case in enumerate(corpus.cases):
-        mean = corpus.mean(i)
+def _prop_classic_containment(rng, ctx):
+    for i, case in enumerate(ctx.cases):
+        mean = ctx.mean(i)
         fm = eval_value(case.node, case.iv.mid)
         trap = 0.5 * (eval_value(case.node, case.iv.a) + eval_value(case.node, case.iv.b))
         bt = bounds.bisected_trapezoid(case.node, case.iv)
         if not (fm <= mean + 1e-10 and mean <= bt + 1e-10 and bt <= trap + 1e-12):
             return False, f"containment chain broken for {_fmt(case)}"
-    return _ok(len(corpus.cases))
+    return _ok(len(ctx.cases))
 
 
-def _prop_weight_monotonicity(rng, corpus):
-    for case in corpus.cases:
+def _prop_weight_monotonicity(rng, ctx):
+    for case in ctx.cases:
         fm = eval_value(case.node, case.iv.mid)
         lo = rng.uniform(0.25, 0.5)
         hi = rng.uniform(lo, 0.5)
@@ -270,65 +288,50 @@ def _prop_weight_monotonicity(rng, corpus):
         scale = 1e-12 * (1.0 + abs(v_hi))
         if v_lo > v_hi + scale or abs(v_mid - fm) > scale:
             return False, f"weight monotonicity broken for {_fmt(case)}"
-    return _ok(len(corpus.cases))
+    return _ok(len(ctx.cases))
 
 
-def _prop_defect_sandwich(rng, corpus):
-    tested = 0
-    for i, case in enumerate(corpus.cases):
-        prof = bounds.convexity_profile(case.node, case.iv, 65)
-        if prof.f2_shape == "indeterminate":
-            continue
-        tested += 1
+def _prop_defect_sandwich(rng, ctx):
+    for i, case, prof in ctx.shaped:
         encl = bounds.bisected_trapezoid_defect(case.node, case.iv, prof)
-        defect = bounds.bisected_trapezoid(case.node, case.iv) - corpus.mean(i)
+        defect = bounds.bisected_trapezoid(case.node, case.iv) - ctx.mean(i)
         if not encl.contains(defect, slack=1e-9):
             return False, f"defect {defect:.9g} outside sandwich for {_fmt(case)}"
-    return _ok(tested)
+    return _ok(len(ctx.shaped))
 
 
-def _prop_simpson_defect_bound(rng, corpus):
-    tested = 0
-    for i, case in enumerate(corpus.cases):
-        prof = bounds.convexity_profile(case.node, case.iv, 65)
-        if prof.f2_shape == "indeterminate":
-            continue
-        tested += 1
+def _prop_simpson_defect_bound(rng, ctx):
+    for i, case, prof in ctx.shaped:
         encl = bounds.simpson_defect_bound(case.node, case.iv, prof)
-        oriented = bounds.simpson_value(case.node, case.iv) - corpus.mean(i)
+        oriented = bounds.simpson_value(case.node, case.iv) - ctx.mean(i)
         if prof.f2_shape == "concave":
             oriented = -oriented
         if not encl.contains(oriented, slack=1e-9):
             return False, f"oriented defect {oriented:.9g} outside bound for {_fmt(case)}"
-    return _ok(tested)
+    return _ok(len(ctx.shaped))
 
 
-def _prop_simpson_direction(rng, corpus):
-    tested = 0
-    for i, case in enumerate(corpus.cases):
-        prof = bounds.convexity_profile(case.node, case.iv, 65)
-        if prof.f2_shape == "indeterminate":
-            continue
-        tested += 1
+def _prop_simpson_direction(rng, ctx):
+    for i, case, prof in ctx.shaped:
         one_sided = bounds.simpson_one_sided_bound(case.node, case.iv, prof)
-        mean = corpus.mean(i)
+        mean = ctx.mean(i)
         ok = mean <= one_sided.value + 1e-9 if one_sided.is_upper else mean >= one_sided.value - 1e-9
         if not ok:
             return False, f"one-sided direction wrong for {_fmt(case)}"
-    return _ok(tested)
+    return _ok(len(ctx.shaped))
 
 
-def _prop_simpson_error_bound(rng, corpus):
-    for i, case in enumerate(corpus.cases):
+def _prop_simpson_error_bound(rng, ctx):
+    for i, case in enumerate(ctx.cases):
         est = bounds.simpson_estimate(case.node, case.iv)
-        if abs(est.value - corpus.mean(i)) > est.err_bound + 1e-9:
+        if abs(est.value - ctx.mean(i)) > est.err_bound + 1e-9:
             return False, f"error exceeds bound for {_fmt(case)}"
-    return _ok(len(corpus.cases))
+    return _ok(len(ctx.cases))
 
 
-def _prop_symmetric_triple(rng, corpus):
+def _prop_symmetric_triple(rng, ctx):
     checks = 0
-    for case in corpus.cases:
+    for case in ctx.cases:
         for _ in range(5):
             t = rng.uniform(0.0, 1.0)
             lo, mid, hi = bounds.symmetric_point_triple(case.node, case.iv, t)
@@ -339,9 +342,9 @@ def _prop_symmetric_triple(rng, corpus):
     return _ok(checks)
 
 
-def _prop_ratio_range(rng, corpus):
+def _prop_ratio_range(rng, ctx):
     tested = 0
-    for i, case in enumerate(corpus.cases):
+    for i, case in enumerate(ctx.cases):
         fa = eval_value(case.node, case.iv.a)
         fm = eval_value(case.node, case.iv.mid)
         fb = eval_value(case.node, case.iv.b)
@@ -349,13 +352,13 @@ def _prop_ratio_range(rng, corpus):
         if abs(den) <= 1e-12 * (1.0 + abs(fa) + abs(fb)):
             continue
         tested += 1
-        value = (corpus.mean(i) - fm) / den
+        value = (ctx.mean(i) - fm) / den
         if not -1e-9 <= value <= 0.25 + 1e-9:
             return False, f"ratio {value:.9g} out of range for {_fmt(case)}"
     return _ok(tested)
 
 
-def _prop_left_counterexample_grid(rng, corpus):
+def _prop_left_counterexample_grid(rng, ctx):
     for k in range(50):
         gamma = 0.01 + (0.5 - 0.01) * (k + 1) / 50.0
         report = left_counterexample(gamma)
@@ -373,17 +376,17 @@ def _rand_pair(rng) -> tuple[float, float]:
     return (a, b) if a != b else (a, b + 1.0)
 
 
-def _prop_means_chain(rng, corpus, trials: int):
-    for _ in range(trials):
+def _prop_means_chain(rng, ctx):
+    for _ in range(ctx.mean_trials):
         a, b = _rand_pair(rng)
         ms = all_means(a, b)  # constructor enforces the chain
         if ms.harmonic > ms.gini:
             return False, f"chain inverted for ({a}, {b})"
-    return _ok(trials)
+    return _ok(ctx.mean_trials)
 
 
-def _prop_means_symmetry_homogeneity(rng, corpus, trials: int):
-    for _ in range(trials):
+def _prop_means_symmetry_homogeneity(rng, ctx):
+    for _ in range(ctx.bracket_trials):
         a, b = _rand_pair(rng)
         fwd = all_means(a, b).as_dict()
         rev = all_means(b, a).as_dict()
@@ -394,41 +397,33 @@ def _prop_means_symmetry_homogeneity(rng, corpus, trials: int):
                 return False, f"{name} not symmetric at ({a:.6g}, {b:.6g})"
             if abs(scaled[name] - k * fwd[name]) > 1e-12 * scaled[name]:
                 return False, f"{name} not homogeneous at ({a:.6g}, {b:.6g}), k={k}"
-    return _ok(trials)
+    return _ok(ctx.bracket_trials)
 
 
 def _bracket_prop(kind: str):
-    def prop(rng, corpus, trials: int, printed: bool):
-        for _ in range(trials):
+    def prop(rng, ctx):
+        _, bracket = BRACKETS[kind]
+        for _ in range(ctx.bracket_trials):
             a, b = _rand_pair(rng)
-            ms = all_means(a, b)
-            if kind == "L":
-                encl, target = log_mean_enclosure(a, b), ms.logarithmic
-            elif kind == "recipL":
-                encl = reciprocal_log_mean_defect(a, b)
-                target = 0.5 * (1.0 / ms.arithmetic + 1.0 / ms.harmonic) - 1.0 / ms.logarithmic
-            elif kind == "I":
-                encl, target = identric_enclosure(a, b, use_printed_constant=printed), ms.identric
-            else:
-                encl, target = identric_of_squares_enclosure(a, b), all_means(a * a, b * b).identric
+            encl, target = bracket(a, b, all_means(a, b), ctx.printed_constant)
             if not encl.contains(target, slack=1e-9 * (1.0 + abs(target))):
                 return False, f"target {target:.9g} escaped [{encl.lower:.9g}, {encl.upper:.9g}] at ({a:.9g}, {b:.9g})"
-        return _ok(trials)
+        return _ok(ctx.bracket_trials)
 
     return prop
 
 
-def _prop_upper_below_arithmetic(rng, corpus, trials: int):
-    for _ in range(trials):
+def _prop_upper_below_arithmetic(rng, ctx):
+    for _ in range(ctx.bracket_trials):
         a, b = _rand_pair(rng)
         ms = all_means(a, b)
         if (ms.arithmetic + 2.0 * ms.geometric) / 3.0 > ms.arithmetic * (1.0 + 1e-12):
             return False, f"(A+2G)/3 above A at ({a:.6g}, {b:.6g})"
-    return _ok(trials)
+    return _ok(ctx.bracket_trials)
 
 
-def _prop_means_cross_module(rng, corpus, trials: int):
-    for _ in range(min(trials, 40)):
+def _prop_means_cross_module(rng, ctx):
+    for _ in range(min(ctx.bracket_trials, 40)):
         a = rng.uniform(0.2, 4.0)
         b = rng.uniform(a * 1.05, 5.0)
         iv = Interval(a, b)
@@ -452,10 +447,50 @@ def _prop_means_cross_module(rng, corpus, trials: int):
         neglog = bounds.simpson_defect_bound("-log(x)", iv)
         if abs(exponent - neglog.upper) > 1e-10 * (1.0 + neglog.upper):
             return False, f"identric exponent mismatch at ({a:.6g}, {b:.6g})"
-    return _ok(min(trials, 40))
+    return _ok(min(ctx.bracket_trials, 40))
 
 
 # --- suite assembly -----------------------------------------------------------
+
+# Suite name -> ordered (property name, property(rng, ctx)).  Properties
+# look up the functions they check when they run, not at import, so
+# wrappers installed on module names (bench/spans.py) see every call.
+SUITES = {
+    "identities": (
+        ("oracle-cubic-exactness", _prop_oracle_cubic_exactness),
+        ("oracle-additivity", _prop_oracle_additivity),
+        ("oracle-closed-forms", _prop_oracle_closed_forms),
+        ("bisected-trapezoid-identity", _identity_prop("bisected_trapezoid_identity_residual")),
+        ("simpson-identity", _identity_prop("simpson_identity_residual")),
+        ("affine-exactness", _prop_affine_exactness),
+        ("ratio-affine-invariance", _prop_ratio_affine_invariance),
+        ("parse-print-roundtrip", _prop_parse_print_roundtrip),
+        ("jet-polynomial-exactness", _prop_jet_polynomial_exactness),
+    ),
+    "inequalities": (
+        ("classic-containment", _prop_classic_containment),
+        ("weight-monotonicity", _prop_weight_monotonicity),
+        ("defect-sandwich", _prop_defect_sandwich),
+        ("simpson-defect-bound", _prop_simpson_defect_bound),
+        ("simpson-direction", _prop_simpson_direction),
+        ("simpson-error-bound", _prop_simpson_error_bound),
+        ("symmetric-triple", _prop_symmetric_triple),
+        ("ratio-range", _prop_ratio_range),
+        ("left-counterexample-grid", _prop_left_counterexample_grid),
+    ),
+    "means": (
+        ("means-chain", _prop_means_chain),
+        ("means-symmetry-homogeneity", _prop_means_symmetry_homogeneity),
+        ("log-mean-bracket", _bracket_prop("L")),
+        ("reciprocal-log-mean-defect", _bracket_prop("recipL")),
+        ("identric-bracket", _bracket_prop("I")),
+        ("identric-square-bracket", _bracket_prop("Isq")),
+        ("upper-below-arithmetic", _prop_upper_below_arithmetic),
+        ("means-cross-module", _prop_means_cross_module),
+    ),
+}
+
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(
@@ -465,81 +500,14 @@ def run_suite(
     printed_constant: bool = False,
 ) -> list[PropertyResult]:
     """Run one suite (or "all") and return per-property verdicts."""
-    if suite == "all":
-        out: list[PropertyResult] = []
-        for name in SUITE_NAMES:
-            out.extend(run_suite(name, samples, seed, printed_constant))
-        return out
-    if suite not in SUITE_NAMES:
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES + ('all',)}")
     if samples < 1:
         raise ValueError("samples must be positive")
-
-    mean_trials = max(10 * samples, 100)
-    bracket_trials = max(samples, 50)
-    if suite == "identities":
-        props = [
-            ("oracle-cubic-exactness", _prop_oracle_cubic_exactness),
-            ("oracle-additivity", _prop_oracle_additivity),
-            ("oracle-closed-forms", _prop_oracle_closed_forms),
-            ("bisected-trapezoid-identity", _identity_prop("bt")),
-            ("simpson-identity", _identity_prop("simpson")),
-            ("affine-exactness", _prop_affine_exactness),
-            ("ratio-affine-invariance", _prop_ratio_affine_invariance),
-            ("parse-print-roundtrip", _prop_parse_print_roundtrip),
-            ("jet-polynomial-exactness", _prop_jet_polynomial_exactness),
-        ]
-        runner = lambda fn, rng, corpus: fn(rng, corpus)
-    elif suite == "inequalities":
-        props = [
-            ("classic-containment", _prop_classic_containment),
-            ("weight-monotonicity", _prop_weight_monotonicity),
-            ("defect-sandwich", _prop_defect_sandwich),
-            ("simpson-defect-bound", _prop_simpson_defect_bound),
-            ("simpson-direction", _prop_simpson_direction),
-            ("simpson-error-bound", _prop_simpson_error_bound),
-            ("symmetric-triple", _prop_symmetric_triple),
-            ("ratio-range", _prop_ratio_range),
-            ("left-counterexample-grid", _prop_left_counterexample_grid),
-        ]
-        runner = lambda fn, rng, corpus: fn(rng, corpus)
-    else:
-        props = [
-            ("means-chain", lambda r, c: _prop_means_chain(r, c, mean_trials)),
-            (
-                "means-symmetry-homogeneity",
-                lambda r, c: _prop_means_symmetry_homogeneity(r, c, bracket_trials),
-            ),
-            (
-                "log-mean-bracket",
-                lambda r, c: _bracket_prop("L")(r, c, bracket_trials, printed_constant),
-            ),
-            (
-                "reciprocal-log-mean-defect",
-                lambda r, c: _bracket_prop("recipL")(r, c, bracket_trials, printed_constant),
-            ),
-            (
-                "identric-bracket",
-                lambda r, c: _bracket_prop("I")(r, c, bracket_trials, printed_constant),
-            ),
-            (
-                "identric-square-bracket",
-                lambda r, c: _bracket_prop("Isq")(r, c, bracket_trials, printed_constant),
-            ),
-            (
-                "upper-below-arithmetic",
-                lambda r, c: _prop_upper_below_arithmetic(r, c, bracket_trials),
-            ),
-            ("means-cross-module", lambda r, c: _prop_means_cross_module(r, c, bracket_trials)),
-        ]
-        runner = lambda fn, rng, corpus: fn(rng, corpus)
-
-    corpus = (
-        _Corpus(random.Random(seed), samples) if suite in ("identities", "inequalities") else None
-    )
+    ctx = _Context(samples, seed, printed_constant)
     results = []
-    for idx, (name, fn) in enumerate(props):
-        rng = random.Random(seed * 10007 + idx)
-        passed, detail = runner(fn, rng, corpus)
-        results.append(PropertyResult(f"{suite}:{name}", passed, detail))
+    for name in SUITE_NAMES if suite == "all" else (suite,):
+        for idx, (prop_name, prop) in enumerate(SUITES[name]):
+            passed, detail = prop(random.Random(seed * 10007 + idx), ctx)
+            results.append(PropertyResult(f"{name}:{prop_name}", passed, detail))
     return results
