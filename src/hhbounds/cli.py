@@ -290,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         outputs, citations, status = args.run(args)
+        for key, value in outputs.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"output {key!r} is not finite ({value})")
     except (ParseError, DomainError, BudgetError, SearchError, ValueError, OverflowError) as exc:
         report["outputs"] = {"error": str(exc)}
         report["citations"] = []

@@ -53,6 +53,9 @@ class MeanSet:
             self.arithmetic,
             self.gini,
         )
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} mean is not finite ({value})")
         slack = 1e-12 * max(chain)
         for lo, hi in zip(chain, chain[1:]):
             if lo > hi + slack:
@@ -104,11 +107,17 @@ def all_means(a: float, b: float) -> MeanSet:
         u2 = u * u
         logm = arith * (1.0 - u2 / 3.0 - 4.0 * u2 * u2 / 45.0)
         idm = arith * math.exp(-u2 / 6.0 - u2 * u2 / 20.0)
-    else:
+    elif math.isfinite(gap):
         logm = (b - a) / math.log1p(gap)
         # (b*log(b) - a*log(a))/(b-a) - 1, regrouped so the data that
         # cancels is the leading 1 of b*log1p(gap)/(b-a)
         idm = a * math.exp(b * math.log1p(gap) / (b - a) - 1.0)
+    else:
+        # b/a is past the float range: log1p(gap) is inf, and the exp
+        # factor overflows although I itself is finite
+        log_ratio = math.log(b) - math.log(a)
+        logm = (b - a) / log_ratio
+        idm = math.exp(math.log(a) + b * log_ratio / (b - a) - 1.0)
     return MeanSet(harm, geom, logm, idm, arith, gini)
 
 

@@ -88,6 +88,23 @@ def test_chain_constructor_rejects_disorder():
         MeanSet(2.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
+def test_chain_constructor_rejects_non_finite_means():
+    with pytest.raises(ValueError, match="identric mean is not finite"):
+        MeanSet(1.0, 1.0, 1.0, math.inf, 1.0, 1.0)
+    with pytest.raises(ValueError, match="harmonic mean is not finite"):
+        all_means(1e308, 1.5e308)  # a + b overflows
+
+
+def test_ratio_past_the_float_range():
+    # b/a = 1e600 is not a float, yet L ~ 7.24e296 and I ~ 3.68e299 are
+    ms = all_means(1e300, 1e-300)
+    logm, idm = _mp_log_identric(1e-300, 1e300)
+    assert ms.logarithmic == pytest.approx(logm, rel=1e-12)
+    assert ms.identric == pytest.approx(idm, rel=1e-12)
+    assert ms.logarithmic == pytest.approx(7.24e296, rel=1e-3)
+    assert ms.identric == pytest.approx(3.68e299, rel=1e-3)
+
+
 def test_wide_pair_log_mean():
     assert all_means(1.0, 100.0).logarithmic == pytest.approx(
         21.497576854210965, rel=1e-13
