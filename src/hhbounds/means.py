@@ -184,7 +184,11 @@ def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -
     exponent = _identric_exponent(a, b)
     if use_printed_constant:
         exponent /= 4.0
-    return Enclosure(lower, lower * math.exp(exponent))
+    try:
+        upper = lower * math.exp(exponent)
+    except OverflowError:
+        upper = math.inf  # still a certified upper bound, just not a finite one
+    return Enclosure(lower, upper)
 
 
 def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:

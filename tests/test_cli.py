@@ -169,6 +169,13 @@ def test_means_printed_constant_flag_flips_exit_code():
     assert rep["outputs"]["upper"] < rep["outputs"]["target"]
 
 
+def test_means_identric_overflow_names_the_infinite_output():
+    rc, rep = run_json("means", "--a=1", "--b=600", "--enclose=I")
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
+
+
 def test_means_rejects_nonpositive():
     rc, rep = run_json("means", "--a", "-1", "--b", "2")
     assert rc == 2

@@ -31,6 +31,13 @@ def test_printed_constant_flag_fails_identric_property():
     assert all(r.detail for r in bad)
 
 
+def test_means_suite_survives_identric_overflow():
+    # seed 2 draws pairs whose identric bracket factor exceeds the float range
+    results = run_suite("means", samples=200, seed=2)
+    bad = [r for r in results if not r.passed]
+    assert not bad, [(r.name, r.detail) for r in bad]
+
+
 def test_determinism():
     r1 = run_suite("inequalities", samples=25, seed=6)
     r2 = run_suite("inequalities", samples=25, seed=6)
