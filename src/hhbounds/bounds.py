@@ -359,23 +359,29 @@ def adaptive_enclosure(
     fb = eval_value(node, iv.b)
     heap = [panel(iv.a, iv.b, fa, fm, fb)]
     width = -heap[0][0]
-    while width > tol:
-        if len(heap) >= max_panels:
-            raise BudgetError(f"subdivision budget of {max_panels} panels exhausted")
-        neg_gap, a, b, fa, fm, fb = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        flm = eval_value(node, 0.5 * (a + m))
-        frm = eval_value(node, 0.5 * (m + b))
-        left = panel(a, m, fa, flm, fm)
-        right = panel(m, b, fm, frm, fb)
-        heapq.heappush(heap, left)
-        heapq.heappush(heap, right)
-        width += neg_gap - left[0] - right[0]
+    target = tol
+    while True:
+        while width > target:
+            if len(heap) >= max_panels:
+                raise BudgetError(f"subdivision budget of {max_panels} panels exhausted")
+            neg_gap, a, b, fa, fm, fb = heapq.heappop(heap)
+            m = 0.5 * (a + b)
+            flm = eval_value(node, 0.5 * (a + m))
+            frm = eval_value(node, 0.5 * (m + b))
+            left = panel(a, m, fa, flm, fm)
+            right = panel(m, b, fm, frm, fb)
+            heapq.heappush(heap, left)
+            heapq.heappush(heap, right)
+            width += neg_gap - left[0] - right[0]
 
-    lower = 0.0
-    upper = 0.0
-    for _, a, b, fa, fm, fb in sorted(heap, key=lambda p: p[1]):
-        w = (b - a) / total
-        lower += w * fm
-        upper += w * (fa + 2.0 * fm + fb) / 4.0
-    return Enclosure(lower, upper)
+        lower = 0.0
+        upper = 0.0
+        for _, a, b, fa, fm, fb in sorted(heap, key=lambda p: p[1]):
+            w = (b - a) / total
+            lower += w * fm
+            upper += w * (fa + 2.0 * fm + fb) / 4.0
+        if upper - lower <= tol:
+            return Enclosure(lower, upper)
+        # The running width has drifted from the summed bracket by rounding;
+        # split until it sits that far below tol.
+        target = tol - (upper - lower - width)

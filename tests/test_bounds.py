@@ -364,6 +364,22 @@ def test_adaptive_exp_tight():
     assert encl.contains(math.e - 1.0)
 
 
+@pytest.mark.parametrize(
+    "src, a, b, tol, anti",
+    [
+        ("exp(x)", 0.0, 1.0, 3e-10, math.exp),
+        ("exp(x)", 0.0, 1.0, 1e-10, math.exp),
+        ("x*log(x)", 0.5, 2.0, 1e-10, lambda t: t * t * (2.0 * math.log(t) - 1.0) / 4.0),
+        ("x^2.5", 0.1, 2.0, 1e-10, lambda t: t ** 3.5 / 3.5),
+    ],
+)
+def test_adaptive_returned_width_within_tol(src, a, b, tol, anti):
+    # the running sum of panel gaps drifts from the summed bracket by rounding
+    encl = adaptive_enclosure(src, Interval(a, b), tol)
+    assert encl.width <= tol
+    assert encl.contains((anti(b) - anti(a)) / (b - a), slack=1e-14)
+
+
 def test_adaptive_requires_convex_profile():
     iv = Interval(0.0, 3.14)
     prof = convexity_profile(parse("sin(x)"), iv)
