@@ -45,7 +45,7 @@ class Case:
 
 
 class _Context:
-    """What every property reads: the corpus, trial counts and the flag.
+    """What every property reads: corpus, trial counts, printed-constant flag.
 
     One context serves every suite of a run, so "all" builds the corpus
     and integrates its means once.
