@@ -18,6 +18,7 @@ errors are 0-based positions into the source string.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -322,71 +323,69 @@ def _wrap(node: Node, min_prec: int) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
-
-def _apply_unary(fn: str, v: float) -> float:
-    if fn == "neg":
-        return -v
-    if fn == "exp":
-        return math.exp(v)
-    if fn == "log":
-        if v <= 0.0:
-            raise DomainError(f"log of non-positive value {v}")
-        return math.log(v)
-    if fn == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt of negative value {v}")
-        return math.sqrt(v)
-    if fn == "abs":
-        return abs(v)
-    if fn == "sin":
-        return math.sin(v)
-    if fn == "cos":
-        return math.cos(v)
-    raise ValueError(f"unknown unary function {fn!r}")
+# An arithmetic maps each operator and function name to its implementation,
+# plus "const" (lifts a float) and "head" (the value part of a number).
+FLOATS = {
+    "const": float,
+    "head": float,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+    "hyp": math.hypot,
+    "neg": operator.neg,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    "sin": math.sin,
+    "cos": math.cos,
+}
 
 
-def _apply_bin(op: str, lv: float, rv: float) -> float:
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if op == "/":
-        if rv == 0.0:
+def evaluate(node: Node, x, arithmetic: dict):
+    """Evaluate the tree at x, which is already in the arithmetic's form.
+
+    Every domain rule of the language is checked here, once, on the head
+    of the operand, so an arithmetic's functions see only arguments inside
+    the domain.
+    """
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Const):
+        return arithmetic["const"](node.value)
+    if isinstance(node, BinOp):
+        left = evaluate(node.left, x, arithmetic)
+        right = evaluate(node.right, x, arithmetic)
+        if node.op == "/" and arithmetic["head"](right) == 0.0:
             raise DomainError("division by zero")
-        return lv / rv
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def _pow_value(base: float, exponent: float) -> float:
-    if exponent == int(exponent):
-        e = int(exponent)
-        if base == 0.0 and e < 0:
+        return arithmetic[node.op](left, right)
+    if isinstance(node, Unary):
+        fn = node.fn
+        arg = evaluate(node.arg, x, arithmetic)
+        v = arithmetic["head"](arg)
+        if fn == "log" and v <= 0.0:
+            raise DomainError(f"log of non-positive value {v}")
+        if fn == "sqrt" and v < 0.0:
+            raise DomainError(f"sqrt of negative value {v}")
+        return arithmetic[fn](arg)
+    if isinstance(node, Pow):
+        base = evaluate(node.base, x, arithmetic)
+        v, r = arithmetic["head"](base), node.exponent
+        if v == 0.0 and r < 0.0:
             raise DomainError("zero raised to a negative power")
-        return base ** e
-    if base < 0.0:
-        raise DomainError(f"negative base {base} with non-integer exponent {exponent}")
-    if base == 0.0 and exponent < 0.0:
-        raise DomainError("zero raised to a negative power")
-    return base ** exponent
+        if v < 0.0 and r % 1.0 != 0.0:
+            raise DomainError(f"negative base {v} with non-integer exponent {r}")
+        return arithmetic["^"](base, r)
+    if isinstance(node, Hyp):
+        return arithmetic["hyp"](evaluate(node.arg, x, arithmetic), node.softness)
+    raise TypeError(f"unknown node {node!r}")
 
 
 def eval_value(node: Node, x: float) -> float:
     """Evaluate the expression at a point (derivative-free path)."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Unary):
-        return _apply_unary(node.fn, eval_value(node.arg, x))
-    if isinstance(node, BinOp):
-        return _apply_bin(node.op, eval_value(node.left, x), eval_value(node.right, x))
-    if isinstance(node, Pow):
-        return _pow_value(eval_value(node.base, x), node.exponent)
-    if isinstance(node, Hyp):
-        return math.hypot(eval_value(node.arg, x), node.softness)
-    raise TypeError(f"unknown node {node!r}")
+    return evaluate(node, x, FLOATS)
 
 
 def _constant(node: Node) -> float | None:
@@ -394,7 +393,7 @@ def _constant(node: Node) -> float | None:
     if contains_var(node):
         return None
     try:
-        return eval_value(node, 0.0)
+        return evaluate(node, 0.0, FLOATS)
     except DomainError:
         return None
 

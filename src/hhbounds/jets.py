@@ -9,10 +9,11 @@ which is exact through degree 4 because w has no constant term.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import DomainError
-from .expr import BinOp, Const, Hyp, Node, Pow, Unary, Var, as_node
+from .expr import Node, as_node, evaluate
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
@@ -105,8 +106,6 @@ def _pow_int(u: Coeffs, e: int) -> Coeffs:
     if e == 0:
         return _const(1.0)
     if e < 0:
-        if u[0] == 0.0:
-            raise DomainError("zero raised to a negative power")
         return _div(_const(1.0), _pow_int(u, -e))
     acc = _const(1.0)
     base = u
@@ -120,7 +119,7 @@ def _pow_int(u: Coeffs, e: int) -> Coeffs:
 
 
 def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
-    """u^r when u vanishes at the point and r is not an integer.
+    """u^r when u vanishes at the point and r is a positive non-integer.
 
     Writes u = h^m * v with v(0) = first nonzero coefficient; demands
     that coefficient be positive (otherwise u < 0 just off the point).
@@ -130,13 +129,9 @@ def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
     """
     m = next((k for k in range(1, 5) if u[k] != 0.0), None)
     if m is None:
-        if r > 0.0:
-            return _ZERO
-        raise DomainError("zero raised to a negative power")
+        return _ZERO
     if u[m] < 0.0:
-        raise DomainError(f"negative base with non-integer exponent {r}")
-    if r < 0.0:
-        raise DomainError("vanishing base raised to a negative power")
+        raise DomainError(f"base vanishing from below raised to non-integer power {r}")
     e = m * r
     v: Coeffs = tuple(u[m + k] if m + k < 5 else 0.0 for k in range(5))  # type: ignore[assignment]
     d = _pow_regular(v, r)
@@ -157,79 +152,58 @@ def _pow(u: Coeffs, r: float) -> Coeffs:
         return _pow_int(u, int(r))
     if u[0] > 0.0:
         return _pow_regular(u, r)
-    if u[0] == 0.0:
-        return _pow_zero_base(u, r)
-    raise DomainError(f"negative base {u[0]} with non-integer exponent {r}")
+    return _pow_zero_base(u, r)
 
 
-def _jet(node: Node, x: float) -> Coeffs:
-    if isinstance(node, Const):
-        return _const(node.value)
-    if isinstance(node, Var):
-        return (x, 1.0, 0.0, 0.0, 0.0)
-    if isinstance(node, BinOp):
-        lv = _jet(node.left, x)
-        rv = _jet(node.right, x)
-        if node.op == "+":
-            return _add(lv, rv)
-        if node.op == "-":
-            return _sub(lv, rv)
-        if node.op == "*":
-            return _mul(lv, rv)
-        return _div(lv, rv)
-    if isinstance(node, Pow):
-        return _pow(_jet(node.base, x), node.exponent)
-    if isinstance(node, Hyp):
-        u = _jet(node.arg, x)
-        w = _add(_mul(u, u), _const(node.softness ** 2))
-        return _pow_regular(w, 0.5)
-    if isinstance(node, Unary):
-        if node.fn == "neg":
-            return _neg(_jet(node.arg, x))
-        u = _jet(node.arg, x)
-        u0 = u[0]
-        if node.fn == "exp":
-            e = math.exp(u0)
-            return _compose((e, e, e, e, e), u)
-        if node.fn == "log":
-            if u0 <= 0.0:
-                raise DomainError(f"log of non-positive value {u0}")
-            i = 1.0 / u0
-            return _compose((math.log(u0), i, -i * i, 2.0 * i ** 3, -6.0 * i ** 4), u)
-        if node.fn == "sqrt":
-            if u0 < 0.0:
-                raise DomainError(f"sqrt of negative value {u0}")
-            return _pow(u, 0.5)
-        if node.fn == "abs":
-            if u0 > 0.0:
-                return u
-            if u0 < 0.0:
-                return _neg(u)
-            raise DomainError("abs is not differentiable at 0")
-        if node.fn == "sin":
-            s, c = math.sin(u0), math.cos(u0)
-            return _compose((s, c, -s, -c, s), u)
-        if node.fn == "cos":
-            s, c = math.sin(u0), math.cos(u0)
-            return _compose((c, -s, -c, s, c), u)
-    raise TypeError(f"unknown node {node!r}")
+def _exp(u: Coeffs) -> Coeffs:
+    e = math.exp(u[0])
+    return _compose((e, e, e, e, e), u)
 
 
-_NAN_COEFFS: Coeffs = (math.nan,) * 5  # type: ignore[assignment]
+def _log(u: Coeffs) -> Coeffs:
+    u0 = u[0]
+    i = 1.0 / u0
+    return _compose((math.log(u0), i, -i * i, 2.0 * i ** 3, -6.0 * i ** 4), u)
 
 
-def eval_jet(f: Node | str, x: float, domain_guard: bool = True) -> Jet4:
-    """Taylor coefficients c0..c4 of f at x.
+def _abs(u: Coeffs) -> Coeffs:
+    if u[0] > 0.0:
+        return u
+    if u[0] < 0.0:
+        return _neg(u)
+    raise DomainError("abs is not differentiable at 0")
 
-    With domain_guard=False a domain violation yields a NaN jet instead
-    of raising, so samplers can probe near singular points safely.
-    """
-    node = as_node(f)
-    try:
-        c = _jet(node, x)
-    except DomainError:
-        if domain_guard:
-            raise
-        return Jet4(x, _NAN_COEFFS)
-    return Jet4(x, c)
 
+def _sin(u: Coeffs) -> Coeffs:
+    s, c = math.sin(u[0]), math.cos(u[0])
+    return _compose((s, c, -s, -c, s), u)
+
+
+def _cos(u: Coeffs) -> Coeffs:
+    s, c = math.sin(u[0]), math.cos(u[0])
+    return _compose((c, -s, -c, s, c), u)
+
+
+# The jet arithmetic for expr.evaluate; expr.FLOATS documents the keys.
+JETS = {
+    "const": _const,
+    "head": operator.itemgetter(0),
+    "+": _add,
+    "-": _sub,
+    "*": _mul,
+    "/": _div,
+    "^": _pow,
+    "hyp": lambda u, softness: _pow_regular(_add(_mul(u, u), _const(softness ** 2)), 0.5),
+    "neg": _neg,
+    "exp": _exp,
+    "log": _log,
+    "sqrt": lambda u: _pow(u, 0.5),
+    "abs": _abs,
+    "sin": _sin,
+    "cos": _cos,
+}
+
+
+def eval_jet(f: Node | str, x: float) -> Jet4:
+    """Taylor coefficients c0..c4 of f at x."""
+    return Jet4(x, evaluate(as_node(f), (x, 1.0, 0.0, 0.0, 0.0), JETS))

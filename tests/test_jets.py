@@ -137,11 +137,6 @@ def test_zero_base_negative_power_is_error():
         eval_jet("1/x", 0.0)
 
 
-def test_domain_guard_off_returns_nan_jet():
-    jet = eval_jet("log(x)", -1.0, domain_guard=False)
-    assert all(math.isnan(c) for c in jet.coefficients)
-
-
 def test_helper_accessors():
     assert eval_jet("x^2", 3.0).derivatives == (9.0, 6.0, 2.0, 0.0, 0.0)
     assert eval_jet("exp(x)", 0.0).derivatives[2] == pytest.approx(1.0, rel=1e-15)
