@@ -261,7 +261,7 @@ _PREC_ATOM = 100
 
 
 def _num_repr(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -349,7 +349,8 @@ def evaluate(node: Node, x, arithmetic: dict):
 
     Every domain rule of the language is checked here, once, on the head
     of the operand, so an arithmetic's functions see only arguments inside
-    the domain.
+    the domain.  An OverflowError raised by the arithmetic is re-raised
+    with a message naming the operation and its argument.
     """
     if isinstance(node, Var):
         return x
@@ -369,7 +370,10 @@ def evaluate(node: Node, x, arithmetic: dict):
             raise DomainError(f"log of non-positive value {v}")
         if fn == "sqrt" and v < 0.0:
             raise DomainError(f"sqrt of negative value {v}")
-        return arithmetic[fn](arg)
+        try:
+            return arithmetic[fn](arg)
+        except OverflowError:
+            raise OverflowError(f"{fn} overflows at {_num_repr(v)}") from None
     if isinstance(node, Pow):
         base = evaluate(node.base, x, arithmetic)
         v, r = arithmetic["head"](base), node.exponent
@@ -377,9 +381,17 @@ def evaluate(node: Node, x, arithmetic: dict):
             raise DomainError("zero raised to a negative power")
         if v < 0.0 and r % 1.0 != 0.0:
             raise DomainError(f"negative base {v} with non-integer exponent {r}")
-        return arithmetic["^"](base, r)
+        try:
+            return arithmetic["^"](base, r)
+        except OverflowError:
+            raise OverflowError(f"^{_num_repr(r)} overflows at {_num_repr(v)}") from None
     if isinstance(node, Hyp):
-        return arithmetic["hyp"](evaluate(node.arg, x, arithmetic), node.softness)
+        arg = evaluate(node.arg, x, arithmetic)
+        try:
+            return arithmetic["hyp"](arg, node.softness)
+        except OverflowError:
+            v = _num_repr(arithmetic["head"](arg))
+            raise OverflowError(f"hyp overflows at {v}, softness {node.softness!r}") from None
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -198,6 +198,20 @@ def test_ratio_degenerate_is_ok_not_error():
     assert rep["outputs"]["value"] is None
 
 
+def test_ratio_power_overflow_names_the_operation():
+    rc, rep = run_json("ratio", "--f=x^400", "--a=10", "--b=100")
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["outputs"]["error"] == "^400 overflows at 10"
+
+
+def test_ratio_exp_overflow_names_the_operation():
+    rc, rep = run_json("ratio", "--f=exp(x)", "--a=1000", "--b=1001")
+    assert rc == 2
+    assert rep["status"] == "error"
+    assert rep["outputs"]["error"] == "exp overflows at 1000"
+
+
 # --- search-alpha ------------------------------------------------------------
 
 
