@@ -93,12 +93,11 @@ def all_means(a: float, b: float) -> MeanSet:
     gaps under 1e-12 they collapse to the common value.
     """
     a, b = _check_positive(a, b)
-    arith = 0.5 * (a + b)
     if a == b:
         return MeanSet(a, a, a, a, a, a)
-    harm = 2.0 * a * b / (a + b)
+    arith, harm, _ = _arith_harm(a, b)
     geom = math.sqrt(a) * math.sqrt(b)
-    gini = math.exp((a * math.log(a) + b * math.log(b)) / (a + b))
+    gini = math.exp(_log_gini(a, b, arith))
     gap = (b - a) / a
     if gap <= _EQUAL_GAP:
         logm = idm = a
@@ -122,8 +121,50 @@ def all_means(a: float, b: float) -> MeanSet:
 
 
 def _arith_harm(a: float, b: float) -> tuple[float, float, float]:
-    """A, H and A - H, the last in a form that does not cancel near a = b."""
-    return 0.5 * (a + b), 2.0 * a * b / (a + b), (b - a) ** 2 / (2.0 * (a + b))
+    """A, H and A - H, the last in a form that does not cancel near a = b.
+
+    Each is computed directly unless a sum or product there leaves the
+    float range; then it is formed from ratios to A, which stay in range.
+    """
+    arith = 0.5 * (a + b)
+    if arith == math.inf:
+        arith = 0.5 * a + 0.5 * b
+    harm = 2.0 * a * b / (a + b)
+    if not 0.0 < harm < math.inf:
+        harm = a * (b / arith)
+    d = b - a
+    gap = d * d / (2.0 * (a + b))
+    if not 0.0 < gap < math.inf:
+        gap = 0.25 * d * (d / arith)
+    return arith, harm, gap
+
+
+def _log_gini(a: float, b: float, arith: float) -> float:
+    """log of the Gini mean, (a log a + b log b)/(a + b)."""
+    direct = (a * math.log(a) + b * math.log(b)) / (a + b)
+    if math.isfinite(direct):
+        return direct
+    # a log a or a + b is past the float range: log a + b/(a+b) log(b/a)
+    return math.log(a) + 0.5 * b / arith * (math.log(b) - math.log(a))
+
+
+def _direct_or_scaled(direct, scaled) -> float:
+    """A positive quantity: direct() where that is a positive finite float,
+    else scaled(), the same quantity written with ratios of the means so
+    that no square of a mean leaves the float range."""
+    try:
+        value = direct()
+    except ZeroDivisionError:
+        return scaled()
+    return value if 0.0 < value < math.inf else scaled()
+
+
+def _exp_or_inf(t: float) -> float:
+    """exp(t), or +inf where that overflows: still a certified upper bound."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
 def _arith_minus_geom(a: float, b: float) -> float:
@@ -154,8 +195,14 @@ def reciprocal_log_mean_defect(a: float, b: float) -> Enclosure:
     """
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
-    lower = gap / (6.0 * arith * arith)
-    upper = arith * gap / (6.0 * harm * harm) * (4.0 / harm - 3.0 / arith)
+    lower = _direct_or_scaled(
+        lambda: gap / (6.0 * arith * arith),
+        lambda: gap / arith / arith / 6.0,
+    )
+    upper = _direct_or_scaled(
+        lambda: arith * gap / (6.0 * harm * harm) * (4.0 / harm - 3.0 / arith),
+        lambda: (arith / harm) * (gap / harm) * (4.0 - 3.0 * harm / arith) / (6.0 * harm),
+    )
     return Enclosure(lower, upper)
 
 
@@ -166,7 +213,10 @@ def _identric_exponent(a: float, b: float) -> float:
     is evaluated; the raw form loses all digits for near-equal inputs.
     """
     arith, harm, gap = _arith_harm(a, b)
-    return (2.0 / 81.0) * gap * gap * (2.0 * arith + harm) / (arith * harm * harm)
+    return _direct_or_scaled(
+        lambda: (2.0 / 81.0) * gap * gap * (2.0 * arith + harm) / (arith * harm * harm),
+        lambda: (2.0 / 81.0) * (gap / harm) * (gap / harm) * (2.0 + harm / arith),
+    )
 
 
 def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -> Enclosure:
@@ -184,11 +234,7 @@ def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -
     exponent = _identric_exponent(a, b)
     if use_printed_constant:
         exponent /= 4.0
-    try:
-        upper = lower * math.exp(exponent)
-    except OverflowError:
-        upper = math.inf  # still a certified upper bound, just not a finite one
-    return Enclosure(lower, upper)
+    return Enclosure(lower, lower * _exp_or_inf(exponent))
 
 
 def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
@@ -199,10 +245,23 @@ def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
     """
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
-    log_gini = (a * math.log(a) + b * math.log(b)) / (a + b)
-    upper = math.exp((4.0 * math.log(arith) + 2.0 * log_gini) / 3.0)
-    exponent = (4.0 / 81.0) * gap * gap / (arith * harm)
+    log_upper = (4.0 * math.log(arith) + 2.0 * _log_gini(a, b, arith)) / 3.0
+    exponent = _direct_or_scaled(
+        lambda: (4.0 / 81.0) * gap * gap / (arith * harm),
+        lambda: (4.0 / 81.0) * (gap / arith) * (gap / harm),
+    )
+    upper = _exp_or_inf(log_upper)
+    if upper == math.inf:
+        return Enclosure(_exp_or_inf(log_upper - exponent), upper)
     return Enclosure(upper * math.exp(-exponent), upper)
+
+
+def _identric_of_squares(a: float, b: float) -> float:
+    """I(a^2, b^2), the value the Isq bracket must contain."""
+    a2, b2 = a * a, b * b
+    if not (a2 > 0.0 and b2 < math.inf):
+        raise ValueError(f"I(a^2, b^2) needs squares inside the float range, got ({a2}, {b2})")
+    return all_means(a2, b2).identric
 
 
 # Bracket kind -> (citation, fn(a, b, all_means(a, b), printed_constant)
@@ -225,7 +284,7 @@ BRACKETS = {
         "identric-square-bracket",
         lambda a, b, ms, printed: (
             identric_of_squares_enclosure(a, b),
-            all_means(a * a, b * b).identric,
+            _identric_of_squares(a, b),
         ),
     ),
     "recipL": (

@@ -176,6 +176,36 @@ def test_means_identric_overflow_names_the_infinite_output():
     assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
 
 
+def test_means_harmonic_past_the_float_range_of_the_product():
+    rc, rep = run_json("means", "--a=1e200", "--b=2e200")
+    assert rc == 0
+    assert rep["outputs"]["harmonic"] == pytest.approx(4e200 / 3.0, rel=1e-15)
+
+
+def test_means_identric_of_squares_with_squares_near_the_float_range():
+    rc, rep = run_json("means", "--a=1e100", "--b=3e100", "--enclose=Isq")
+    assert rc == 0
+    assert rep["outputs"]["contained"] is True
+
+
+def test_means_identric_across_the_float_range_names_the_infinite_bound():
+    rc, rep = run_json("means", "--a=1e-200", "--b=1e200", "--enclose=I")
+    assert rc == 2
+    assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
+
+
+def test_means_identric_of_squares_across_the_float_range_names_the_target():
+    rc, rep = run_json("means", "--a=1e-200", "--b=1e200", "--enclose=Isq")
+    assert rc == 2
+    assert rep["outputs"]["error"].startswith("I(a^2, b^2) needs squares inside the float range")
+
+
+def test_means_reciprocal_defect_across_the_float_range_names_the_infinite_bound():
+    rc, rep = run_json("means", "--a=1e-200", "--b=1e200", "--enclose=recipL")
+    assert rc == 2
+    assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
+
+
 def test_means_rejects_nonpositive():
     rc, rep = run_json("means", "--a", "-1", "--b", "2")
     assert rc == 2

@@ -92,7 +92,35 @@ def test_chain_constructor_rejects_non_finite_means():
     with pytest.raises(ValueError, match="identric mean is not finite"):
         MeanSet(1.0, 1.0, 1.0, math.inf, 1.0, 1.0)
     with pytest.raises(ValueError, match="harmonic mean is not finite"):
-        all_means(1e308, 1.5e308)  # a + b overflows
+        MeanSet(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def _mp_means(a, b):
+    """High-precision harmonic, arithmetic and Gini means."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        gini = mpmath.exp((a * mpmath.log(a) + b * mpmath.log(b)) / (a + b))
+        return float(2 * a * b / (a + b)), float((a + b) / 2), float(gini)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (1e200, 2e200),  # 2ab overflows
+        (1e308, 1.5e308),  # a + b and a*log(a) overflow
+        (1e-300, 2e-300),  # 2ab underflows to zero
+        (1e200, 9e200),  # the Isq target of means --a=1e100 --b=3e100
+    ],
+)
+def test_means_past_the_float_range_of_sums_and_products(a, b):
+    ms = all_means(a, b)
+    harm, arith, gini = _mp_means(a, b)
+    assert ms.harmonic == pytest.approx(harm, rel=1e-14)
+    assert ms.arithmetic == pytest.approx(arith, rel=1e-15)
+    assert ms.gini == pytest.approx(gini, rel=1e-13)
+    logm, idm = _mp_log_identric(a, b)
+    assert ms.logarithmic == pytest.approx(logm, rel=1e-12)
+    assert ms.identric == pytest.approx(idm, rel=1e-12)
 
 
 def test_ratio_past_the_float_range():
@@ -286,3 +314,16 @@ def test_identric_squares_bulk():
         encl = identric_of_squares_enclosure(a, b)
         target = all_means(a * a, b * b).identric
         assert encl.contains(target, slack=1e-9 * (1.0 + target)), (a, b)
+
+
+@pytest.mark.parametrize("a,b", [(1e200, 2e200), (1e-300, 2e-300), (1e-170, 1e-150)])
+def test_brackets_where_squares_of_the_means_leave_the_float_range(a, b):
+    logm, idm = _mp_log_identric(a, b)
+    with mpmath.workdps(40):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        log_mean = (mb - ma) / (mpmath.log(mb) - mpmath.log(ma))
+        defect = float((1 / ((ma + mb) / 2) + (ma + mb) / (2 * ma * mb)) / 2 - 1 / log_mean)
+    recip = reciprocal_log_mean_defect(a, b)
+    assert 0.0 < recip.lower <= defect <= recip.upper < math.inf
+    ident = identric_enclosure(a, b)
+    assert ident.lower <= idm * (1 + 1e-13) and idm <= ident.upper * (1 + 1e-13)
