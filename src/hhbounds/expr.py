@@ -13,6 +13,12 @@ two, hyp(u, eps) = sqrt(u^2 + eps^2), a smooth stand-in for |u|.  The
 exponent of '^' must fold to a constant at parse time: this keeps the
 fourth-order derivative tables closed-form.  All offsets reported in
 errors are 0-based positions into the source string.
+
+One walker, `evaluate`, computes a tree under an interchangeable
+arithmetic: `FLOATS` here for plain values (`eval_value` and the folding
+of constant exponents), `jets.JETS` for Taylor jets.  The walker checks
+every domain rule once, on the value part of the operand, and re-raises
+an arithmetic's OverflowError with a message naming the operation.
 """
 
 from __future__ import annotations

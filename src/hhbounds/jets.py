@@ -4,6 +4,15 @@ A jet is carried internally as Taylor coefficients (c0..c4) about the
 evaluation point and converted to raw derivatives at the boundary.
 Composition uses truncated polynomial arithmetic in w = u - u(x0),
 which is exact through degree 4 because w has no constant term.
+
+`JETS` is the jet arithmetic that `expr.evaluate` runs a tree under; the
+same walker computes plain values under `expr.FLOATS`.  The walker checks
+every domain rule of the language on c0, so the functions here assume
+their arguments lie inside the domain.  They check only rules about
+derivatives: abs is not differentiable at 0, a non-integer power of a
+base that vanishes at the point needs the base to be non-negative beside
+it, and the reciprocal inside a negative integer power refuses a power
+that underflows to zero.
 """
 
 from __future__ import annotations
