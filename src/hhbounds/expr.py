@@ -358,29 +358,30 @@ def evaluate(node: Node, x, arithmetic: dict):
     the domain.  An OverflowError raised by the arithmetic is re-raised
     with a message naming the operation and its argument.
     """
-    if isinstance(node, Var):
+    kind = type(node)
+    if kind is Var:
         return x
-    if isinstance(node, Const):
+    if kind is Const:
         return arithmetic["const"](node.value)
-    if isinstance(node, BinOp):
+    if kind is BinOp:
         left = evaluate(node.left, x, arithmetic)
         right = evaluate(node.right, x, arithmetic)
         if node.op == "/" and arithmetic["head"](right) == 0.0:
             raise DomainError("division by zero")
         return arithmetic[node.op](left, right)
-    if isinstance(node, Unary):
+    if kind is Unary:
         fn = node.fn
         arg = evaluate(node.arg, x, arithmetic)
-        v = arithmetic["head"](arg)
-        if fn == "log" and v <= 0.0:
-            raise DomainError(f"log of non-positive value {v}")
-        if fn == "sqrt" and v < 0.0:
-            raise DomainError(f"sqrt of negative value {v}")
+        head = arithmetic["head"]
+        if fn == "log" and head(arg) <= 0.0:
+            raise DomainError(f"log of non-positive value {head(arg)}")
+        if fn == "sqrt" and head(arg) < 0.0:
+            raise DomainError(f"sqrt of negative value {head(arg)}")
         try:
             return arithmetic[fn](arg)
         except OverflowError:
-            raise OverflowError(f"{fn} overflows at {_num_repr(v)}") from None
-    if isinstance(node, Pow):
+            raise OverflowError(f"{fn} overflows at {_num_repr(head(arg))}") from None
+    if kind is Pow:
         base = evaluate(node.base, x, arithmetic)
         v, r = arithmetic["head"](base), node.exponent
         if v == 0.0 and r < 0.0:
@@ -391,7 +392,7 @@ def evaluate(node: Node, x, arithmetic: dict):
             return arithmetic["^"](base, r)
         except OverflowError:
             raise OverflowError(f"^{_num_repr(r)} overflows at {_num_repr(v)}") from None
-    if isinstance(node, Hyp):
+    if kind is Hyp:
         arg = evaluate(node.arg, x, arithmetic)
         try:
             return arithmetic["hyp"](arg, node.softness)
