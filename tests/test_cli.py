@@ -176,12 +176,6 @@ def test_means_identric_overflow_names_the_infinite_output():
     assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
 
 
-def test_means_harmonic_past_the_float_range_of_the_product():
-    rc, rep = run_json("means", "--a=1e200", "--b=2e200")
-    assert rc == 0
-    assert rep["outputs"]["harmonic"] == pytest.approx(4e200 / 3.0, rel=1e-15)
-
-
 def test_means_identric_of_squares_with_squares_near_the_float_range():
     rc, rep = run_json("means", "--a=1e100", "--b=3e100", "--enclose=Isq")
     assert rc == 0
