@@ -175,7 +175,7 @@ def _f2_shape(node: Node, iv: Interval, prof: ConvexityProfile | None) -> str:
 
 def _three_f2(node: Node, iv: Interval) -> tuple[float, float, float]:
     """f''(a), f''(mid), f''(b)."""
-    d2a, d2m, d2b = (eval_jet(node, x).derivatives[2] for x in (iv.a, iv.mid, iv.b))
+    d2a, d2m, d2b = (eval_jet(node, x, order=2).derivatives[2] for x in (iv.a, iv.mid, iv.b))
     return d2a, d2m, d2b
 
 
@@ -266,7 +266,7 @@ def symmetric_point_triple(
 def _pair_curvature(node: Node, iv: Interval, t: float) -> float:
     x = iv.a * (0.5 * t) + iv.b * (1.0 - 0.5 * t)
     y = iv.a + iv.b - x
-    return eval_jet(node, x).derivatives[2] + eval_jet(node, y).derivatives[2]
+    return eval_jet(node, x, order=2).derivatives[2] + eval_jet(node, y, order=2).derivatives[2]
 
 
 def bisected_trapezoid_identity_residual(

@@ -1,9 +1,23 @@
-"""Order-4 Taylor jets: exact derivatives f, f', f'', f''', f''''.
+"""Taylor jets of order 2 or 4: exact derivatives f, f', f'' and f''', f''''.
 
-A jet is carried internally as Taylor coefficients (c0..c4) about the
-evaluation point and converted to raw derivatives at the boundary.
-Composition uses truncated polynomial arithmetic in w = u - u(x0),
-which is exact through degree 4 because w has no constant term.
+A jet is carried internally as Taylor coefficients (c0..cd) about the
+evaluation point and converted to raw derivatives at the boundary.  The
+arithmetic is length-generic: a jet's order is the length of its seed
+minus one, and every operation truncates at the shorter operand, so an
+order-2 jet never forms f''' or f'''' terms.  Truncated Taylor arithmetic
+never feeds coefficient k+1 into coefficient k, and the loops below sum
+in the same order at every length, so an order-2 f'' equals the order-4
+f'' bit for bit.  The exception is an infinite coefficient 3 or 4: in a
+composition it meets w[0] = 0 and makes the order-4 f'' NaN, where the
+order-2 f'' keeps its value.  Constants are lifted at order 4 and cut
+down by the first operation that meets a shorter jet.  Composition uses
+truncated polynomial arithmetic in w = u - u(x0), which is exact through
+degree d because w has no constant term.
+
+One case reads past the order it returns: a non-integer power of a base
+that vanishes at the point with a vanishing first coefficient, whose
+leading behaviour sits in coefficients 2..4.  An order-2 jet that reaches
+it is evaluated again at order 4 and cut down to order 2.
 
 `JETS` is the jet arithmetic that `expr.evaluate` runs a tree under; the
 same walker computes plain values under `expr.FLOATS`.  The walker checks
@@ -26,12 +40,19 @@ from .expr import Node, as_node, evaluate
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
-Coeffs = tuple[float, float, float, float, float]
+Coeffs = tuple[float, ...]
+
+# Seed of the variable x at each supported order: x0 + 1*h.
+_SEEDS = {2: (1.0, 0.0), 4: (1.0, 0.0, 0.0, 0.0)}
 
 
 @dataclass(frozen=True)
 class Jet4:
-    """Taylor data of f at a point: coefficients c_k = f^(k)(point)/k!."""
+    """Taylor data of f at a point: coefficients c_k = f^(k)(point)/k!.
+
+    An order-d jet has d + 1 coefficients; `eval_jet` makes order 4
+    unless asked for order 2.
+    """
 
     point: float
     coefficients: Coeffs
@@ -42,59 +63,78 @@ class Jet4:
 
     @property
     def derivatives(self) -> Coeffs:
-        """Raw derivatives (f, f', f'', f''', f'''') recovered as k!*c_k."""
-        return tuple(self.coefficients[k] * _FACT[k] for k in range(5))  # type: ignore[return-value]
-
-_ZERO: Coeffs = (0.0, 0.0, 0.0, 0.0, 0.0)
+        """Raw derivatives (f, f', f'', ...) recovered as k!*c_k."""
+        return tuple(c * f for c, f in zip(self.coefficients, _FACT))
 
 
-def _const(v: float) -> Coeffs:
-    return (v, 0.0, 0.0, 0.0, 0.0)
+class _NeedsOrder4(Exception):
+    """A shorter jet reached a power that reads coefficients past its order."""
+
+
+def _const(v: float, n: int = len(_FACT)) -> Coeffs:
+    return (v,) + (0.0,) * (n - 1)
 
 
 def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(x + y for x, y in zip(a, b))  # type: ignore[return-value]
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(x - y for x, y in zip(a, b))  # type: ignore[return-value]
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _neg(a: Coeffs) -> Coeffs:
-    return tuple(-x for x in a)  # type: ignore[return-value]
+    return tuple(-x for x in a)
 
 
 def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = [0.0] * 5
-    for i in range(5):
+    n = min(len(a), len(b))
+    out = [0.0] * n
+    for i in range(n):
         ai = a[i]
         if ai == 0.0:
             continue
-        for j in range(5 - i):
+        for j in range(n - i):
             out[i + j] += ai * b[j]
-    return tuple(out)  # type: ignore[return-value]
+    return tuple(out)
 
 
 def _div(a: Coeffs, b: Coeffs) -> Coeffs:
     if b[0] == 0.0:
         raise DomainError("division by zero")
-    out = [0.0] * 5
-    for k in range(5):
+    n = min(len(a), len(b))
+    out = [0.0] * n
+    for k in range(n):
         acc = a[k]
         for j in range(1, k + 1):
             acc -= b[j] * out[k - j]
         out[k] = acc / b[0]
-    return tuple(out)  # type: ignore[return-value]
+    return tuple(out)
 
 
-def _compose(derivs: tuple[float, float, float, float, float], u: Coeffs) -> Coeffs:
-    """Taylor coefficients of g(u(x)) from g's derivatives at u[0]."""
-    w: Coeffs = (0.0, u[1], u[2], u[3], u[4])
-    coeffs = [derivs[k] / _FACT[k] for k in range(5)]
-    acc = _const(coeffs[4])
-    for k in (3, 2, 1, 0):
-        acc = _add(_mul(acc, w), _const(coeffs[k]))
-    return acc
+def _compose(derivs: Coeffs, u: Coeffs) -> Coeffs:
+    """Taylor coefficients of g(u(x)) from g's derivatives at u[0].
+
+    derivs holds g, g', ... to at least the order of u.  Horner's rule in
+    w = u - u[0], with `_mul` and `_add` fused: the terms of each product
+    are summed in `_mul`'s order, and w[0] = 0 still multiplies, so an
+    infinite coefficient still turns into NaN as it does there.
+    """
+    n = len(u)
+    acc = [0.0] * n
+    acc[0] = derivs[n - 1] / _FACT[n - 1]
+    for k in range(n - 2, -1, -1):
+        out = [0.0] * n
+        for i in range(n):
+            ai = acc[i]
+            if ai == 0.0:
+                continue
+            out[i] += ai * 0.0
+            for j in range(1, n - i):
+                out[i + j] += ai * u[j]
+        out[0] += derivs[k] / _FACT[k]
+        acc = out
+    return tuple(acc)
 
 
 def _falling(r: float, k: int) -> float:
@@ -107,16 +147,16 @@ def _falling(r: float, k: int) -> float:
 def _pow_regular(u: Coeffs, r: float) -> Coeffs:
     """u^r for u[0] > 0 via derivative-table composition."""
     u0 = u[0]
-    derivs = tuple(_falling(r, k) * u0 ** (r - k) for k in range(5))
-    return _compose(derivs, u)  # type: ignore[arg-type]
+    derivs = tuple(_falling(r, k) * u0 ** (r - k) for k in range(len(u)))
+    return _compose(derivs, u)
 
 
 def _pow_int(u: Coeffs, e: int) -> Coeffs:
     if e == 0:
-        return _const(1.0)
+        return _const(1.0, len(u))
     if e < 0:
-        return _div(_const(1.0), _pow_int(u, -e))
-    acc = _const(1.0)
+        return _div(_const(1.0, len(u)), _pow_int(u, -e))
+    acc = _const(1.0, len(u))
     base = u
     n = e
     while n:
@@ -135,25 +175,30 @@ def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
     The result behaves like h^(m*r): derivatives below that order are
     zero, the rest are infinite with the sign of the falling factorial,
     unless m*r lands on an integer grid in which case v^r shifts up.
+    With m > 1 the answer depends on coefficients past order 2, so an
+    order-2 jet asks `eval_jet` for order 4.
     """
-    m = next((k for k in range(1, 5) if u[k] != 0.0), None)
+    n = len(u)
+    if n < len(_FACT) and u[1] == 0.0:
+        raise _NeedsOrder4
+    m = next((k for k in range(1, n) if u[k] != 0.0), None)
     if m is None:
-        return _ZERO
+        return _const(0.0, n)
     if u[m] < 0.0:
         raise DomainError(f"base vanishing from below raised to non-integer power {r}")
     e = m * r
-    v: Coeffs = tuple(u[m + k] if m + k < 5 else 0.0 for k in range(5))  # type: ignore[assignment]
+    v = tuple(u[m + k] if m + k < n else 0.0 for k in range(n))
     d = _pow_regular(v, r)
-    out = [0.0] * 5
+    out = [0.0] * n
     if e == int(e):
         ei = int(e)
-        for k in range(ei, 5):
+        for k in range(ei, n):
             out[k] = d[k - ei]
     else:
-        for k in range(5):
+        for k in range(n):
             if k > e:
                 out[k] = math.copysign(math.inf, _falling(e, k) / _FACT[k])
-    return tuple(out)  # type: ignore[return-value]
+    return tuple(out)
 
 
 def _pow(u: Coeffs, r: float) -> Coeffs:
@@ -165,14 +210,16 @@ def _pow(u: Coeffs, r: float) -> Coeffs:
 
 
 def _exp(u: Coeffs) -> Coeffs:
-    e = math.exp(u[0])
-    return _compose((e, e, e, e, e), u)
+    return _compose((math.exp(u[0]),) * len(u), u)
 
 
 def _log(u: Coeffs) -> Coeffs:
     u0 = u[0]
     i = 1.0 / u0
-    return _compose((math.log(u0), i, -i * i, 2.0 * i ** 3, -6.0 * i ** 4), u)
+    derivs = (math.log(u0), i, -i * i)
+    if len(u) > 3:
+        derivs += (2.0 * i ** 3, -6.0 * i ** 4)
+    return _compose(derivs, u)
 
 
 def _abs(u: Coeffs) -> Coeffs:
@@ -193,6 +240,10 @@ def _cos(u: Coeffs) -> Coeffs:
     return _compose((c, -s, -c, s, c), u)
 
 
+def _hyp(u: Coeffs, softness: float) -> Coeffs:
+    return _pow_regular(_add(_mul(u, u), _const(softness ** 2, len(u))), 0.5)
+
+
 # The jet arithmetic for expr.evaluate; expr.FLOATS documents the keys.
 JETS = {
     "const": _const,
@@ -202,7 +253,7 @@ JETS = {
     "*": _mul,
     "/": _div,
     "^": _pow,
-    "hyp": lambda u, softness: _pow_regular(_add(_mul(u, u), _const(softness ** 2)), 0.5),
+    "hyp": _hyp,
     "neg": _neg,
     "exp": _exp,
     "log": _log,
@@ -213,6 +264,15 @@ JETS = {
 }
 
 
-def eval_jet(f: Node | str, x: float) -> Jet4:
-    """Taylor coefficients c0..c4 of f at x."""
-    return Jet4(x, evaluate(as_node(f), (x, 1.0, 0.0, 0.0, 0.0), JETS))
+def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
+    """Taylor coefficients c0..c_order of f at x; order is 2 or 4."""
+    seed = _SEEDS.get(order)
+    if seed is None:
+        raise ValueError(f"jet order must be 2 or 4, got {order!r}")
+    node = as_node(f)
+    try:
+        coeffs = evaluate(node, (x, *seed), JETS)
+    except _NeedsOrder4:
+        coeffs = evaluate(node, (x, *_SEEDS[4]), JETS)
+    # a tree without x stays at the order constants are lifted at
+    return Jet4(x, coeffs[: order + 1])
