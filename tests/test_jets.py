@@ -4,7 +4,8 @@ import random
 import pytest
 
 from hhbounds import DomainError, eval_jet, eval_value, parse
-from hhbounds.expr import BinOp, Const, Pow, Var
+from hhbounds.expr import BinOp, Const, Pow, Var, to_source
+from hhbounds.verify import _random_expr
 
 
 def test_jet_carries_point_and_scaled_coefficients():
@@ -159,3 +160,88 @@ def test_composite_chain():
 def test_string_and_node_inputs_agree():
     node = parse("x*log(x)")
     assert eval_jet(node, 2.0) == eval_jet("x*log(x)", 2.0)
+
+
+# --- order-2 jets -------------------------------------------------------------
+
+
+def _f2_outcome(node, x, order):
+    try:
+        return eval_jet(node, x, order=order), None
+    except (DomainError, OverflowError) as exc:
+        return None, exc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_two_f2_matches_order_four(seed):
+    """Order 2 gives the order-4 f'' bit for bit, or the same error.
+
+    Two kinds of point are exempt, both from coefficients 3-4 that only
+    order 4 forms: an OverflowError there (`i ** 3` in the log table, or
+    `u0 ** (r - 4)` in a power), and an infinite coefficient 3 or 4 that
+    meets w[0] = 0 in a composition and turns the order-4 f'' into NaN.
+    Over the four seeds, one point is exempt: sin(x^1.81) at 0, where
+    order 4 gives NaN and order 2 the true +inf.
+    """
+    rng = random.Random(seed)
+    compared = exempt = 0
+    for _ in range(500):
+        node = _random_expr(rng, 4)
+        for x in (round(rng.uniform(-3.0, 3.0), 2), 0.0, 1.0):
+            jet4, err4 = _f2_outcome(node, x, 4)
+            jet2, err2 = _f2_outcome(node, x, 2)
+            where = f"{to_source(node)} at x={x}"
+            if jet4 is not None and jet2 is not None:
+                assert len(jet2.coefficients) == 3, where
+                got, want = jet2.derivatives[2], jet4.derivatives[2]
+                if got == want or (math.isnan(got) and math.isnan(want)):
+                    compared += 1
+                else:
+                    assert math.isnan(want), (where, got, want)
+                    assert not all(map(math.isfinite, jet4.coefficients[3:])), where
+                    exempt += 1
+            elif jet4 is None and jet2 is None and repr(err4) == repr(err2):
+                compared += 1
+            else:
+                assert isinstance(err4, OverflowError) and jet2 is not None, (where, err4, err2)
+                exempt += 1
+    assert compared > 1400 and exempt <= 2
+
+
+@pytest.mark.parametrize(
+    "src,x",
+    [
+        ("(x^3)^0.5", 0.0),  # f'' = inf from coefficient 3
+        ("(x^2 + x^3)^0.5", 0.0),  # f'' = 1 from coefficient 3
+        ("(-x^3)^0.5", 0.0),  # refused: the base vanishes from below
+        ("x^2.5", 0.0),
+        ("sqrt(x^4 + x^5)", 0.0),
+    ],
+)
+def test_order_two_on_a_vanishing_base_matches_order_four(src, x):
+    jet4, err4 = _f2_outcome(parse(src), x, 4)
+    jet2, err2 = _f2_outcome(parse(src), x, 2)
+    if jet4 is None:
+        assert repr(err2) == repr(err4)
+    else:
+        assert jet2.coefficients == jet4.coefficients[:3]
+
+
+def test_vanishing_base_results_at_order_two():
+    assert eval_jet("(x^3)^0.5", 0.0, order=2).derivatives == (0.0, 0.0, math.inf)
+    assert eval_jet("(x^2 + x^3)^0.5", 0.0, order=2).derivatives == (0.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="base vanishing from below"):
+        eval_jet("(-x^3)^0.5", 0.0, order=2)
+
+
+def test_order_two_jet_has_three_coefficients():
+    jet = eval_jet("exp(x)", 0.0, order=2)
+    assert jet.coefficients == (1.0, 1.0, 0.5)
+    assert jet.derivatives == (1.0, 1.0, 1.0)
+    assert eval_jet("2*3", 1.0, order=2).coefficients == (6.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 5])
+def test_unsupported_order_is_rejected(order):
+    with pytest.raises(ValueError, match="jet order must be 2 or 4"):
+        eval_jet("x", 1.0, order=order)
