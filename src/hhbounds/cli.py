@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -295,15 +296,23 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"output {key!r} is not finite ({value})")
     except (ParseError, DomainError, BudgetError, SearchError, ValueError, OverflowError) as exc:
         report["outputs"] = {"error": str(exc)}
-        report["citations"] = []
         report["status"] = "error"
+        code = 2
+    else:
+        report["outputs"] = outputs
+        report["citations"] = citations
+        report["status"] = status
+        code = 0 if status == "ok" else 1
+    try:
         _emit(report, args.json)
-        return 2
-    report["outputs"] = outputs
-    report["citations"] = citations
-    report["status"] = status
-    _emit(report, args.json)
-    return 0 if status == "ok" else 1
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Send what is still buffered to /dev/null so
+        # the flush at exit cannot fail again, and keep the command's code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

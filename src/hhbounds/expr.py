@@ -210,6 +210,8 @@ class _Parser:
             folded = _constant(exponent)
             if folded is None:
                 raise ParseError("exponent must be a constant", eoff)
+            if not math.isfinite(folded):
+                raise ParseError("exponent must be a finite constant", eoff)
             return Pow(base, folded)
         return base
 

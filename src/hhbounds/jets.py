@@ -25,8 +25,7 @@ every domain rule of the language on c0, so the functions here assume
 their arguments lie inside the domain.  They check only rules about
 derivatives: abs is not differentiable at 0, a non-integer power of a
 base that vanishes at the point needs the base to be non-negative beside
-it, and the reciprocal inside a negative integer power refuses a power
-that underflows to zero.
+it.  An integer power raises OverflowError where the float power does.
 """
 
 from __future__ import annotations
@@ -152,18 +151,26 @@ def _pow_regular(u: Coeffs, r: float) -> Coeffs:
 
 
 def _pow_int(u: Coeffs, e: int) -> Coeffs:
-    if e == 0:
-        return _const(1.0, len(u))
-    if e < 0:
-        return _div(_const(1.0, len(u)), _pow_int(u, -e))
+    """u^e by repeated squaring, and a reciprocal when e < 0.
+
+    Raises OverflowError where the float power would: when the value
+    leaves the float range, or when a negative power takes the reciprocal
+    of a power that underflowed to zero.
+    """
     acc = _const(1.0, len(u))
     base = u
-    n = e
+    n = abs(e)
     while n:
         if n & 1:
             acc = _mul(acc, base)
         base = _mul(base, base)
         n >>= 1
+    if e < 0:
+        if acc[0] == 0.0:
+            raise OverflowError(f"x^{-e} underflows to 0")
+        acc = _div(_const(1.0, len(u)), acc)
+    if not math.isfinite(acc[0]) and math.isfinite(u[0]):
+        raise OverflowError(f"x^{e} leaves the float range")
     return acc
 
 

@@ -257,11 +257,19 @@ def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
 
 
 def _identric_of_squares(a: float, b: float) -> float:
-    """I(a^2, b^2), the value the Isq bracket must contain."""
+    """I(a^2, b^2), the value the Isq bracket must contain.
+
+    Where a square leaves the float range, I is scaled out by its
+    homogeneity: I(a^2, b^2) = b^2 * I(r, 1) with r = (a/b)^2 < 1 for
+    a < b, and I(0, 1) = 1/e once r underflows.
+    """
     a2, b2 = a * a, b * b
-    if not (a2 > 0.0 and b2 < math.inf):
-        raise ValueError(f"I(a^2, b^2) needs squares inside the float range, got ({a2}, {b2})")
-    return all_means(a2, b2).identric
+    if 0.0 < min(a2, b2) and max(a2, b2) < math.inf:
+        return all_means(a2, b2).identric
+    lo, hi = min(a, b), max(a, b)
+    r = (lo / hi) * (lo / hi)
+    unit = all_means(r, 1.0).identric if r > 0.0 else math.exp(-1.0)
+    return hi * (hi * unit)
 
 
 # Bracket kind -> (citation, fn(a, b, all_means(a, b), printed_constant)

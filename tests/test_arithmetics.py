@@ -66,10 +66,17 @@ def test_value_and_jet_arithmetics_agree(seed):
 
 
 def test_overflow_names_the_operation():
-    # integer powers of a jet are repeated products, which saturate to inf
-    # instead of raising, so only the float power can be checked here
-    with pytest.raises(OverflowError, match=r"^\^400 overflows at 100$"):
-        eval_value(parse("x^400"), 100.0)
-    for evaluate in (lambda: eval_value(parse("exp(x)"), 1000.0), lambda: eval_jet("exp(x)", 1000.0)):
-        with pytest.raises(OverflowError, match="^exp overflows at 1000$"):
-            evaluate()
+    cases = [
+        ("x^400", 100.0, r"^\^400 overflows at 100$"),
+        ("x^(-2)", 1e-200, r"^\^-2 overflows at 1e-200$"),  # x^2 underflows first
+        ("exp(x)", 1000.0, "^exp overflows at 1000$"),
+    ]
+    for src, x, message in cases:
+        node = parse(src)
+        for evaluate in (
+            lambda: eval_value(node, x),
+            lambda: eval_jet(node, x),
+            lambda: eval_jet(node, x, order=2),
+        ):
+            with pytest.raises(OverflowError, match=message):
+                evaluate()

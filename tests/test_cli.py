@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -188,10 +189,19 @@ def test_means_identric_across_the_float_range_names_the_infinite_bound():
     assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
 
 
-def test_means_identric_of_squares_across_the_float_range_names_the_target():
+def test_means_identric_of_squares_across_the_float_range_names_the_infinite_bound():
+    # I(a^2, b^2) is about 1e400/e here, past the float range
     rc, rep = run_json("means", "--a=1e-200", "--b=1e200", "--enclose=Isq")
     assert rc == 2
-    assert rep["outputs"]["error"].startswith("I(a^2, b^2) needs squares inside the float range")
+    assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
+
+
+def test_means_identric_of_squares_with_an_underflowing_square():
+    rc, rep = run_json("means", "--a=1e-200", "--b=1", "--enclose=Isq")
+    assert rc == 0
+    out = rep["outputs"]
+    assert out["contained"] is True
+    assert out["target"] == pytest.approx(0.36787944117144233, rel=1e-13)
 
 
 def test_means_reciprocal_defect_across_the_float_range_names_the_infinite_bound():
@@ -227,6 +237,24 @@ def test_ratio_power_overflow_names_the_operation():
     assert rc == 2
     assert rep["status"] == "error"
     assert rep["outputs"]["error"] == "^400 overflows at 10"
+
+
+@pytest.mark.parametrize("command", ["enclose", "ratio"])
+@pytest.mark.parametrize(
+    "f,a,b",
+    [
+        ("x^400", "10", "100"),  # the power overflows
+        ("x^(-2)", "1e-200", "1e-199"),  # x^2 underflows before the reciprocal
+    ],
+)
+def test_integer_power_overflow_names_the_operation(command, f, a, b):
+    # enclose meets it first in the jets of its convexity profile, ratio in
+    # the value at a
+    rc, rep = run_json(command, f"--f={f}", f"--a={a}", f"--b={b}")
+    assert rc == 2
+    assert rep["status"] == "error"
+    exponent = f.split("^")[1].strip("()")
+    assert rep["outputs"]["error"].startswith(f"^{exponent} overflows at ")
 
 
 def test_ratio_exp_overflow_names_the_operation():
@@ -278,3 +306,29 @@ def test_verify_all_printed_constant_fails():
     )
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (("verify", "--suite=means", "--samples=20"), 0),
+        (("--json", "enclose", "--f=x^x", "--a=0", "--b=1"), 2),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(args, code):
+    # the read end is closed before the command starts, so every write to
+    # its stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhbounds", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == ""

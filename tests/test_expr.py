@@ -47,6 +47,14 @@ def test_nonconstant_exponent_rejected_with_offset():
     assert err.value.position == 2
 
 
+@pytest.mark.parametrize("src", ["x^(1e400*0)", "x^1e400"])
+def test_nonfinite_exponent_rejected_with_offset(src):
+    # the exponents fold to NaN and to inf
+    with pytest.raises(ParseError, match="exponent must be a finite constant") as err:
+        parse(src)
+    assert err.value.position == 2
+
+
 def test_double_caret_reports_offset_2():
     with pytest.raises(ParseError) as err:
         parse("x^^2")

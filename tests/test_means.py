@@ -11,7 +11,7 @@ from hhbounds import (
     log_mean_enclosure,
     reciprocal_log_mean_defect,
 )
-from hhbounds.means import _identric_exponent
+from hhbounds.means import BRACKETS, _identric_exponent
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -327,3 +327,19 @@ def test_brackets_where_squares_of_the_means_leave_the_float_range(a, b):
     assert 0.0 < recip.lower <= defect <= recip.upper < math.inf
     ident = identric_enclosure(a, b)
     assert ident.lower <= idm * (1 + 1e-13) and idm <= ident.upper * (1 + 1e-13)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [(1e-200, 1.0), (1.0, 1e-200), (1e-170, 1e-150), (1e-300, 1e-10), (1.0, 2e154), (1e100, 1e160)],
+)
+def test_identric_of_squares_target_where_the_squares_leave_the_float_range(a, b):
+    # the last pair's I(a^2, b^2) is past the float range, and so is the bound
+    with mpmath.workdps(40):
+        _, want = _mp_log_identric(mpmath.mpf(a) ** 2, mpmath.mpf(b) ** 2)
+    encl, target = BRACKETS["Isq"][1](a, b, all_means(a, b), False)
+    if want == math.inf:
+        assert encl.upper == math.inf
+    else:
+        assert target == pytest.approx(want, rel=1e-13)
+        assert encl.lower <= want <= encl.upper < math.inf
