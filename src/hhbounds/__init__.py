@@ -1,9 +1,10 @@
 """Certified two-sided enclosures for mean values of convex integrands.
 
 The library parses elementary expressions, differentiates them through
-degree-4 Taylor jets, integrates them with an adaptive oracle, and combines
-endpoint/midpoint samples into bounds on the mean value (1/(b-a)) int f
-whose validity is certified from convexity data.  The same machinery
+Taylor jets of degree 4 (degree 2 where only f'' is read), integrates
+them with an adaptive oracle, and combines endpoint/midpoint samples
+into bounds on the mean value (1/(b-a)) int f whose validity is
+certified from convexity data.  The same machinery
 specialises to tight brackets for the classical means of two positive
 numbers and to a seeded search for the extremal midpoint-defect ratio.
 """

@@ -10,8 +10,8 @@ Grammar (operators in increasing binding strength):
 
 Functions: exp, log, sqrt, abs, sin, cos take one argument; hyp takes
 two, hyp(u, eps) = sqrt(u^2 + eps^2), a smooth stand-in for |u|.  The
-exponent of '^' must fold to a constant at parse time: this keeps the
-fourth-order derivative tables closed-form.  All offsets reported in
+exponent of '^' must fold to a finite constant at parse time: this keeps
+the fourth-order derivative tables closed-form.  All offsets reported in
 errors are 0-based positions into the source string.
 
 One walker, `evaluate`, computes a tree under an interchangeable

@@ -7,12 +7,14 @@ minus one, and every operation truncates at the shorter operand, so an
 order-2 jet never forms f''' or f'''' terms.  Truncated Taylor arithmetic
 never feeds coefficient k+1 into coefficient k, and the loops below sum
 in the same order at every length, so an order-2 f'' equals the order-4
-f'' bit for bit.  The exception is an infinite coefficient 3 or 4: in a
-composition it meets w[0] = 0 and makes the order-4 f'' NaN, where the
-order-2 f'' keeps its value.  Constants are lifted at order 4 and cut
-down by the first operation that meets a shorter jet.  Composition uses
-truncated polynomial arithmetic in w = u - u(x0), which is exact through
-degree d because w has no constant term.
+f'' bit for bit.  The exception is an argument of a composition with an
+infinite coefficient: order 4 forms infinite terms that order 2 never
+forms (g''' times an infinite u'', say), they meet w[0] = 0, and the
+order-4 f'' comes out NaN where the order-2 f'' keeps its value.
+Constants are lifted at order 4 and cut down by the first operation that
+meets a shorter jet.  Composition uses truncated polynomial arithmetic
+in w = u - u(x0), which is exact through degree d because w has no
+constant term.
 
 One case reads past the order it returns: a non-integer power of a base
 that vanishes at the point with a vanishing first coefficient, whose
@@ -167,10 +169,10 @@ def _pow_int(u: Coeffs, e: int) -> Coeffs:
         n >>= 1
     if e < 0:
         if acc[0] == 0.0:
-            raise OverflowError(f"x^{-e} underflows to 0")
+            raise OverflowError(f"power {-e} underflows to 0")
         acc = _div(_const(1.0, len(u)), acc)
     if not math.isfinite(acc[0]) and math.isfinite(u[0]):
-        raise OverflowError(f"x^{e} leaves the float range")
+        raise OverflowError(f"power {e} leaves the float range")
     return acc
 
 
@@ -247,10 +249,6 @@ def _cos(u: Coeffs) -> Coeffs:
     return _compose((c, -s, -c, s, c), u)
 
 
-def _hyp(u: Coeffs, softness: float) -> Coeffs:
-    return _pow_regular(_add(_mul(u, u), _const(softness ** 2, len(u))), 0.5)
-
-
 # The jet arithmetic for expr.evaluate; expr.FLOATS documents the keys.
 JETS = {
     "const": _const,
@@ -260,7 +258,7 @@ JETS = {
     "*": _mul,
     "/": _div,
     "^": _pow,
-    "hyp": _hyp,
+    "hyp": lambda u, softness: _pow_regular(_add(_mul(u, u), _const(softness ** 2)), 0.5),
     "neg": _neg,
     "exp": _exp,
     "log": _log,

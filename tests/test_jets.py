@@ -176,10 +176,11 @@ def _f2_outcome(node, x, order):
 def test_order_two_f2_matches_order_four(seed):
     """Order 2 gives the order-4 f'' bit for bit, or the same error.
 
-    Two kinds of point are exempt, both from coefficients 3-4 that only
-    order 4 forms: an OverflowError there (`i ** 3` in the log table, or
-    `u0 ** (r - 4)` in a power), and an infinite coefficient 3 or 4 that
-    meets w[0] = 0 in a composition and turns the order-4 f'' into NaN.
+    Two kinds of point are exempt, both from terms that only order 4
+    forms: an OverflowError in them (`i ** 3` in the log table, or
+    `u0 ** (r - 4)` in a power), and an infinite term in a composition
+    (g''' times an infinite coefficient of its argument) that meets
+    w[0] = 0 and turns the order-4 f'' into NaN.
     Over the four seeds, one point is exempt: sin(x^1.81) at 0, where
     order 4 gives NaN and order 2 the true +inf.
     """
