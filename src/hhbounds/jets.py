@@ -258,7 +258,7 @@ JETS = {
     "*": _mul,
     "/": _div,
     "^": _pow,
-    "hyp": lambda u, softness: _pow_regular(_add(_mul(u, u), _const(softness ** 2)), 0.5),
+    "hyp": lambda u, softness: _pow_regular(_add(_mul(u, u), _const(softness ** 2, len(u))), 0.5),
     "neg": _neg,
     "exp": _exp,
     "log": _log,
