@@ -306,16 +306,20 @@ def simpson_identity_residual(
 # --- Simpson estimate with fourth-derivative error bound ----------------------
 
 
-def simpson_estimate(f: Node | str, iv: Interval, n: int = 33) -> SimpsonEstimate:
+_SIMPSON_N = 33
+
+
+def simpson_estimate(f: Node | str, iv: Interval) -> SimpsonEstimate:
     """Simpson mean estimate with the classic fourth-derivative bound.
 
     err_bound = (1/90) h^5 max|f''''| / (b-a) with h = (b-a)/2, the
-    max sampled at n Chebyshev points plus both endpoints.  The bound
-    is certified only insofar as the sampled max dominates |f''''|.
+    max sampled at the 33 Chebyshev points of `_SIMPSON_N` plus both
+    endpoints.  The bound is certified only insofar as the sampled max
+    dominates |f''''|.
     """
     node = as_node(f)
     m4 = 0.0
-    for x in _chebyshev_nodes(iv, n) + [iv.a, iv.b]:
+    for x in _chebyshev_nodes(iv, _SIMPSON_N) + [iv.a, iv.b]:
         m4 = max(m4, abs(eval_jet(node, x).derivatives[4]))
     h = 0.5 * iv.length
     err_bound = h ** 5 * m4 / (90.0 * iv.length)

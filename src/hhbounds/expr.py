@@ -14,11 +14,13 @@ exponent of '^' must fold to a finite constant at parse time: this keeps
 the fourth-order derivative tables closed-form.  All offsets reported in
 errors are 0-based positions into the source string.
 
-One walker, `evaluate`, computes a tree under an interchangeable
+One walker, `evaluate`, reads every tree, under an interchangeable
 arithmetic: `FLOATS` here for plain values (`eval_value` and the folding
-of constant exponents), `jets.JETS` for Taylor jets.  The walker checks
-every domain rule once, on the value part of the operand, and re-raises
-an arithmetic's OverflowError with a message naming the operation.
+of constant exponents), `jets.JETS` for Taylor jets, `SOURCE` for
+printing (`to_source`) and `DEPENDS` for the x-dependence check
+(`contains_var`).  The walker checks every domain rule once, on the value
+part of the operand, and re-raises an arithmetic's OverflowError with a
+message naming the operation.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ class _Parser:
         if kind == "name":
             if text == "x":
                 return Var()
-            if text in ("exp", "log", "sqrt", "abs", "sin", "cos"):
+            if text in _UNARY_FNS and text != "neg":
                 self.expect_punct("(")
                 arg = self.sum()
                 self.expect_punct(")")
@@ -274,58 +276,47 @@ def _num_repr(v: float) -> str:
     return repr(v)
 
 
-def _node_prec(node: Node) -> int:
-    if isinstance(node, Const):
-        return _PREC_UNARY if node.value < 0 else _PREC_ATOM
-    if isinstance(node, (Var, Hyp)):
-        return _PREC_ATOM
-    if isinstance(node, Unary):
-        return _PREC_UNARY if node.fn == "neg" else _PREC_ATOM
-    if isinstance(node, BinOp):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Pow):
-        return _PREC_POW
-    raise TypeError(f"unknown node {node!r}")
+def _wrap(num: tuple[str, int], min_prec: int) -> str:
+    text, prec = num
+    if prec < min_prec:
+        return f"({text})"
+    return text
+
+
+def _source_binop(op: str):
+    prec = _PREC_ADD if op in "+-" else _PREC_MUL
+    # left-assoc: left child may tie on precedence, right must bind tighter
+    return lambda left, right: (f"{_wrap(left, prec)} {op} {_wrap(right, prec + 1)}", prec)
+
+
+def _source_call(fn: str):
+    return lambda arg: (f"{fn}({arg[0]})", _PREC_ATOM)
+
+
+def _source_pow(base: tuple[str, int], r: float) -> tuple[str, int]:
+    exponent = _num_repr(r)
+    if r < 0:
+        exponent = f"({exponent})"
+    return f"{_wrap(base, _PREC_POW + 1)}^{exponent}", _PREC_POW
+
+
+# Printing is an arithmetic (see `FLOATS`): each number is its (source
+# text, precedence) pair.  Its head is NaN, so every domain check in
+# `evaluate` compares false and none can raise.
+SOURCE = {
+    "const": lambda v: (_num_repr(v), _PREC_UNARY if v < 0 else _PREC_ATOM),
+    "head": lambda num: math.nan,
+    **{op: _source_binop(op) for op in _BIN_OPS},
+    "^": _source_pow,
+    "hyp": lambda arg, softness: (f"hyp({arg[0]}, {_num_repr(softness)})", _PREC_ATOM),
+    "neg": lambda arg: (f"-{_wrap(arg, _PREC_UNARY)}", _PREC_UNARY),
+    **{fn: _source_call(fn) for fn in _UNARY_FNS if fn != "neg"},
+}
 
 
 def to_source(node: Node) -> str:
     """Render a tree back to parseable source, parenthesizing minimally."""
-    text, _ = _render(node)
-    return text
-
-
-def _render(node: Node) -> tuple[str, int]:
-    prec = _node_prec(node)
-    if isinstance(node, Const):
-        return _num_repr(node.value), prec
-    if isinstance(node, Var):
-        return "x", prec
-    if isinstance(node, Unary):
-        if node.fn == "neg":
-            inner = _wrap(node.arg, _PREC_UNARY)
-            return f"-{inner}", prec
-        inner, _ = _render(node.arg)
-        return f"{node.fn}({inner})", prec
-    if isinstance(node, BinOp):
-        # left-assoc: left child may tie on precedence, right must bind tighter
-        left = _wrap(node.left, prec)
-        right = _wrap(node.right, prec + 1)
-        return f"{left} {node.op} {right}", prec
-    if isinstance(node, Pow):
-        base = _wrap(node.base, _PREC_POW + 1)
-        if node.exponent < 0:
-            return f"{base}^({_num_repr(node.exponent)})", prec
-        return f"{base}^{_num_repr(node.exponent)}", prec
-    if isinstance(node, Hyp):
-        inner, _ = _render(node.arg)
-        return f"hyp({inner}, {_num_repr(node.softness)})", prec
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _wrap(node: Node, min_prec: int) -> str:
-    text, prec = _render(node)
-    if prec < min_prec:
-        return f"({text})"
+    text, _ = evaluate(node, ("x", _PREC_ATOM), SOURCE)
     return text
 
 
@@ -419,17 +410,15 @@ def _constant(node: Node) -> float | None:
         return None
 
 
+# The x-dependence check is an arithmetic: each number says whether its
+# subtree reads x.  Its head is NaN, as in `SOURCE`.
+DEPENDS = {
+    "const": lambda v: False,
+    "head": lambda depends: math.nan,
+    **dict.fromkeys(_BIN_OPS, operator.or_),
+    **dict.fromkeys(("^", "hyp", *_UNARY_FNS), lambda depends, *constants: depends),
+}
+
+
 def contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Const):
-        return False
-    if isinstance(node, Unary):
-        return contains_var(node.arg)
-    if isinstance(node, BinOp):
-        return contains_var(node.left) or contains_var(node.right)
-    if isinstance(node, Pow):
-        return contains_var(node.base)
-    if isinstance(node, Hyp):
-        return contains_var(node.arg)
-    raise TypeError(f"unknown node {node!r}")
+    return evaluate(node, True, DEPENDS)

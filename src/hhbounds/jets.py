@@ -6,15 +6,11 @@ arithmetic is length-generic: a jet's order is the length of its seed
 minus one, and every operation truncates at the shorter operand, so an
 order-2 jet never forms f''' or f'''' terms.  Truncated Taylor arithmetic
 never feeds coefficient k+1 into coefficient k, and the loops below sum
-in the same order at every length, so an order-2 f'' equals the order-4
-f'' bit for bit.  The exception is an argument of a composition with an
-infinite coefficient: order 4 forms infinite terms that order 2 never
-forms (g''' times an infinite u'', say), they meet w[0] = 0, and the
-order-4 f'' comes out NaN where the order-2 f'' keeps its value.
-Constants are lifted at order 4 and cut down by the first operation that
-meets a shorter jet.  Composition uses truncated polynomial arithmetic
-in w = u - u(x0), which is exact through degree d because w has no
-constant term.
+in the same order at every length, so an order-2 jet equals the first
+three coefficients of the order-4 jet bit for bit.  Constants are lifted
+at order 4 and cut down by the first operation that meets a shorter jet.
+Composition uses truncated polynomial arithmetic in w = u - u(x0), which
+is exact through degree d because w has no constant term.
 
 One case reads past the order it returns: a non-integer power of a base
 that vanishes at the point with a vanishing first coefficient, whose
@@ -118,8 +114,8 @@ def _compose(derivs: Coeffs, u: Coeffs) -> Coeffs:
 
     derivs holds g, g', ... to at least the order of u.  Horner's rule in
     w = u - u[0], with `_mul` and `_add` fused: the terms of each product
-    are summed in `_mul`'s order, and w[0] = 0 still multiplies, so an
-    infinite coefficient still turns into NaN as it does there.
+    are summed in `_mul`'s order.  The product with w[0] = 0 is left out,
+    so u[0] is never read and an infinite coefficient never meets it.
     """
     n = len(u)
     acc = [0.0] * n
@@ -130,7 +126,6 @@ def _compose(derivs: Coeffs, u: Coeffs) -> Coeffs:
             ai = acc[i]
             if ai == 0.0:
                 continue
-            out[i] += ai * 0.0
             for j in range(1, n - i):
                 out[i + j] += ai * u[j]
         out[0] += derivs[k] / _FACT[k]
@@ -196,10 +191,10 @@ def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
     if u[m] < 0.0:
         raise DomainError(f"base vanishing from below raised to non-integer power {r}")
     e = m * r
-    v = tuple(u[m + k] if m + k < n else 0.0 for k in range(n))
-    d = _pow_regular(v, r)
     out = [0.0] * n
     if e == int(e):
+        v = tuple(u[m + k] if m + k < n else 0.0 for k in range(n))
+        d = _pow_regular(v, r)
         ei = int(e)
         for k in range(ei, n):
             out[k] = d[k - ei]
@@ -223,12 +218,10 @@ def _exp(u: Coeffs) -> Coeffs:
 
 
 def _log(u: Coeffs) -> Coeffs:
+    # log(u) = log(u0) + log(1 + t) with t = u/u0 - 1: the table is that
+    # of log(1 + t) at 0, so no power of 1/u0 can overflow.
     u0 = u[0]
-    i = 1.0 / u0
-    derivs = (math.log(u0), i, -i * i)
-    if len(u) > 3:
-        derivs += (2.0 * i ** 3, -6.0 * i ** 4)
-    return _compose(derivs, u)
+    return _compose((math.log(u0), 1.0, -1.0, 2.0, -6.0), tuple(c / u0 for c in u))
 
 
 def _abs(u: Coeffs) -> Coeffs:

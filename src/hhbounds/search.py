@@ -15,6 +15,7 @@ deterministic derivative-free strategy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ __all__ = [
 UNIT = Interval(0.0, 1.0)
 
 WITNESS_SOURCE = "4*x^3.5/35 - x^4/12"
+
+# Tolerance of the oracle mean in every ratio.
+_RATIO_TOL = 1e-10
 
 
 class SearchError(RuntimeError):
@@ -77,25 +81,23 @@ class CounterexampleReport:
     violated: bool
 
 
-def f_ratio(f: Node | str, iv: Interval, tol: float = 1e-10) -> RatioReport:
+def f_ratio(f: Node | str, iv: Interval) -> RatioReport:
     """(mean - f(mid)) / (f(a) + f(b) - 2 f(mid)) via the oracle mean."""
     node = as_node(f)
     fa = eval_value(node, iv.a)
     fm = eval_value(node, iv.mid)
     fb = eval_value(node, iv.b)
     denominator = fa + fb - 2.0 * fm
-    numerator = integrate_mean(node, iv, tol).value - fm
+    numerator = integrate_mean(node, iv, _RATIO_TOL).value - fm
     degenerate = abs(denominator) <= 1e-12 * (1.0 + abs(fa) + abs(fb))
     value = None if degenerate else numerator / denominator
     return RatioReport(value, numerator, denominator, degenerate)
 
 
-def ratio_limit_scan(
-    f: Node | str, a: float, h_list: list[float], tol: float = 1e-10
-) -> list[RatioReport]:
+def ratio_limit_scan(f: Node | str, a: float, h_list: list[float]) -> list[RatioReport]:
     """F ratios on [a, a+h] for each h; tends to 1/6 as h shrinks."""
     node = as_node(f)
-    return [f_ratio(node, Interval(a, a + h), tol) for h in h_list]
+    return [f_ratio(node, Interval(a, a + h)) for h in h_list]
 
 
 def left_counterexample(gamma: float) -> CounterexampleReport:
@@ -112,7 +114,7 @@ def left_counterexample(gamma: float) -> CounterexampleReport:
     return CounterexampleReport(m_value, mean, m_value > mean)
 
 
-def witness_ratio(tol: float = 1e-10) -> float:
+def witness_ratio() -> float:
     """F ratio of the documented witness 4t^3.5/35 - t^4/12 on [0,1].
 
     The witness's second derivative t^1.5 - t^2 is nonnegative on the
@@ -123,18 +125,17 @@ def witness_ratio(tol: float = 1e-10) -> float:
     prof = convexity_profile(node, UNIT)
     if prof.f_convex != "yes":
         raise SearchError("witness integrand failed its convexity certificate")
-    report = f_ratio(node, UNIT, tol)
+    report = f_ratio(node, UNIT)
     if report.degenerate:
         raise SearchError("witness integrand reported a degenerate ratio")
     return report.value
 
 
-def smoothed_tent_ratio(eps: float, tol: float = 1e-10) -> float:
+def smoothed_tent_ratio(eps: float) -> float:
     """F ratio of hyp(x - 1/2, eps) on [0,1]; tends to 1/4 as eps -> 0."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a positive real, got {eps}")
-    node = Hyp(BinOp("-", Var(), Const(0.5)), eps)
-    report = f_ratio(node, UNIT, tol)
+    report = f_ratio(_tent_expr((eps,)), UNIT)
     if report.degenerate:
         raise SearchError("smoothed tent reported a degenerate ratio")
     return report.value
@@ -169,14 +170,14 @@ _RECHECK_FACTOR = 4
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _candidate_ratio(build, params: tuple[float, ...], tol: float) -> float:
+def _candidate_ratio(build, params: tuple[float, ...]) -> float:
     """Score one parameter vector; -inf when infeasible."""
     node = build(params)
     try:
         prof = convexity_profile(node, UNIT, _PROFILE_N)
         if prof.f_convex != "yes":
             return -math.inf
-        report = f_ratio(node, UNIT, tol)
+        report = f_ratio(node, UNIT)
     except (ValueError, ArithmeticError):
         return -math.inf
     if report.degenerate or report.value is None:
@@ -184,7 +185,7 @@ def _candidate_ratio(build, params: tuple[float, ...], tol: float) -> float:
     return report.value
 
 
-def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10) -> SearchResult:
+def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
     """Maximize the F ratio over a parametric convex family on [0,1].
 
     Strategy: a seeded, lightly jittered grid over the parameter box,
@@ -209,7 +210,7 @@ def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10
         clipped = tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(params, box))
         if len(ledger) >= budget:
             return -math.inf
-        r = _candidate_ratio(build, clipped, tol)
+        r = _candidate_ratio(build, clipped)
         ledger.append((r, clipped))
         return r
 
@@ -224,11 +225,7 @@ def best_constant_search(family: str, budget: int, seed: int, tol: float = 1e-10
         axes.append(
             [lo + (i + 0.5) * step + rng.uniform(-0.25, 0.25) * step for i in range(per_dim)]
         )
-    if dims == 1:
-        grid = [(v,) for v in axes[0]]
-    else:
-        grid = [(u, v) for u in axes[0] for v in axes[1]]
-    for params in grid:
+    for params in itertools.product(*axes):
         score(params)
         if len(ledger) >= budget:
             break

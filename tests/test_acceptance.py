@@ -71,7 +71,7 @@ def corpus():
 
 
 def test_01_witness_constant():
-    got = witness_ratio(tol=1e-10)
+    got = witness_ratio()
     ok = abs(got - 0.18128) <= 5e-5
     _note(1, ok, f"witness ratio {got:.10f} within 5e-5 of 0.18128")
     assert ok

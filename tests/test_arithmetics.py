@@ -17,8 +17,9 @@ import re
 
 import pytest
 
-from hhbounds import DomainError, eval_jet, eval_value, parse
+from hhbounds import DomainError, eval_jet, eval_value, expr, parse
 from hhbounds.expr import to_source
+from hhbounds.jets import JETS
 from hhbounds.verify import _random_expr
 
 JET_ONLY = ("abs is not differentiable at 0", "base vanishing from below")
@@ -80,3 +81,11 @@ def test_overflow_names_the_operation():
         ):
             with pytest.raises(OverflowError, match=message):
                 evaluate()
+
+
+def test_every_arithmetic_defines_the_same_names():
+    # an operator added to the language must be added to every arithmetic
+    names = set(expr.FLOATS)
+    for arithmetic in (JETS, expr.SOURCE, expr.DEPENDS):
+        assert set(arithmetic) == names
+    assert {"const", "head", "^", "hyp", *expr._BIN_OPS, *expr._UNARY_FNS} == names

@@ -257,6 +257,17 @@ def test_integer_power_overflow_names_the_operation(command, f, a, b):
     assert rep["outputs"]["error"].startswith(f"^{exponent} overflows at ")
 
 
+def test_enclose_log_of_a_tiny_scale_contains_the_mean():
+    # 1/u0^4 overflows at u0 = 2e-200, so the log jets must not form it
+    mpmath = pytest.importorskip("mpmath")
+    rc, rep = run_json("enclose", "--f=-log(1e-200*x)", "--a=1", "--b=2", "--method=simpson")
+    assert rc == 0
+    assert rep["status"] == "ok"
+    with mpmath.workdps(40):
+        mean = 200 * mpmath.log(10) - (2 * mpmath.log(2) - 1)
+    assert rep["outputs"]["lower"] <= mean <= rep["outputs"]["upper"]
+
+
 def test_ratio_exp_overflow_names_the_operation():
     rc, rep = run_json("ratio", "--f=exp(x)", "--a=1000", "--b=1001")
     assert rc == 2

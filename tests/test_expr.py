@@ -184,3 +184,11 @@ def test_eval_matches_math_for_primitives():
         ("cos(x)", math.cos(x)),
     ]:
         assert eval_value(parse(src), x) == pytest.approx(want, rel=1e-15)
+
+
+def test_printing_and_dependence_skip_the_domain_checks():
+    # both run `evaluate` with a NaN head, so no domain rule can fire
+    node = parse("log(0) / (1 - 1) + (-1)^0.5")
+    assert to_source(node) == "log(0) / (1 - 1) + (-1)^0.5"
+    assert contains_var(node) is False
+    assert contains_var(parse("x / 0")) is True

@@ -172,41 +172,30 @@ def _f2_outcome(node, x, order):
         return None, exc
 
 
+def _same_floats(a, b):
+    return len(a) == len(b) and all(
+        p == q or (math.isnan(p) and math.isnan(q)) for p, q in zip(a, b)
+    )
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_order_two_f2_matches_order_four(seed):
-    """Order 2 gives the order-4 f'' bit for bit, or the same error.
-
-    Two kinds of point are exempt, both from terms that only order 4
-    forms: an OverflowError in them (`i ** 3` in the log table, or
-    `u0 ** (r - 4)` in a power), and an infinite term in a composition
-    (g''' times an infinite coefficient of its argument) that meets
-    w[0] = 0 and turns the order-4 f'' into NaN.
-    Over the four seeds, one point is exempt: sin(x^1.81) at 0, where
-    order 4 gives NaN and order 2 the true +inf.
-    """
+    """Order 2 gives the first three order-4 coefficients bit for bit,
+    or both orders raise the same error."""
     rng = random.Random(seed)
-    compared = exempt = 0
+    jets = 0
     for _ in range(500):
         node = _random_expr(rng, 4)
         for x in (round(rng.uniform(-3.0, 3.0), 2), 0.0, 1.0):
             jet4, err4 = _f2_outcome(node, x, 4)
             jet2, err2 = _f2_outcome(node, x, 2)
             where = f"{to_source(node)} at x={x}"
-            if jet4 is not None and jet2 is not None:
-                assert len(jet2.coefficients) == 3, where
-                got, want = jet2.derivatives[2], jet4.derivatives[2]
-                if got == want or (math.isnan(got) and math.isnan(want)):
-                    compared += 1
-                else:
-                    assert math.isnan(want), (where, got, want)
-                    assert not all(map(math.isfinite, jet4.coefficients[3:])), where
-                    exempt += 1
-            elif jet4 is None and jet2 is None and repr(err4) == repr(err2):
-                compared += 1
+            if jet4 is None or jet2 is None:
+                assert repr(err2) == repr(err4), where
             else:
-                assert isinstance(err4, OverflowError) and jet2 is not None, (where, err4, err2)
-                exempt += 1
-    assert compared > 1400 and exempt <= 2
+                assert _same_floats(jet2.coefficients, jet4.coefficients[:3]), where
+                jets += 1
+    assert jets > 900
 
 
 @pytest.mark.parametrize(
@@ -233,6 +222,26 @@ def test_vanishing_base_results_at_order_two():
     assert eval_jet("(x^2 + x^3)^0.5", 0.0, order=2).derivatives == (0.0, 1.0, 1.0)
     with pytest.raises(DomainError, match="base vanishing from below"):
         eval_jet("(-x^3)^0.5", 0.0, order=2)
+
+
+def test_infinite_coefficient_does_not_turn_f2_into_nan():
+    # sin's third derivative times the infinite u'' of x^1.81 must not meet w[0] = 0
+    assert eval_jet("sin(x^1.81)", 0.0).derivatives[2] == math.inf
+
+
+def test_log_of_a_tiny_scale_has_finite_jets():
+    for order in (2, 4):
+        jet = eval_jet("log(1e-170*x)", 1.0, order=order)
+        assert all(map(math.isfinite, jet.coefficients))
+        assert jet.derivatives[1:] == pytest.approx((1.0, -1.0, 2.0, -6.0)[:order], rel=1e-15)
+
+
+def test_vanishing_tiny_base_to_a_fractional_power_has_a_jet():
+    # m*r is not an integer, so the power of the leading coefficient 1e-200,
+    # which overflows, is not needed
+    jet = eval_jet("(1e-200*x)^1.5", 0.0)
+    assert jet.derivatives[:2] == (0.0, 0.0)
+    assert jet.derivatives[2] == math.inf
 
 
 def test_order_two_jet_has_three_coefficients():
