@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
 from .expr import Node, as_node, eval_value
@@ -23,6 +24,7 @@ from .jets import eval_jet
 from .quadrature import integrate_mean, integrate_mean_fn
 
 __all__ = [
+    "DEFECTS",
     "ConvexityProfile",
     "OneSidedBound",
     "IdentityCheck",
@@ -240,7 +242,34 @@ def mean_enclosure_via_defect(
     return Enclosure(v - d.upper, v - d.lower)
 
 
+# Theorem (the CLI's --theorem) -> (citations, defect(node, iv, prof, mean)),
+# which returns the sandwich and the defect that must lie inside it.  Theorem
+# 4's defect is oriented: mean - simpson_value when f'' is concave.  Rows look
+# up the bound functions when they run, so wrappers on module names see them.
+DEFECTS = {
+    2: (
+        ("bisected-trapezoid", "defect-sandwich"),
+        lambda node, iv, prof, mean: (
+            bisected_trapezoid_defect(node, iv, prof),
+            bisected_trapezoid(node, iv) - mean,
+        ),
+    ),
+    4: (
+        ("simpson-defect",),
+        lambda node, iv, prof, mean: (
+            simpson_defect_bound(node, iv, prof),
+            (simpson_value(node, iv) - mean) * (-1.0 if prof.f2_shape == "concave" else 1.0),
+        ),
+    ),
+}
+
+
 # --- symmetric-pair comparison ----------------------------------------------
+
+
+def _symmetric_pair(iv: Interval, t: float) -> tuple[float, float]:
+    x = iv.a * (0.5 * t) + iv.b * (1.0 - 0.5 * t)
+    return x, iv.a + iv.b - x
 
 
 def symmetric_point_triple(
@@ -254,8 +283,7 @@ def symmetric_point_triple(
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     node = as_node(h)
-    x = iv.a * (0.5 * t) + iv.b * (1.0 - 0.5 * t)
-    y = iv.a + iv.b - x
+    x, y = _symmetric_pair(iv, t)
     fa, fm, fb = _three_values(node, iv)
     return 2.0 * fm, eval_value(node, x) + eval_value(node, y), fa + fb
 
@@ -263,10 +291,21 @@ def symmetric_point_triple(
 # --- exact defect identities -------------------------------------------------
 
 
-def _pair_curvature(node: Node, iv: Interval, t: float) -> float:
-    x = iv.a * (0.5 * t) + iv.b * (1.0 - 0.5 * t)
-    y = iv.a + iv.b - x
-    return eval_jet(node, x, order=2).derivatives[2] + eval_jet(node, y, order=2).derivatives[2]
+def _identity_residual(
+    f: Node | str, iv: Interval, tol: float, value: Callable, weight: Callable, scale: float
+) -> IdentityCheck:
+    """value - mean against len^2/scale * integral of weight(t)*(f''(x_t)+f''(y_t))."""
+    node = as_node(f)
+    lhs = value(node, iv) - integrate_mean(node, iv, tol).value
+
+    def kernel(t: float) -> float:
+        x, y = _symmetric_pair(iv, t)
+        d2x = eval_jet(node, x, order=2).derivatives[2]
+        d2y = eval_jet(node, y, order=2).derivatives[2]
+        return weight(t) * (d2x + d2y)
+
+    rhs = iv.length ** 2 / scale * integrate_mean_fn(kernel, Interval(0.0, 1.0), tol).value
+    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
 
 def bisected_trapezoid_identity_residual(
@@ -278,12 +317,7 @@ def bisected_trapezoid_identity_residual(
     symmetric substitution of symmetric_point_triple.  Both sides use
     the independent integrator; residual should vanish to tolerance.
     """
-    node = as_node(f)
-    lhs = bisected_trapezoid(node, iv) - integrate_mean(node, iv, tol).value
-    unit = Interval(0.0, 1.0)
-    kernel = lambda t: t * (1.0 - t) * _pair_curvature(node, iv, t)
-    rhs = iv.length ** 2 / 16.0 * integrate_mean_fn(kernel, unit, tol).value
-    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
+    return _identity_residual(f, iv, tol, bisected_trapezoid, lambda t: t * (1.0 - t), 16.0)
 
 
 def simpson_identity_residual(
@@ -295,12 +329,7 @@ def simpson_identity_residual(
     kernel changes sign, which is what makes the Simpson defect
     second-order small.
     """
-    node = as_node(f)
-    lhs = simpson_value(node, iv) - integrate_mean(node, iv, tol).value
-    unit = Interval(0.0, 1.0)
-    kernel = lambda t: t * (2.0 - 3.0 * t) * _pair_curvature(node, iv, t)
-    rhs = iv.length ** 2 / 48.0 * integrate_mean_fn(kernel, unit, tol).value
-    return IdentityCheck(lhs, rhs, abs(lhs - rhs))
+    return _identity_residual(f, iv, tol, simpson_value, lambda t: t * (2.0 - 3.0 * t), 48.0)
 
 
 # --- Simpson estimate with fourth-derivative error bound ----------------------
@@ -329,12 +358,11 @@ def simpson_estimate(f: Node | str, iv: Interval) -> SimpsonEstimate:
 # --- adaptive refinement ------------------------------------------------------
 
 
+_MAX_PANELS = 100_000
+
+
 def adaptive_enclosure(
-    f: Node | str,
-    iv: Interval,
-    tol: float,
-    prof: ConvexityProfile | None = None,
-    max_panels: int = 100_000,
+    f: Node | str, iv: Interval, tol: float, prof: ConvexityProfile | None = None
 ) -> Enclosure:
     """Bisect until the certified bracket around the mean is <= tol wide.
 
@@ -366,8 +394,8 @@ def adaptive_enclosure(
     target = tol
     while True:
         while width > target:
-            if len(heap) >= max_panels:
-                raise BudgetError(f"subdivision budget of {max_panels} panels exhausted")
+            if len(heap) >= _MAX_PANELS:
+                raise BudgetError(f"subdivision budget of {_MAX_PANELS} panels exhausted")
             neg_gap, a, b, fa, fm, fb = heapq.heappop(heap)
             m = 0.5 * (a + b)
             flm = eval_value(node, 0.5 * (a + m))

@@ -10,6 +10,7 @@ a checked bound or suite is violated, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -89,16 +90,8 @@ def _run_defect(args) -> tuple[dict[str, Any], list[str], str]:
     iv = Interval(args.a, args.b)
     prof = _profile_for(node, iv, need_f2=True)
     mean = integrate_mean(node, iv, 1e-10).value
-    if args.theorem == 2:
-        encl = bounds.bisected_trapezoid_defect(node, iv, prof)
-        observed = bounds.bisected_trapezoid(node, iv) - mean
-        citations = ["bisected-trapezoid", "defect-sandwich"]
-    else:
-        encl = bounds.simpson_defect_bound(node, iv, prof)
-        observed = bounds.simpson_value(node, iv) - mean
-        if prof.f2_shape == "concave":
-            observed = -observed
-        citations = ["simpson-defect"]
+    citations, defect = bounds.DEFECTS[args.theorem]
+    encl, observed = defect(node, iv, prof, mean)
     contained = encl.contains(observed, slack=_CONTAIN_SLACK * (1.0 + abs(observed)))
     outputs = {
         "theorem": args.theorem,
@@ -109,7 +102,7 @@ def _run_defect(args) -> tuple[dict[str, Any], list[str], str]:
         "f2_shape": prof.f2_shape,
     }
     status = "ok" if contained else "violated"
-    return outputs, citations, status
+    return outputs, list(citations), status
 
 
 def _run_means(args) -> tuple[dict[str, Any], list[str], str]:
@@ -220,6 +213,7 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
 # --- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhbounds",
@@ -245,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defect", help="defect sandwich check against the oracle")
     add_fab(p)
-    p.add_argument("--theorem", type=int, choices=(2, 4), required=True)
+    p.add_argument("--theorem", type=int, choices=tuple(bounds.DEFECTS), required=True)
     p.set_defaults(run=_run_defect)
 
     p = sub.add_parser("means", help="elementary means and certified brackets")

@@ -194,8 +194,8 @@ def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
     whose ratio is degenerate) score -inf.  The reduction is a plain
     max with ties broken toward the lexicographically smallest
     parameter vector, so results depend only on (family, budget, seed)
-    and the winning witness is re-certified at 4x the sample count
-    before it is returned.
+    and the winning witness is sampled again at 4x the sample count
+    before it is returned; that is evidence of convexity, not proof.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")

@@ -291,24 +291,16 @@ def _prop_weight_monotonicity(rng, ctx):
     return _ok(len(ctx.cases))
 
 
-def _prop_defect_sandwich(rng, ctx):
-    for i, case, prof in ctx.shaped:
-        encl = bounds.bisected_trapezoid_defect(case.node, case.iv, prof)
-        defect = bounds.bisected_trapezoid(case.node, case.iv) - ctx.mean(i)
-        if not encl.contains(defect, slack=1e-9):
-            return False, f"defect {defect:.9g} outside sandwich for {_fmt(case)}"
-    return _ok(len(ctx.shaped))
+def _defect_prop(theorem: int, what: str, outside: str):
+    def prop(rng, ctx):
+        _, defect = bounds.DEFECTS[theorem]
+        for i, case, prof in ctx.shaped:
+            encl, observed = defect(case.node, case.iv, prof, ctx.mean(i))
+            if not encl.contains(observed, slack=1e-9):
+                return False, f"{what} {observed:.9g} outside {outside} for {_fmt(case)}"
+        return _ok(len(ctx.shaped))
 
-
-def _prop_simpson_defect_bound(rng, ctx):
-    for i, case, prof in ctx.shaped:
-        encl = bounds.simpson_defect_bound(case.node, case.iv, prof)
-        oriented = bounds.simpson_value(case.node, case.iv) - ctx.mean(i)
-        if prof.f2_shape == "concave":
-            oriented = -oriented
-        if not encl.contains(oriented, slack=1e-9):
-            return False, f"oriented defect {oriented:.9g} outside bound for {_fmt(case)}"
-    return _ok(len(ctx.shaped))
+    return prop
 
 
 def _prop_simpson_direction(rng, ctx):
@@ -470,8 +462,8 @@ SUITES = {
     "inequalities": (
         ("classic-containment", _prop_classic_containment),
         ("weight-monotonicity", _prop_weight_monotonicity),
-        ("defect-sandwich", _prop_defect_sandwich),
-        ("simpson-defect-bound", _prop_simpson_defect_bound),
+        ("defect-sandwich", _defect_prop(2, "defect", "sandwich")),
+        ("simpson-defect-bound", _defect_prop(4, "oriented defect", "bound")),
         ("simpson-direction", _prop_simpson_direction),
         ("simpson-error-bound", _prop_simpson_error_bound),
         ("symmetric-triple", _prop_symmetric_triple),

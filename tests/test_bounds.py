@@ -1,8 +1,11 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from hhbounds import bounds
 from hhbounds import (
     BudgetError,
     DomainError,
@@ -325,6 +328,41 @@ def test_identity_exp_general_interval():
     assert check.residual < 1e-8 * (1.0 + abs(check.lhs))
 
 
+@pytest.mark.parametrize(
+    "residual, lhs, rhs",
+    [
+        (bisected_trapezoid_identity_residual, "0x1.68d6077494888p-3", "0x1.68d605bb2d8a9p-3"),
+        (simpson_identity_residual, "0x1.e8521152dc390p-5", "0x1.e85211528a6f1p-5"),
+    ],
+)
+def test_identity_residuals_are_pinned_bit_for_bit(residual, lhs, rhs):
+    check = residual("-log(x)", Interval(0.318818443, 4.50592161), tol=1e-9)
+    assert (check.lhs.hex(), check.rhs.hex()) == (lhs, rhs)
+    assert check.residual == abs(check.lhs - check.rhs)
+
+
+# --- defect theorem table ---------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("theorem", sorted(bounds.DEFECTS))
+@pytest.mark.parametrize(
+    "f, a, b, suffix", [("exp(x)", 0.0, 1.0, ""), ("x^2.5", 1.0, 2.0, "-concave")]
+)
+def test_defect_rows_match_the_recorded_cli_runs(theorem, f, a, b, suffix):
+    recorded = json.loads((GOLDEN / f"defect-theorem{theorem}{suffix}.json.out").read_text())
+    node, iv = parse(f), Interval(a, b)
+    prof = convexity_profile(node, iv, 129)
+    mean = integrate_mean(node, iv, 1e-10).value
+    citations, defect = bounds.DEFECTS[theorem]
+    encl, observed = defect(node, iv, prof, mean)
+    out = recorded["outputs"]
+    assert (encl.lower, encl.upper, observed) == (out["lower"], out["upper"], out["observed"])
+    assert list(citations) == recorded["citations"]
+    assert encl.lower <= observed <= encl.upper
+
+
 # --- simpson estimate -------------------------------------------------------------
 
 
@@ -387,9 +425,10 @@ def test_adaptive_requires_convex_profile():
         adaptive_enclosure(parse("sin(x)"), iv, 1e-6, prof)
 
 
-def test_adaptive_budget_error():
+def test_adaptive_budget_error(monkeypatch):
+    monkeypatch.setattr(bounds, "_MAX_PANELS", 8)
     with pytest.raises(BudgetError):
-        adaptive_enclosure(EXP, UNIT, 1e-12, max_panels=8)
+        adaptive_enclosure(EXP, UNIT, 1e-12)
 
 
 def test_adaptive_rejects_nonpositive_tol():

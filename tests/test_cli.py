@@ -1,9 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from hhbounds import bounds, cli
 
 
 def run_cli(*args):
@@ -343,3 +348,34 @@ def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(args, code):
         os.close(write_end)
     assert proc.returncode == code
     assert proc.stderr == ""
+
+
+# --- parser ------------------------------------------------------------------
+
+
+def _subparser(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def test_theorem_choices_are_the_defect_table():
+    defect = _subparser(cli._build_parser(), "defect")
+    theorem = next(a for a in defect._actions if a.dest == "theorem")
+    assert tuple(theorem.choices) == tuple(bounds.DEFECTS)
+
+
+def test_parser_is_built_once_and_reused_across_commands():
+    assert cli._build_parser() is cli._build_parser()
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    runs = [
+        ("defect-theorem4.json", ["--json", "defect", "--f=exp(x)", "--a=0", "--b=1", "--theorem=4"]),
+        ("means-L.table", ["means", "--a=1", "--b=2", "--enclose=L"]),
+        ("defect-theorem2-concave.table", ["defect", "--f=x^2.5", "--a=1", "--b=2", "--theorem=2"]),
+        ("means.json", ["--json", "means", "--a=1", "--b=2"]),
+    ]
+    for name, argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        with open(os.path.join(golden, f"{name}.out"), "rb") as fh:
+            assert out.getvalue().encode() == fh.read(), name

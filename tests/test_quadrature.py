@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hhbounds import quadrature
 from hhbounds import (
     BudgetError,
     DomainError,
@@ -78,9 +79,10 @@ def test_tolerance_range_enforced():
         integrate_mean("x", Interval(0.0, 1.0), 1e-2)
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 30)
     with pytest.raises(BudgetError):
-        integrate_mean_fn(math.exp, Interval(0.0, 10.0), 1e-13, max_evals=30)
+        integrate_mean_fn(math.exp, Interval(0.0, 10.0), 1e-13)
 
 
 def test_domain_error_inside_interval():
@@ -109,3 +111,26 @@ def test_narrow_interval():
     got = integrate_mean("exp(x)", iv, 1e-12)
     want = math.e * math.expm1(iv.length) / iv.length
     assert got.value == pytest.approx(want, rel=1e-9)
+
+
+# Bit-for-bit record of the adaptive-Simpson oracle: (value, err_estimate)
+# as float.hex, and the evaluation count.  A change of integrator moves
+# these on purpose and re-records them.
+@pytest.mark.parametrize(
+    "f, a, b, tol, value, err, evaluations",
+    [
+        ("exp(x)", 0.0, 1.0, 1e-10, "0x1.b7e151628aed5p+0", "0x1.38cb4f3333334p-35", 129),
+        ("-log(x)", 0.318818443, 4.50592161, 1e-9, "-0x1.6a03a5123bc0cp-1", "0x1.4fb68fcb0e314p-32", 289),
+        ("x^2.5", 0.1, 2.0, 1e-11, "0x1.b385e7f956c1ep+0", "0x1.16f73d423ee09p-38", 457),
+    ],
+)
+def test_oracle_is_pinned_bit_for_bit(f, a, b, tol, value, err, evaluations):
+    got = integrate_mean(f, Interval(a, b), tol)
+    assert (got.value.hex(), got.err_estimate.hex(), got.evaluations) == (value, err, evaluations)
+
+
+def test_callable_oracle_is_pinned_bit_for_bit():
+    got = integrate_mean_fn(math.sqrt, Interval(0.0, 1.0), 1e-10)
+    assert got.value.hex() == "0x1.5555555555459p-1"
+    assert got.err_estimate.hex() == "0x1.3afb59e03b6d5p-35"
+    assert got.evaluations == 985
