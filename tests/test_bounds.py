@@ -20,6 +20,7 @@ from hhbounds import (
     convexity_profile,
     eval_value,
     integrate_mean,
+    integrate_mean_fn,
     mean_enclosure_via_defect,
     parse,
     simpson_defect_bound,
@@ -331,14 +332,41 @@ def test_identity_exp_general_interval():
 @pytest.mark.parametrize(
     "residual, lhs, rhs",
     [
-        (bisected_trapezoid_identity_residual, "0x1.68d6077494888p-3", "0x1.68d605bb2d8a9p-3"),
-        (simpson_identity_residual, "0x1.e8521152dc390p-5", "0x1.e85211528a6f1p-5"),
+        (bisected_trapezoid_identity_residual, "0x1.68d6077496e18p-3", "0x1.68d6077496e1ep-3"),
+        (simpson_identity_residual, "0x1.e8521152e59d0p-5", "0x1.e8521152e59dcp-5"),
     ],
 )
 def test_identity_residuals_are_pinned_bit_for_bit(residual, lhs, rhs):
     check = residual("-log(x)", Interval(0.318818443, 4.50592161), tol=1e-9)
     assert (check.lhs.hex(), check.rhs.hex()) == (lhs, rhs)
     assert check.residual == abs(check.lhs - check.rhs)
+
+
+
+def test_bisected_trapezoid_kernel_matches_mpmath():
+    # Benchmark defect 4: on this interval the adaptive-Simpson oracle put the
+    # kernel integral off by 1.17e-8 and reported an error of 4.2e-10.
+    # f = -log(x), so f'' = 1/x^2.
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 0.318818443, 4.50592161
+    with mpmath.workdps(40):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+
+        def mp_kernel(t):
+            x = ma * t / 2 + mb * (1 - t / 2)
+            return t * (1 - t) * (1 / x ** 2 + 1 / (ma + mb - x) ** 2)
+
+        want = mpmath.quad(mp_kernel, [0, 1])
+        rhs = (mb - ma) ** 2 / 16 * want
+
+    def kernel(t):
+        x = a * (0.5 * t) + b * (1.0 - 0.5 * t)
+        return t * (1.0 - t) * (1.0 / x ** 2 + 1.0 / (a + b - x) ** 2)
+
+    got = integrate_mean_fn(kernel, Interval(0.0, 1.0), 1e-9)
+    assert abs(got.value - float(want)) <= min(got.err_estimate, 1e-12)
+    check = bisected_trapezoid_identity_residual("-log(x)", Interval(a, b), tol=1e-9)
+    assert abs(check.rhs - float(rhs)) <= 1e-12
 
 
 # --- defect theorem table ---------------------------------------------------------

@@ -38,6 +38,14 @@ def test_means_suite_survives_identric_overflow():
     assert not bad, [(r.name, r.detail) for r in bad]
 
 
+def test_identities_pass_at_the_seed_that_broke_the_simpson_oracle():
+    # seed 772164985 draws -log(x) on [0.318818443, 4.50592161], whose kernel
+    # integral the adaptive-Simpson oracle got wrong by 1.17e-8
+    results = run_suite("identities", samples=200, seed=772164985)
+    bad = [r for r in results if not r.passed]
+    assert not bad, [(r.name, r.detail) for r in bad]
+
+
 def test_determinism():
     r1 = run_suite("inequalities", samples=25, seed=6)
     r2 = run_suite("inequalities", samples=25, seed=6)
