@@ -371,7 +371,7 @@ def adaptive_enclosure(
     widest panel (by width contribution) is split first; the final
     aggregation sums panels leftmost-first so results are deterministic.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     node = as_node(f)
     if prof is None:

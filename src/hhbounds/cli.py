@@ -106,14 +106,11 @@ def _run_defect(args) -> tuple[dict[str, Any], list[str], str]:
 
 
 def _run_means(args) -> tuple[dict[str, Any], list[str], str]:
-    _require(args.a > 0.0 and args.b > 0.0, "means need strictly positive arguments")
-    _require(math.isfinite(args.a) and math.isfinite(args.b), "means need finite arguments")
     ms = all_means(args.a, args.b)
     outputs: dict[str, Any] = dict(ms.as_dict())
     citations = ["elementary-means"]
     status = "ok"
     if args.enclose is not None:
-        _require(args.a != args.b, "enclosures need two distinct arguments")
         citation, bracket = BRACKETS[args.enclose]
         encl, target = bracket(args.a, args.b, ms, args.printed_constant)
         citations.append(citation)
@@ -213,6 +210,17 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
 # --- argument parsing ---------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for --a, --b and --tol: no command can use inf or nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -224,8 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_fab(p):
         p.add_argument("--f", required=True, help="integrand expression in x")
-        p.add_argument("--a", type=float, required=True)
-        p.add_argument("--b", type=float, required=True)
+        p.add_argument("--a", type=_finite_float, required=True)
+        p.add_argument("--b", type=_finite_float, required=True)
 
     p = sub.add_parser("enclose", help="two-sided enclosure of the mean value")
     add_fab(p)
@@ -234,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("classic", "n14", "simpson", "adaptive"),
         default="n14",
     )
-    p.add_argument("--tol", type=float, default=None, help="width target for adaptive")
+    p.add_argument("--tol", type=_finite_float, default=None, help="width target for adaptive")
     p.set_defaults(run=_run_enclose)
 
     p = sub.add_parser("defect", help="defect sandwich check against the oracle")
@@ -243,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_defect)
 
     p = sub.add_parser("means", help="elementary means and certified brackets")
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
+    p.add_argument("--b", type=_finite_float, required=True)
     p.add_argument("--enclose", choices=tuple(BRACKETS), default=None)
     p.add_argument("--printed-constant", action="store_true")
     p.set_defaults(run=_run_means)

@@ -121,42 +121,21 @@ def all_means(a: float, b: float) -> MeanSet:
 
 
 def _arith_harm(a: float, b: float) -> tuple[float, float, float]:
-    """A, H and A - H, the last in a form that does not cancel near a = b.
+    """A, H and (A - H)/A, the last in a form that does not cancel near a = b.
 
-    Each is computed directly unless a sum or product there leaves the
-    float range; then it is formed from ratios to A, which stay in range.
+    H = a * (b/A) and (A - H)/A = ((b - a)/A)^2 / 4 are built from ratios
+    to A, which stay in the float range where a + b, a*b or (b - a)^2
+    would leave it or underflow.
     """
-    arith = 0.5 * (a + b)
-    if arith == math.inf:
-        arith = 0.5 * a + 0.5 * b
-    harm = 2.0 * a * b / (a + b)
-    if not 0.0 < harm < math.inf:
-        harm = a * (b / arith)
-    d = b - a
-    gap = d * d / (2.0 * (a + b))
-    if not 0.0 < gap < math.inf:
-        gap = 0.25 * d * (d / arith)
-    return arith, harm, gap
+    arith = 0.5 * a + 0.5 * b
+    harm = a * (b / arith)
+    r = (b - a) / arith
+    return arith, harm, 0.25 * r * r
 
 
 def _log_gini(a: float, b: float, arith: float) -> float:
-    """log of the Gini mean, (a log a + b log b)/(a + b)."""
-    direct = (a * math.log(a) + b * math.log(b)) / (a + b)
-    if math.isfinite(direct):
-        return direct
-    # a log a or a + b is past the float range: log a + b/(a+b) log(b/a)
+    """log of the Gini mean, (a log a + b log b)/(a + b) = log a + b/(a+b) log(b/a)."""
     return math.log(a) + 0.5 * b / arith * (math.log(b) - math.log(a))
-
-
-def _direct_or_scaled(direct, scaled) -> float:
-    """A positive quantity: direct() where that is a positive finite float,
-    else scaled(), the same quantity written with ratios of the means so
-    that no square of a mean leaves the float range."""
-    try:
-        value = direct()
-    except ZeroDivisionError:
-        return scaled()
-    return value if 0.0 < value < math.inf else scaled()
 
 
 def _exp_or_inf(t: float) -> float:
@@ -195,28 +174,23 @@ def reciprocal_log_mean_defect(a: float, b: float) -> Enclosure:
     """
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
-    lower = _direct_or_scaled(
-        lambda: gap / (6.0 * arith * arith),
-        lambda: gap / arith / arith / 6.0,
-    )
-    upper = _direct_or_scaled(
-        lambda: arith * gap / (6.0 * harm * harm) * (4.0 / harm - 3.0 / arith),
-        lambda: (arith / harm) * (gap / harm) * (4.0 - 3.0 * harm / arith) / (6.0 * harm),
-    )
+    # (A-H)/(6A^2) and A(A-H)/(6H^2) * (4/H - 3/A), with gap = (A-H)/A
+    ratio = arith / harm
+    lower = gap / arith / 6.0
+    upper = gap * ratio * (4.0 * ratio - 3.0) / harm / 6.0
     return Enclosure(lower, upper)
 
 
 def _identric_exponent(a: float, b: float) -> float:
     """((b-a)^2/324)(1/a^2 + 1/b^2 - 2/A^2) in cancellation-free form.
 
-    Algebraically equal to (2/81)(A-H)^2(2A+H)/(A H^2), which is how it
-    is evaluated; the raw form loses all digits for near-equal inputs.
+    Algebraically equal to (2/81)(A-H)^2(2A+H)/(A H^2), which is
+    evaluated as (2/81)((A-H)/H)^2(2 + H/A); the raw form loses all
+    digits for near-equal inputs.
     """
     arith, harm, gap = _arith_harm(a, b)
-    return _direct_or_scaled(
-        lambda: (2.0 / 81.0) * gap * gap * (2.0 * arith + harm) / (arith * harm * harm),
-        lambda: (2.0 / 81.0) * (gap / harm) * (gap / harm) * (2.0 + harm / arith),
-    )
+    rel_gap = gap * (arith / harm)
+    return (2.0 / 81.0) * rel_gap * rel_gap * (2.0 + harm / arith)
 
 
 def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -> Enclosure:
@@ -246,30 +220,40 @@ def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
     log_upper = (4.0 * math.log(arith) + 2.0 * _log_gini(a, b, arith)) / 3.0
-    exponent = _direct_or_scaled(
-        lambda: (4.0 / 81.0) * gap * gap / (arith * harm),
-        lambda: (4.0 / 81.0) * (gap / arith) * (gap / harm),
-    )
-    upper = _exp_or_inf(log_upper)
-    if upper == math.inf:
-        return Enclosure(_exp_or_inf(log_upper - exponent), upper)
-    return Enclosure(upper * math.exp(-exponent), upper)
+    exponent = (4.0 / 81.0) * gap * (gap * (arith / harm))
+    return Enclosure(_exp_or_inf(log_upper - exponent), _exp_or_inf(log_upper))
 
 
 def _identric_of_squares(a: float, b: float) -> float:
     """I(a^2, b^2), the value the Isq bracket must contain.
 
-    Where a square leaves the float range, I is scaled out by its
-    homogeneity: I(a^2, b^2) = b^2 * I(r, 1) with r = (a/b)^2 < 1 for
-    a < b, and I(0, 1) = 1/e once r underflows.
+    I is scaled out by its homogeneity, so that no square of an argument
+    has to be a float: I(a^2, b^2) = b^2 * I(r, 1) with r = (a/b)^2 < 1
+    for a < b, and I(0, 1) = 1/e once r underflows.
     """
-    a2, b2 = a * a, b * b
-    if 0.0 < min(a2, b2) and max(a2, b2) < math.inf:
-        return all_means(a2, b2).identric
     lo, hi = min(a, b), max(a, b)
     r = (lo / hi) * (lo / hi)
     unit = all_means(r, 1.0).identric if r > 0.0 else math.exp(-1.0)
     return hi * (hi * unit)
+
+
+def _reciprocal_defect(a: float, b: float, ms: MeanSet) -> float:
+    """(1/A + 1/H)/2 - 1/L, the value the recipL bracket must contain.
+
+    With u = (b-a)/(a+b), H = A(1 - u^2) and A/L = artanh(u)/u, so the
+    defect is (u^2/2 * A/H - c)/A with c = artanh(u)/u - 1; it is
+    evaluated as u^2/(2H) - c/A, whose terms stay about 3/2 apart near
+    a = b, so little cancels.  c is summed from its series
+    u^2/3 + u^4/5 + ... below u = 1/2, and is A/L - 1 above.
+    """
+    arith = ms.arithmetic
+    u = 0.5 * abs(b - a) / arith
+    if u < 0.5:
+        # the first term left out, u^60/61, is under 2e-19 of c >= u^2/3
+        c = sum(u ** (2 * k) / (2 * k + 1) for k in range(29, 0, -1))
+    else:
+        c = arith / ms.logarithmic - 1.0
+    return 0.5 * u * u / ms.harmonic - c / arith
 
 
 # Bracket kind -> (citation, fn(a, b, all_means(a, b), printed_constant)
@@ -299,7 +283,7 @@ BRACKETS = {
         "reciprocal-defect",
         lambda a, b, ms, printed: (
             reciprocal_log_mean_defect(a, b),
-            0.5 * (1.0 / ms.arithmetic + 1.0 / ms.harmonic) - 1.0 / ms.logarithmic,
+            _reciprocal_defect(a, b, ms),
         ),
     ),
 }

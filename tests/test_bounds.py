@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -462,6 +464,23 @@ def test_adaptive_budget_error(monkeypatch):
 def test_adaptive_rejects_nonpositive_tol():
     with pytest.raises(ValueError):
         adaptive_enclosure(EXP, UNIT, 0.0)
+
+
+def test_adaptive_rejects_nan_tol():
+    # NaN once passed the tol check and then looped forever, so the call
+    # runs in a child process with a deadline
+    code = (
+        "import math\n"
+        "from hhbounds import Interval, adaptive_enclosure\n"
+        "try:\n"
+        "    adaptive_enclosure('exp(x)', Interval(0.0, 1.0), math.nan)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20
+    )
+    assert proc.stdout == "tol must be positive, got nan\n"
 
 
 def test_adaptive_deterministic():

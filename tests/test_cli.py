@@ -221,6 +221,80 @@ def test_means_rejects_nonpositive():
     assert rep["status"] == "error"
 
 
+def _mp_means_and_targets(a, b):
+    """The six means and the I and recipL bracket targets, at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        arith, harm = (a + b) / 2, 2 * a * b / (a + b)
+        logm = (b - a) / (mpmath.log(b) - mpmath.log(a))
+        idm = mpmath.exp((b * mpmath.log(b) - a * mpmath.log(a)) / (b - a) - 1)
+        gini = mpmath.exp((a * mpmath.log(a) + b * mpmath.log(b)) / (a + b))
+        means = {
+            "harmonic": harm,
+            "geometric": mpmath.sqrt(a * b),
+            "logarithmic": logm,
+            "identric": idm,
+            "arithmetic": arith,
+            "gini": gini,
+        }
+        targets = {"I": idm, "recipL": (1 / arith + 1 / harm) / 2 - 1 / logm}
+        return {k: float(v) for k, v in means.items()}, {k: float(v) for k, v in targets.items()}
+
+
+@pytest.mark.parametrize(
+    "a,b,enclose",
+    [
+        # 2ab underflows to a subnormal: H came out 87% high
+        ("1.0405208040498133e-161", "1.2722680456207749e-163", None),
+        # the same underflow broke the mean chain
+        ("6.73877509732814e-163", "2.282316975803574e-162", "I"),
+        # A^2 underflows: the recipL bracket came out inverted
+        ("1.7620787251869815e-155", "1.7621368686345008e-155", "recipL"),
+        # a target formed as (1/A + 1/H)/2 - 1/L cancels most of its digits
+        ("1", "1.00003", "recipL"),
+    ],
+)
+def test_means_near_the_underflow_of_products_match_mpmath(a, b, enclose):
+    argv = ["means", f"--a={a}", f"--b={b}"]
+    if enclose is not None:
+        argv.append(f"--enclose={enclose}")
+    rc, rep = run_json(*argv)
+    assert (rc, rep["status"]) == (0, "ok")
+    out = rep["outputs"]
+    means, targets = _mp_means_and_targets(float(a), float(b))
+    for name, want in means.items():
+        assert out[name] == pytest.approx(want, rel=1e-13, abs=0.0), name
+    if enclose is not None:
+        want = targets[enclose]
+        assert out["target"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert out["lower"] <= want <= out["upper"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("means", "--a=inf", "--b=1"),
+        ("enclose", "--f=exp(x)", "--a=0", "--b=1", "--tol=nan"),
+        ("enclose", "--f=exp(x)", "--a=0", "--b=1", "--method=adaptive", "--tol=nan"),
+        ("ratio", "--f=exp(x)", "--a=-inf", "--b=1"),
+    ],
+)
+def test_non_finite_arguments_are_usage_errors(argv):
+    # a NaN tol once passed the tol <= 0 check and spun forever, and a
+    # non-finite input echoed into the JSON report ended in a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhbounds", "--json", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "invalid finite float value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --- ratio -------------------------------------------------------------------
 
 

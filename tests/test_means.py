@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -343,3 +344,72 @@ def test_identric_of_squares_target_where_the_squares_leave_the_float_range(a, b
     else:
         assert target == pytest.approx(want, rel=1e-13)
         assert encl.lower <= want <= encl.upper < math.inf
+
+
+# --- one range-safe form per mean, swept against mpmath ------------------------
+
+
+def _is_normal(v):
+    return sys.float_info.min <= abs(v) < math.inf
+
+
+def _sweep_pairs(n):
+    """Pairs over 1e-300..1e300: wide, near-equal, and with a subnormal product."""
+    rng = random.Random(20161)
+    for i in range(n):
+        kind = i % 3
+        if kind == 0:
+            a, b = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        elif kind == 1:
+            a = 10.0 ** rng.uniform(-300.0, 300.0)
+            b = a * (1.0 + 10.0 ** rng.uniform(-15.0, -0.5))
+        else:
+            a = 10.0 ** rng.uniform(-165.0, -150.0)
+            b = 10.0 ** (rng.uniform(-323.0, -308.0) - math.log10(a))
+            if rng.random() < 0.5:
+                b = a * (1.0 + 10.0 ** rng.uniform(-15.0, -0.5))
+        if a != b:
+            yield a, b
+
+
+def _mp_reference(a, b):
+    """The six means and the four bracket targets, at 80 digits."""
+    with mpmath.workdps(80):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+
+        def ident(x, y):
+            return mpmath.exp((y * mpmath.log(y) - x * mpmath.log(x)) / (y - x) - 1)
+
+        arith = (a + b) / 2
+        harm = 2 * a * b / (a + b)
+        logm = (b - a) / (mpmath.log(b) - mpmath.log(a))
+        gini = mpmath.exp((a * mpmath.log(a) + b * mpmath.log(b)) / (a + b))
+        means = [harm, mpmath.sqrt(a * b), logm, ident(a, b), arith, gini]
+        targets = {
+            "L": logm,
+            "I": ident(a, b),
+            "Isq": ident(a * a, b * b),
+            "recipL": (1 / arith + 1 / harm) / 2 - 1 / logm,
+        }
+        return [float(m) for m in means], {k: float(v) for k, v in targets.items()}
+
+
+def test_means_and_brackets_sweep_against_mpmath():
+    # the float range edges: 2ab underflows to a subnormal, (b-a)^2 and
+    # A^2 leave the range, and near-equal pairs cancel
+    checked = 0
+    for a, b in _sweep_pairs(3000):
+        means, targets = _mp_reference(a, b)
+        if not all(_is_normal(m) for m in means):
+            continue
+        checked += 1
+        ms = all_means(a, b)
+        assert abs(ms.harmonic - means[0]) <= 2.0 * math.ulp(means[0]), (a, b)
+        for kind, (_, bracket) in BRACKETS.items():
+            encl, target = bracket(a, b, ms, False)
+            want = targets[kind]
+            if _is_normal(want):
+                slack = 1e-12 * want
+                assert encl.lower - slack <= want <= encl.upper + slack, (kind, a, b)
+                assert abs(target - want) <= slack, (kind, a, b)
+    assert checked > 2500
