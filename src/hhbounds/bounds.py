@@ -171,7 +171,7 @@ def _f2_shape(node: Node, iv: Interval, prof: ConvexityProfile | None) -> str:
     if prof is None:
         prof = convexity_profile(node, iv)
     if prof.f2_shape not in ("convex", "concave"):
-        raise ValueError("shape of f'' is indeterminate; sandwich not certified")
+        raise ValueError("second derivative has no certified convexity direction")
     return prof.f2_shape
 
 

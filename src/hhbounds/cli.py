@@ -28,19 +28,10 @@ from .verify import SUITE_NAMES, run_suite
 _CONTAIN_SLACK = 1e-9
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _profile_for(node, iv: Interval, need_f2: bool) -> bounds.ConvexityProfile:
+def _profile_for(node, iv: Interval) -> bounds.ConvexityProfile:
     prof = bounds.convexity_profile(node, iv, 129)
-    _require(prof.f_convex == "yes", f"integrand is not certified convex ({prof.f_convex})")
-    if need_f2:
-        _require(
-            prof.f2_shape != "indeterminate",
-            "second derivative has no certified convexity direction",
-        )
+    if prof.f_convex != "yes":
+        raise ValueError(f"integrand is not certified convex ({prof.f_convex})")
     return prof
 
 
@@ -53,16 +44,14 @@ def _run_enclose(args) -> tuple[dict[str, Any], list[str], str]:
     method = args.method
     tol = args.tol
     citations = ["hermite-hadamard"]
+    prof = _profile_for(node, iv)
     if method == "classic":
-        prof = _profile_for(node, iv, need_f2=False)
         encl = bounds.classic_hh(node, iv)
     elif method == "n14":
-        prof = _profile_for(node, iv, need_f2=False)
         fm = eval_value(node, iv.mid)
         encl = bounds.Enclosure(fm, bounds.bisected_trapezoid(node, iv))
         citations.append("bisected-trapezoid")
     elif method == "simpson":
-        prof = _profile_for(node, iv, need_f2=True)
         one_sided = bounds.simpson_one_sided_bound(node, iv, prof)
         defect = bounds.simpson_defect_bound(node, iv, prof)
         if one_sided.is_upper:
@@ -71,7 +60,6 @@ def _run_enclose(args) -> tuple[dict[str, Any], list[str], str]:
             encl = bounds.Enclosure(one_sided.value, one_sided.value + defect.upper)
         citations = ["simpson-one-sided", "simpson-defect"]
     else:
-        prof = _profile_for(node, iv, need_f2=False)
         encl = bounds.adaptive_enclosure(node, iv, tol if tol is not None else 1e-6, prof)
         citations.append("adaptive-refinement")
     outputs = {
@@ -88,7 +76,7 @@ def _run_enclose(args) -> tuple[dict[str, Any], list[str], str]:
 def _run_defect(args) -> tuple[dict[str, Any], list[str], str]:
     node = parse(args.f)
     iv = Interval(args.a, args.b)
-    prof = _profile_for(node, iv, need_f2=True)
+    prof = _profile_for(node, iv)
     mean = integrate_mean(node, iv, 1e-10).value
     citations, defect = bounds.DEFECTS[args.theorem]
     encl, observed = defect(node, iv, prof, mean)

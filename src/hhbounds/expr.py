@@ -20,13 +20,15 @@ of constant exponents), `jets.JETS` for Taylor jets, `SOURCE` for
 printing (`to_source`) and `DEPENDS` for the x-dependence check
 (`contains_var`).  The walker checks every domain rule once, on the value
 part of the operand, and re-raises an arithmetic's OverflowError with a
-message naming the operation.
+message naming the operation, and its "math domain error" for sin or cos
+of an infinite value as a DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -91,64 +93,54 @@ class Hyp:
 
 # --- tokenizer -------------------------------------------------------------
 
-_PUNCT = set("+-*/^(),")
+# One alternative per token kind, tried in order; `bad` is any other single
+# character.  A number is digits with at most one dot and an optional
+# exponent; the lone dot it also matches is refused by `_tokenize`.
+_TOKEN = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d*)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[^\W\d]\w*)"
+    r"|(?P<punct>[-+*/^(),])"
+    r"|(?P<space>[ \t\r\n]+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, offset) triples; kind in num/name/punct."""
+    """Return (kind, text, offset) triples; kind in num/name/punct/end."""
     out = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in _PUNCT:
-            out.append(("punct", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
+    for m in _TOKEN.finditer(src):
+        kind, text, off = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", off)
+        if kind == "num":
             try:
                 float(text)
             except ValueError:
-                raise ParseError(f"malformed number {text!r}", i) from None
-            out.append(("num", text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            out.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    out.append(("end", "", n))
+                raise ParseError(f"malformed number {text!r}", off) from None
+        if kind != "space":
+            out.append((kind, text, off))
+    out.append(("end", "", len(src)))
     return out
 
 
 # --- parser ----------------------------------------------------------------
 
+# Deepest nesting accepted, both for the tree (one `evaluate` frame per
+# level) and for factors inside factors (up to five parser frames per
+# level), so every tree that parses also evaluates within Python's default
+# recursion limit of 1000 frames.
+_MAX_DEPTH = 100
+
 
 class _Parser:
+    """Recursive descent; each rule returns its tree and the tree's depth."""
+
     def __init__(self, src: str):
         self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
+        self.open = 0  # factors being parsed, one per level of source nesting
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.pos]
@@ -165,80 +157,81 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {shown!r}", off)
         self.advance()
 
+    def deeper(self, depth: int, off: int) -> int:
+        """depth + 1, refused at the token at off past _MAX_DEPTH."""
+        if depth >= _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", off)
+        return depth + 1
+
     def parse(self) -> Node:
-        node = self.sum()
+        node, _ = self.sum()
         kind, text, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", off)
         return node
 
-    def sum(self) -> Node:
-        node = self.term()
+    def sum(self, ops: str = "+-") -> tuple[Node, int]:
+        """A sum of terms, or with ops "*/" a term of factors; left-associative."""
+        node, depth = self.sum("*/") if ops == "+-" else self.factor()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "punct" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+            kind, text, off = self.peek()
+            if kind != "punct" or text not in ops:
+                return node, depth
+            self.advance()
+            right, right_depth = self.sum("*/") if ops == "+-" else self.factor()
+            node, depth = BinOp(text, node, right), self.deeper(max(depth, right_depth), off)
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "punct" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Node:
-        kind, text, _ = self.peek()
+    def factor(self) -> tuple[Node, int]:
+        kind, text, off = self.peek()
+        self.open = self.deeper(self.open, off)
         if kind == "punct" and text == "-":
             self.advance()
-            inner = self.factor()
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Unary("neg", inner)
-        return self.power()
+            node, depth = self.factor()
+            if isinstance(node, Const):
+                node = Const(-node.value)
+            else:
+                node, depth = Unary("neg", node), self.deeper(depth, off)
+        else:
+            node, depth = self.power()
+        self.open -= 1
+        return node, depth
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self) -> tuple[Node, int]:
+        base, depth = self.atom()
         kind, text, off = self.peek()
         if kind == "punct" and text == "^":
             self.advance()
             ekind, etext, eoff = self.peek()
-            exponent = self.factor()
-            folded = _constant(exponent)
+            folded = _constant(self.factor()[0])
             if folded is None:
                 raise ParseError("exponent must be a constant", eoff)
             if not math.isfinite(folded):
                 raise ParseError("exponent must be a finite constant", eoff)
-            return Pow(base, folded)
-        return base
+            return Pow(base, folded), self.deeper(depth, off)
+        return base, depth
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         kind, text, off = self.advance()
         if kind == "num":
-            return Const(float(text))
+            return Const(float(text)), 1
         if kind == "name":
             if text == "x":
-                return Var()
+                return Var(), 1
             if text in _UNARY_FNS and text != "neg":
                 self.expect_punct("(")
-                arg = self.sum()
+                arg, depth = self.sum()
                 self.expect_punct(")")
-                return Unary(text, arg)
+                return Unary(text, arg), self.deeper(depth, off)
             if text == "hyp":
                 self.expect_punct("(")
-                arg = self.sum()
+                arg, depth = self.sum()
                 self.expect_punct(",")
                 skind, stext, soff = self.peek()
-                soft = _constant(self.sum())
-                if soft is None:
-                    raise ParseError("hyp softness must be a constant", soff)
+                soft = _constant(self.sum()[0])
+                if soft is None or not 0.0 < soft < math.inf:
+                    raise ParseError("hyp softness must be a positive finite constant", soff)
                 self.expect_punct(")")
-                return Hyp(arg, soft)
+                return Hyp(arg, soft), self.deeper(depth, off)
             raise ParseError(f"unknown name {text!r}", off)
         if kind == "punct" and text == "(":
             node = self.sum()
@@ -349,7 +342,8 @@ def evaluate(node: Node, x, arithmetic: dict):
     Every domain rule of the language is checked here, once, on the head
     of the operand, so an arithmetic's functions see only arguments inside
     the domain.  An OverflowError raised by the arithmetic is re-raised
-    with a message naming the operation and its argument.
+    with a message naming the operation and its argument, and sin or cos
+    of an infinite value as a DomainError naming the function.
     """
     kind = type(node)
     if kind is Var:
@@ -374,6 +368,11 @@ def evaluate(node: Node, x, arithmetic: dict):
             return arithmetic[fn](arg)
         except OverflowError:
             raise OverflowError(f"{fn} overflows at {_num_repr(head(arg))}") from None
+        except ValueError:
+            # sin and cos refuse an infinite argument with a bare "math domain error"
+            if abs(head(arg)) != math.inf:
+                raise
+            raise DomainError(f"{fn} of non-finite value {head(arg)}") from None
     if kind is Pow:
         base = evaluate(node.base, x, arithmetic)
         v, r = arithmetic["head"](base), node.exponent

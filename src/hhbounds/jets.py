@@ -97,8 +97,7 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
 
 
 def _div(a: Coeffs, b: Coeffs) -> Coeffs:
-    if b[0] == 0.0:
-        raise DomainError("division by zero")
+    # b[0] != 0: `evaluate` tests every divisor, `_pow_int` every reciprocal
     n = min(len(a), len(b))
     out = [0.0] * n
     for k in range(n):
@@ -150,18 +149,20 @@ def _pow_regular(u: Coeffs, r: float) -> Coeffs:
 def _pow_int(u: Coeffs, e: int) -> Coeffs:
     """u^e by repeated squaring, and a reciprocal when e < 0.
 
-    Raises OverflowError where the float power would: when the value
-    leaves the float range, or when a negative power takes the reciprocal
-    of a power that underflowed to zero.
+    The first product is at the lowest set bit of |e| and the last square
+    at the highest, so u^4 costs two products.  Raises OverflowError where the float power
+    would: when the value leaves the float range, or when a negative power
+    takes the reciprocal of a power that underflowed to zero.
     """
-    acc = _const(1.0, len(u))
-    base = u
     n = abs(e)
+    acc = _const(1.0, len(u)) if n == 0 else None
+    base = u
     while n:
         if n & 1:
-            acc = _mul(acc, base)
-        base = _mul(base, base)
+            acc = base if acc is None else _mul(acc, base)
         n >>= 1
+        if n:
+            base = _mul(base, base)
     if e < 0:
         if acc[0] == 0.0:
             raise OverflowError(f"power {-e} underflows to 0")

@@ -180,7 +180,7 @@ def _candidate_ratio(build, params: tuple[float, ...]) -> float:
         report = f_ratio(node, UNIT)
     except (ValueError, ArithmeticError):
         return -math.inf
-    if report.degenerate or report.value is None:
+    if report.degenerate:
         return -math.inf
     return report.value
 
@@ -207,11 +207,10 @@ def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
     ledger: list[tuple[float, tuple[float, ...]]] = []  # one entry per evaluation
 
     def score(params: tuple[float, ...]) -> float:
-        clipped = tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(params, box))
         if len(ledger) >= budget:
             return -math.inf
-        r = _candidate_ratio(build, clipped)
-        ledger.append((r, clipped))
+        r = _candidate_ratio(build, params)
+        ledger.append((r, params))
         return r
 
     dims = len(box)

@@ -218,6 +218,16 @@ def test_defect_requires_determinate_profile():
         bisected_trapezoid_defect(f, iv, prof)
 
 
+@pytest.mark.parametrize(
+    "bound", [bisected_trapezoid_defect, simpson_one_sided_bound, simpson_defect_bound]
+)
+def test_every_f2_shape_bound_refuses_an_indeterminate_shape_in_one_wording(bound):
+    f, iv = parse("x^2 + sin(x)"), Interval(-1.0, 1.0)
+    message = "^second derivative has no certified convexity direction$"
+    with pytest.raises(ValueError, match=message):
+        bound(f, iv)
+
+
 def test_mean_enclosure_via_defect():
     encl = mean_enclosure_via_defect(EXP, UNIT)
     assert encl.contains(math.e - 1.0)

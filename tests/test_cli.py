@@ -295,6 +295,29 @@ def test_non_finite_arguments_are_usage_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
+_DEEP = "expression nests deeper than 100 levels at offset "
+_REFUSED = {
+    "flat sum": ("+".join(["x"] * 992), _DEEP + "199"),
+    "parentheses": ("(" * 198 + "x" + ")" * 198, _DEEP + "100"),
+    "calls": ("exp(" * 198 + "x" + ")" * 198, _DEEP + "400"),
+    "signs": ("-" * 987 + "x", _DEEP + "100"),
+    "exponents": ("x" + "^1" * 493, _DEEP + "200"),
+    "sin": ("sin(x*1e308*10)", "sin of non-finite value inf"),
+    "cos": ("cos(-x*1e308*10)", "cos of non-finite value -inf"),
+    "exponent": ("x^sin(1e308*10)", "exponent must be a constant at offset 2"),
+    "softness": ("hyp(x, -1)", "hyp softness must be a positive finite constant at offset 7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_deep_and_non_finite_expressions_are_errors_not_tracebacks(case, capsys):
+    f, message = _REFUSED[case]
+    assert cli.main(["--json", "enclose", f"--f={f}", "--a=1", "--b=2"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["outputs"] == {"error": message}
+    assert err == ""
+
+
 # --- ratio -------------------------------------------------------------------
 
 

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from hhbounds import DomainError, ParseError, eval_value, parse, to_source
-from hhbounds.expr import BinOp, Const, Hyp, Pow, Unary, Var, contains_var
+from hhbounds import DomainError, ParseError, eval_jet, eval_value, parse, to_source
+from hhbounds.expr import _MAX_DEPTH, BinOp, Const, Hyp, Pow, Unary, Var, contains_var
 
 
 def test_parse_precedence():
@@ -105,6 +105,49 @@ def test_hyp_softness_must_be_constant():
 def test_hyp_softness_must_be_positive():
     with pytest.raises(ValueError):
         Hyp(Var(), -1.0)
+
+
+@pytest.mark.parametrize("src", ["hyp(x, -1)", "hyp(x, 0)", "hyp(x, 1e308*10)"])
+def test_hyp_softness_out_of_range_is_a_parse_error_at_its_offset(src):
+    with pytest.raises(ParseError, match="hyp softness must be a positive finite constant") as err:
+        parse(src)
+    assert err.value.position == 7
+
+
+# source nested n levels deep, and the offset at which n = _MAX_DEPTH + 1 is refused
+_NESTED = {
+    "flat sum": (lambda n: "+".join(["x"] * n), 2 * _MAX_DEPTH - 1),
+    "parentheses": (lambda n: "(" * (n - 1) + "x" + ")" * (n - 1), _MAX_DEPTH),
+    "calls": (lambda n: "abs(" * (n - 1) + "x" + ")" * (n - 1), 4 * _MAX_DEPTH),
+    "signs": (lambda n: "-" * (n - 1) + "x", _MAX_DEPTH),
+    "exponents": (lambda n: "x" + "^1" * (n - 1), 2 * _MAX_DEPTH),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_nesting_is_bounded_at_parse_time(shape):
+    make, offset = _NESTED[shape]
+    # at the bound the tree parses, and its jet, the CLI's deepest walk, evaluates
+    tree = parse(make(_MAX_DEPTH))
+    assert eval_jet(tree, 0.5).value == eval_value(tree, 0.5)
+    with pytest.raises(ParseError, match=f"nests deeper than {_MAX_DEPTH} levels") as err:
+        parse(make(_MAX_DEPTH + 1))
+    assert err.value.position == offset
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_sin_and_cos_of_a_non_finite_value_are_named_domain_errors(fn, x):
+    node = parse(f"{fn}(x)")
+    for evaluate in (eval_value, eval_jet, lambda n, x: eval_jet(n, x, order=2)):
+        with pytest.raises(DomainError, match=f"^{fn} of non-finite value {x}$"):
+            evaluate(node, x)
+
+
+def test_non_finite_sin_in_an_exponent_is_a_parse_error():
+    with pytest.raises(ParseError, match="exponent must be a constant") as err:
+        parse("x^sin(1e308*10)")
+    assert err.value.position == 2
 
 
 def test_eval_basic():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hhbounds import DomainError, eval_jet, eval_value, parse
+from hhbounds import DomainError, eval_jet, eval_value, jets, parse
 from hhbounds.expr import BinOp, Const, Pow, Var, to_source
 from hhbounds.verify import _random_expr
 
@@ -255,3 +255,15 @@ def test_order_two_jet_has_three_coefficients():
 def test_unsupported_order_is_rejected(order):
     with pytest.raises(ValueError, match="jet order must be 2 or 4"):
         eval_jet("x", 1.0, order=order)
+
+
+@pytest.mark.parametrize("e, products", [(1, 0), (2, 1), (4, 2), (5, 3), (8, 3), (-4, 2)])
+def test_integer_power_forms_no_wasted_products(monkeypatch, e, products):
+    # squaring starts at the lowest set bit of |e| and stops at the highest
+    calls = []
+    mul = jets._mul
+    monkeypatch.setattr(jets, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+    got = eval_jet(Pow(Var(), float(e)), 1.5).derivatives
+    assert len(calls) == products
+    want = [math.prod(e - j for j in range(k)) * 1.5 ** (e - k) for k in range(5)]
+    assert got == pytest.approx(want, rel=1e-14, abs=0)

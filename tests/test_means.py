@@ -116,12 +116,12 @@ def _mp_means(a, b):
 def test_means_past_the_float_range_of_sums_and_products(a, b):
     ms = all_means(a, b)
     harm, arith, gini = _mp_means(a, b)
-    assert ms.harmonic == pytest.approx(harm, rel=1e-14)
-    assert ms.arithmetic == pytest.approx(arith, rel=1e-15)
-    assert ms.gini == pytest.approx(gini, rel=1e-13)
+    assert ms.harmonic == pytest.approx(harm, rel=1e-14, abs=0)
+    assert ms.arithmetic == pytest.approx(arith, rel=1e-15, abs=0)
+    assert ms.gini == pytest.approx(gini, rel=1e-13, abs=0)
     logm, idm = _mp_log_identric(a, b)
-    assert ms.logarithmic == pytest.approx(logm, rel=1e-12)
-    assert ms.identric == pytest.approx(idm, rel=1e-12)
+    assert ms.logarithmic == pytest.approx(logm, rel=1e-12, abs=0)
+    assert ms.identric == pytest.approx(idm, rel=1e-12, abs=0)
 
 
 def test_ratio_past_the_float_range():
@@ -342,7 +342,7 @@ def test_identric_of_squares_target_where_the_squares_leave_the_float_range(a, b
     if want == math.inf:
         assert encl.upper == math.inf
     else:
-        assert target == pytest.approx(want, rel=1e-13)
+        assert target == pytest.approx(want, rel=1e-13, abs=0)
         assert encl.lower <= want <= encl.upper < math.inf
 
 

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from hhbounds import search
 from hhbounds import (
     Interval,
     SearchError,
@@ -127,6 +129,22 @@ def test_search_rejects_unknown_family():
 def test_search_rejects_tiny_budget():
     with pytest.raises(ValueError):
         best_constant_search("power", 99, 1)
+
+
+@pytest.mark.parametrize("family", sorted(search.FAMILIES))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_search_scores_only_points_inside_the_box(monkeypatch, family, sign):
+    # a score rising toward one corner drives the golden-section steps onto the
+    # box's faces; no clip keeps the points inside, the construction does
+    seen = []
+    monkeypatch.setattr(
+        search, "_candidate_ratio", lambda build, params: seen.append(params) or sign * sum(params)
+    )
+    monkeypatch.setattr(search, "convexity_profile", lambda *args: SimpleNamespace(f_convex="yes"))
+    best_constant_search(family, 200, 3)
+    box = search.FAMILIES[family]["box"]
+    assert len(seen) > 49  # past the jittered grid, into the golden-section steps
+    assert all(lo <= v <= hi for params in seen for v, (lo, hi) in zip(params, box))
 
 
 def test_search_is_deterministic():
