@@ -64,6 +64,15 @@ class ConvexityProfile:
     min_f2: float
     samples: int
 
+    def certified_convex(self) -> ConvexityProfile:
+        """This profile if f is certified convex; ValueError otherwise.
+
+        The one refusal of the hypothesis every bound here rests on.
+        """
+        if self.f_convex != "yes":
+            raise ValueError(f"integrand is not certified convex ({self.f_convex})")
+        return self
+
 
 @dataclass(frozen=True)
 class OneSidedBound:
@@ -376,8 +385,7 @@ def adaptive_enclosure(
     node = as_node(f)
     if prof is None:
         prof = convexity_profile(node, iv)
-    if prof.f_convex != "yes":
-        raise ValueError("enclosure requires a determinate-convex profile")
+    prof.certified_convex()
 
     total = iv.length
 
@@ -386,9 +394,7 @@ def adaptive_enclosure(
         gap = (b - a) / total * (fa - 2.0 * fm + fb) / 4.0
         return (-gap, a, b, fa, fm, fb)
 
-    fa = eval_value(node, iv.a)
-    fm = eval_value(node, iv.mid)
-    fb = eval_value(node, iv.b)
+    fa, fm, fb = _three_values(node, iv)
     heap = [panel(iv.a, iv.b, fa, fm, fb)]
     width = -heap[0][0]
     target = tol

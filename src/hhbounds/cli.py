@@ -28,13 +28,6 @@ from .verify import SUITE_NAMES, run_suite
 _CONTAIN_SLACK = 1e-9
 
 
-def _profile_for(node, iv: Interval) -> bounds.ConvexityProfile:
-    prof = bounds.convexity_profile(node, iv, 129)
-    if prof.f_convex != "yes":
-        raise ValueError(f"integrand is not certified convex ({prof.f_convex})")
-    return prof
-
-
 # --- subcommand handlers ------------------------------------------------------
 
 
@@ -44,7 +37,7 @@ def _run_enclose(args) -> tuple[dict[str, Any], list[str], str]:
     method = args.method
     tol = args.tol
     citations = ["hermite-hadamard"]
-    prof = _profile_for(node, iv)
+    prof = bounds.convexity_profile(node, iv).certified_convex()
     if method == "classic":
         encl = bounds.classic_hh(node, iv)
     elif method == "n14":
@@ -76,7 +69,7 @@ def _run_enclose(args) -> tuple[dict[str, Any], list[str], str]:
 def _run_defect(args) -> tuple[dict[str, Any], list[str], str]:
     node = parse(args.f)
     iv = Interval(args.a, args.b)
-    prof = _profile_for(node, iv)
+    prof = bounds.convexity_profile(node, iv).certified_convex()
     mean = integrate_mean(node, iv, 1e-10).value
     citations, defect = bounds.DEFECTS[args.theorem]
     encl, observed = defect(node, iv, prof, mean)

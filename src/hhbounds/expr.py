@@ -88,7 +88,9 @@ class Hyp:
 
     def __post_init__(self):
         if not (math.isfinite(self.softness) and self.softness > 0.0):
-            raise ValueError("hyp softness must be a positive finite constant")
+            raise ValueError(
+                f"hyp softness must be a positive finite constant, got {self.softness!r}"
+            )
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -202,7 +204,7 @@ class _Parser:
         if kind == "punct" and text == "^":
             self.advance()
             ekind, etext, eoff = self.peek()
-            folded = _constant(self.factor()[0])
+            folded = _constant(self.factor()[0], eoff)
             if folded is None:
                 raise ParseError("exponent must be a constant", eoff)
             if not math.isfinite(folded):
@@ -227,7 +229,7 @@ class _Parser:
                 arg, depth = self.sum()
                 self.expect_punct(",")
                 skind, stext, soff = self.peek()
-                soft = _constant(self.sum()[0])
+                soft = _constant(self.sum()[0], soff)
                 if soft is None or not 0.0 < soft < math.inf:
                     raise ParseError("hyp softness must be a positive finite constant", soff)
                 self.expect_punct(")")
@@ -399,14 +401,17 @@ def eval_value(node: Node, x: float) -> float:
     return evaluate(node, x, FLOATS)
 
 
-def _constant(node: Node) -> float | None:
-    """Value of a variable-free subtree; None if it has x or is undefined."""
+def _constant(node: Node, off: int) -> float | None:
+    """Value of a variable-free subtree at source offset off; None if it has x.
+
+    An undefined value is a ParseError at off naming the failed operation.
+    """
     if contains_var(node):
         return None
     try:
         return evaluate(node, 0.0, FLOATS)
-    except DomainError:
-        return None
+    except DomainError as exc:
+        raise ParseError(f"constant is undefined: {exc}", off) from None
 
 
 # The x-dependence check is an arithmetic: each number says whether its

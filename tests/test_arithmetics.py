@@ -83,6 +83,14 @@ def test_overflow_names_the_operation():
                 evaluate()
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_hyp_overflow_on_the_jet_path_names_the_softness(order):
+    # the value, hypot(1, 1e200), is finite; the jet squares the softness, which overflows
+    assert eval_value(parse("hyp(x, 1e200)"), 1.0) == 1e200
+    with pytest.raises(OverflowError, match=r"^hyp overflows at 1, softness 1e\+200$"):
+        eval_jet(parse("hyp(x, 1e200)"), 1.0, order=order)
+
+
 def test_every_arithmetic_defines_the_same_names():
     # an operator added to the language must be added to every arithmetic
     names = set(expr.FLOATS)

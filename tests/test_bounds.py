@@ -461,7 +461,7 @@ def test_adaptive_returned_width_within_tol(src, a, b, tol, anti):
 def test_adaptive_requires_convex_profile():
     iv = Interval(0.0, 3.14)
     prof = convexity_profile(parse("sin(x)"), iv)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^integrand is not certified convex \(no\)$"):
         adaptive_enclosure(parse("sin(x)"), iv, 1e-6, prof)
 
 

@@ -295,6 +295,15 @@ def test_non_finite_arguments_are_usage_errors(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_non_numeric_argument_is_a_usage_error_in_process(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--json", "enclose", "--f=exp(x)", "--a=abc", "--b=1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --a: invalid finite float value: 'abc'" in err
+
+
 _DEEP = "expression nests deeper than 100 levels at offset "
 _REFUSED = {
     "flat sum": ("+".join(["x"] * 992), _DEEP + "199"),
@@ -304,7 +313,19 @@ _REFUSED = {
     "exponents": ("x" + "^1" * 493, _DEEP + "200"),
     "sin": ("sin(x*1e308*10)", "sin of non-finite value inf"),
     "cos": ("cos(-x*1e308*10)", "cos of non-finite value -inf"),
-    "exponent": ("x^sin(1e308*10)", "exponent must be a constant at offset 2"),
+    "exponent": (
+        "x^sin(1e308*10)",
+        "constant is undefined: sin of non-finite value inf at offset 2",
+    ),
+    "exponent log": (
+        "x^log(-1)",
+        "constant is undefined: log of non-positive value -1.0 at offset 2",
+    ),
+    "exponent division": ("x^(1/0)", "constant is undefined: division by zero at offset 2"),
+    "softness log": (
+        "hyp(x, log(-1))",
+        "constant is undefined: log of non-positive value -1.0 at offset 7",
+    ),
     "softness": ("hyp(x, -1)", "hyp softness must be a positive finite constant at offset 7"),
 }
 

@@ -145,9 +145,32 @@ def test_sin_and_cos_of_a_non_finite_value_are_named_domain_errors(fn, x):
 
 
 def test_non_finite_sin_in_an_exponent_is_a_parse_error():
-    with pytest.raises(ParseError, match="exponent must be a constant") as err:
+    with pytest.raises(
+        ParseError, match=r"^constant is undefined: sin of non-finite value inf at offset 2$"
+    ) as err:
         parse("x^sin(1e308*10)")
     assert err.value.position == 2
+
+
+@pytest.mark.parametrize(
+    "src, message, offset",
+    [
+        ("x^log(-1)", "log of non-positive value -1.0", 2),
+        ("x^(1/0)", "division by zero", 2),
+        ("2^sqrt(-4)", "sqrt of negative value -4.0", 2),
+        ("hyp(x, log(-1))", "log of non-positive value -1.0", 7),
+    ],
+)
+def test_an_undefined_constant_is_a_parse_error_naming_the_operation(src, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == f"constant is undefined: {message} at offset {offset}"
+    assert err.value.position == offset
+
+
+def test_a_lone_dot_is_a_malformed_number():
+    with pytest.raises(ParseError, match=r"^malformed number '\.' at offset 0$"):
+        parse(".")
 
 
 def test_eval_basic():

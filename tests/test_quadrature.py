@@ -86,6 +86,12 @@ def test_budget_error(monkeypatch):
         integrate_mean_fn(math.exp, Interval(0.0, 10.0), 1e-13)
 
 
+def test_depth_cap_names_the_depth():
+    # 1/sqrt(x) is integrable on [0, 1], but the panels at 0 never settle
+    with pytest.raises(BudgetError, match="^refinement depth 56 exhausted near x="):
+        integrate_mean("1/sqrt(x)", Interval(0.0, 1.0), 1e-10)
+
+
 def test_domain_error_inside_interval():
     with pytest.raises(DomainError):
         integrate_mean("1/x", Interval(-1.0, 1.0), 1e-10)

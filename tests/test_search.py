@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hhbounds import search
+from hhbounds import convexity_profile, parse, search
 from hhbounds import (
     Interval,
     SearchError,
@@ -145,6 +145,31 @@ def test_search_scores_only_points_inside_the_box(monkeypatch, family, sign):
     box = search.FAMILIES[family]["box"]
     assert len(seen) > 49  # past the jittered grid, into the golden-section steps
     assert all(lo <= v <= hi for params in seen for v, (lo, hi) in zip(params, box))
+
+
+def test_a_candidate_that_fails_the_convexity_gate_scores_minus_inf():
+    # sin is concave on [0, 1]: the gate refuses it and the candidate scores -inf
+    build = lambda params: parse("sin(x)")
+    with pytest.raises(ValueError, match=r"^integrand is not certified convex \(no\)$"):
+        convexity_profile(build(()), UNIT).certified_convex()
+    assert search._candidate_ratio(build, ()) == -math.inf
+
+
+@pytest.mark.parametrize("family", sorted(search.FAMILIES))
+def test_the_ledger_never_grows_past_the_budget(monkeypatch, family):
+    # a score with -inf holes; only `score` checks the budget, so every
+    # refinement step past it must leave the candidate unevaluated
+    seen = []
+
+    def fake_ratio(build, params):
+        seen.append(params)
+        r = math.sin(997.0 * sum(params))
+        return -math.inf if r < -0.3 else r
+
+    monkeypatch.setattr(search, "_candidate_ratio", fake_ratio)
+    monkeypatch.setattr(search, "convexity_profile", lambda *args: SimpleNamespace(f_convex="yes"))
+    result = best_constant_search(family, 100, 4)
+    assert len(seen) == result.evaluations == 100
 
 
 def test_search_is_deterministic():
