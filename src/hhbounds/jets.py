@@ -214,6 +214,34 @@ def _pow(u: Coeffs, r: float) -> Coeffs:
     return _pow_zero_base(u, r)
 
 
+# Below this h, `_hyp` scales u so that the 1/h^3 in its table cannot overflow.
+_HYP_TINY = 1e-100
+
+
+def _hyp(u: Coeffs, softness: float) -> Coeffs:
+    """hyp(u, eps) composed from g(t) = sqrt(t^2 + eps^2) at t = u0.
+
+    g's derivatives are written in ratios to h = hypot(u0, eps): with
+    c = u0/h and s = eps/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
+    g'''' = 3 s^2 (4c^2 - s^2)/h^3.  No square of u0 or eps is formed, and
+    g'' is a product, so it cannot cancel below 0.  Below `_HYP_TINY`, u
+    and eps are divided by the power of two just above h, which brings h
+    into [1/2, 1), and the result is multiplied back; a power of two
+    rounds nothing inside the float range.
+    Raises OverflowError only where the value h leaves the float range.
+    """
+    h = math.hypot(u[0], softness)
+    if h == math.inf and math.isfinite(u[0]):
+        raise OverflowError("hyp leaves the float range")
+    unit = math.ldexp(1.0, math.frexp(h)[1]) if h < _HYP_TINY else 1.0
+    u = tuple(v / unit for v in u)
+    h /= unit
+    c = u[0] / h
+    s2 = (softness / unit / h) ** 2
+    table = (h, c, s2 / h, -3.0 * s2 * c / h / h, 3.0 * s2 * (4.0 * c * c - s2) / h / h / h)
+    return tuple(v * unit for v in _compose(table, u))
+
+
 def _exp(u: Coeffs) -> Coeffs:
     return _compose((math.exp(u[0]),) * len(u), u)
 
@@ -252,7 +280,7 @@ JETS = {
     "*": _mul,
     "/": _div,
     "^": _pow,
-    "hyp": lambda u, softness: _pow_regular(_add(_mul(u, u), _const(softness ** 2, len(u))), 0.5),
+    "hyp": _hyp,
     "neg": _neg,
     "exp": _exp,
     "log": _log,

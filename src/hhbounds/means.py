@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 _SERIES_GAP = 1e-6
-_EQUAL_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,31 +44,19 @@ class MeanSet:
     gini: float
 
     def __post_init__(self):
-        chain = (
-            self.harmonic,
-            self.geometric,
-            self.logarithmic,
-            self.identric,
-            self.arithmetic,
-            self.gini,
-        )
-        for name, value in self.as_dict().items():
+        means = self.as_dict()
+        for name, value in means.items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} mean is not finite ({value})")
+        chain = tuple(means.values())
         slack = 1e-12 * max(chain)
         for lo, hi in zip(chain, chain[1:]):
             if lo > hi + slack:
                 raise ValueError(f"mean chain violated: {lo} > {hi}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "harmonic": self.harmonic,
-            "geometric": self.geometric,
-            "logarithmic": self.logarithmic,
-            "identric": self.identric,
-            "arithmetic": self.arithmetic,
-            "gini": self.gini,
-        }
+        """A new dict of the six means, keyed by field name in chain order."""
+        return dict(vars(self))
 
 
 def _check_positive(a: float, b: float) -> tuple[float, float]:
@@ -89,8 +76,7 @@ def all_means(a: float, b: float) -> MeanSet:
     """All six means; symmetric in the arguments.
 
     Below a relative gap of 1e-6 the logarithmic and identric means
-    switch to series in u = (b-a)/(a+b) to dodge cancellation, and at
-    gaps under 1e-12 they collapse to the common value.
+    switch to series in u = (b-a)/(a+b) to dodge cancellation.
     """
     a, b = _check_positive(a, b)
     if a == b:
@@ -99,9 +85,7 @@ def all_means(a: float, b: float) -> MeanSet:
     geom = math.sqrt(a) * math.sqrt(b)
     gini = math.exp(_log_gini(a, b, arith))
     gap = (b - a) / a
-    if gap <= _EQUAL_GAP:
-        logm = idm = a
-    elif gap <= _SERIES_GAP:
+    if gap <= _SERIES_GAP:
         u = (b - a) / (a + b)
         u2 = u * u
         logm = arith * (1.0 - u2 / 3.0 - 4.0 * u2 * u2 / 45.0)

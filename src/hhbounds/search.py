@@ -64,6 +64,15 @@ class RatioReport:
     denominator: float
     degenerate: bool
 
+    @classmethod
+    def of(cls, fa: float, fm: float, fb: float, mean: float) -> RatioReport:
+        """The report for f(a), f(mid), f(b) and the mean of f on [a, b]."""
+        denominator = fa + fb - 2.0 * fm
+        numerator = mean - fm
+        degenerate = abs(denominator) <= 1e-12 * (1.0 + abs(fa) + abs(fb))
+        value = None if degenerate else numerator / denominator
+        return cls(value, numerator, denominator, degenerate)
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -87,11 +96,7 @@ def f_ratio(f: Node | str, iv: Interval) -> RatioReport:
     fa = eval_value(node, iv.a)
     fm = eval_value(node, iv.mid)
     fb = eval_value(node, iv.b)
-    denominator = fa + fb - 2.0 * fm
-    numerator = integrate_mean(node, iv, _RATIO_TOL).value - fm
-    degenerate = abs(denominator) <= 1e-12 * (1.0 + abs(fa) + abs(fb))
-    value = None if degenerate else numerator / denominator
-    return RatioReport(value, numerator, denominator, degenerate)
+    return RatioReport.of(fa, fm, fb, integrate_mean(node, iv, _RATIO_TOL).value)
 
 
 def ratio_limit_scan(f: Node | str, a: float, h_list: list[float]) -> list[RatioReport]:

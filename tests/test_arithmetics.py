@@ -3,8 +3,8 @@
 Both run the same walker, `expr.evaluate`, so on random trees and points
 `eval_value` and the value part of `eval_jet` must either raise the same
 DomainError or agree to 1e-12 relative.  A DomainError message names the
-offending value, which the two arithmetics may round differently (hyp is
-math.hypot for floats and a square root of a jet), so the numbers in two
+offending value, which the two arithmetics may round differently (sqrt is
+math.sqrt for floats and a power 1/2 of a jet), so the numbers in two
 messages are compared to the same tolerance.  Two rules exist only for jets,
 because they are about derivatives: abs at 0 and a non-integer power of
 a base that vanishes from below.  Points where either arithmetic
@@ -85,10 +85,12 @@ def test_overflow_names_the_operation():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_hyp_overflow_on_the_jet_path_names_the_softness(order):
-    # the value, hypot(1, 1e200), is finite; the jet squares the softness, which overflows
-    assert eval_value(parse("hyp(x, 1e200)"), 1.0) == 1e200
-    with pytest.raises(OverflowError, match=r"^hyp overflows at 1, softness 1e\+200$"):
-        eval_jet(parse("hyp(x, 1e200)"), 1.0, order=order)
+    # a softness past the square root of the float range is no overflow while
+    # hypot(x, softness) is finite; the jet overflows where that value does
+    assert eval_jet(parse("hyp(x, 1e200)"), 1.0, order=order).value == 1e200
+    assert eval_value(parse("hyp(x, 1e308)"), 1.5e308) == math.inf
+    with pytest.raises(OverflowError, match=r"^hyp overflows at 1.5e\+308, softness 1e\+308$"):
+        eval_jet(parse("hyp(x, 1e308)"), 1.5e308, order=order)
 
 
 def test_every_arithmetic_defines_the_same_names():

@@ -34,6 +34,8 @@ from hhbounds import (
     weighted_value,
 )
 
+from hhbounds.expr import BinOp, Const, Pow, Var
+
 UNIT = Interval(0.0, 1.0)
 EXP = parse("exp(x)")
 
@@ -163,6 +165,17 @@ def test_profile_concave_function():
 def test_profile_mixed_sign_indeterminate():
     prof = convexity_profile(parse("x^3"), Interval(-1.0, 1.0))
     assert prof.f_convex == "indeterminate"
+
+
+def test_profile_with_an_infinite_f2_sample_is_indeterminate():
+    # (x - c)^1.5 with c the leftmost Chebyshev node: f'' = 0.75 (x - c)^-0.5
+    # is infinite at that node and finite at every other
+    iv = Interval(0.5, 1.0)
+    c = min(bounds._chebyshev_nodes(iv, 129))
+    prof = convexity_profile(Pow(BinOp("-", Var(), Const(c)), 1.5), iv)
+    assert prof.f_convex == "indeterminate"
+    assert prof.f2_shape == "indeterminate"
+    assert 0.0 < prof.min_f2 < math.inf
 
 
 def test_profile_minimum_sample_count():

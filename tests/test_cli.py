@@ -215,6 +215,16 @@ def test_means_reciprocal_defect_across_the_float_range_names_the_infinite_bound
     assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
 
 
+@pytest.mark.parametrize("enclose, name", [("L", "logarithmic"), ("I", "identric")])
+def test_means_of_a_near_equal_pair_bracket_their_target_without_slack(enclose, name, capsys):
+    # the relative gap is 5e-13; L and I are A(1 - O(gap^2)), which rounds to A
+    argv = ["--json", "means", "--a=1", "--b=1.0000000000005", f"--enclose={enclose}"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out[name] == out["target"] == 1.00000000000025
+    assert out["lower"] <= out["target"] <= out["upper"]
+
+
 def test_means_rejects_nonpositive():
     rc, rep = run_json("means", "--a", "-1", "--b", "2")
     assert rc == 2
@@ -336,6 +346,15 @@ def test_deep_and_non_finite_expressions_are_errors_not_tracebacks(case, capsys)
     assert cli.main(["--json", "enclose", f"--f={f}", "--a=1", "--b=2"]) == 2
     out, err = capsys.readouterr()
     assert json.loads(out)["outputs"] == {"error": message}
+    assert err == ""
+
+
+@pytest.mark.parametrize("f", ["hyp(x, 1e200)", "hyp(x*1e200, 1)", "hyp(x*1e-200, 1e-200)"])
+def test_enclose_hyp_whose_squares_leave_the_float_range(f, capsys):
+    argv = ["--json", "enclose", f"--f={f}", "--a=0.5", "--b=1", "--method=simpson"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["outputs"]["f_convex"] == "yes"
     assert err == ""
 
 

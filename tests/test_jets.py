@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hhbounds import DomainError, eval_jet, eval_value, jets, parse
+from hhbounds import DomainError, Interval, convexity_profile, eval_jet, eval_value, jets, parse
 from hhbounds.expr import BinOp, Const, Pow, Var, to_source
 from hhbounds.verify import _random_expr
 
@@ -267,3 +267,42 @@ def test_integer_power_forms_no_wasted_products(monkeypatch, e, products):
     assert len(calls) == products
     want = [math.prod(e - j for j in range(k)) * 1.5 ** (e - k) for k in range(5)]
     assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+_HYP_POINTS = [0.5 + 0.5 * k / 8 for k in range(9)]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("softness", [1e-200, 1e-9, 1.0, 1e200])
+@pytest.mark.parametrize("order", [2, 4])
+def test_hyp_jet_is_finite_and_convex_across_the_float_range(scale, softness, order):
+    # squaring u or the softness would leave the float range or cancel in f''
+    node = parse(f"hyp(x*{scale!r}, {softness!r})")
+    for x in _HYP_POINTS:
+        jet = eval_jet(node, x, order=order)
+        assert jet.value == eval_value(node, x)
+        assert all(map(math.isfinite, jet.coefficients)), (x, jet)
+        assert jet.derivatives[2] >= 0.0, (x, jet)
+
+
+def test_hyp_jet_matches_its_closed_form_derivatives():
+    # f = sqrt(t^2 + e^2): f' = t/f, f'' = e^2/f^3, f''' = -3 e^2 t/f^5 and
+    # f'''' = 3 e^2 (4t^2 - e^2)/f^7
+    t, e = 0.7, 0.3
+    f = math.hypot(t, e)
+    want = (f, t / f, e**2 / f**3, -3 * e**2 * t / f**5, 3 * e**2 * (4 * t**2 - e**2) / f**7)
+    assert eval_jet("hyp(x, 0.3)", t).derivatives == pytest.approx(want, rel=1e-14)
+
+
+def test_hyp_jet_below_the_scaling_threshold_is_the_scaled_jet():
+    # hyp(1e-200 x, 1e-200) = 1e-200 hyp(x, 1), derivative by derivative
+    tiny = eval_jet("hyp(x*1e-200, 1e-200)", 0.7).derivatives
+    unit = eval_jet("hyp(x, 1)", 0.7).derivatives
+    assert tiny == pytest.approx([1e-200 * d for d in unit], rel=1e-14, abs=0.0)
+
+
+def test_hyp_of_a_tiny_softness_has_a_positive_sampled_f2():
+    # f'' = e^2/hyp^3 >= 1e-18 on [0.5, 1]; it must not cancel below 0
+    prof = convexity_profile("hyp(x, 1e-9)", Interval(0.5, 1.0))
+    assert prof.min_f2 > 0.0
+    assert prof.f_convex == "yes"

@@ -142,7 +142,7 @@ def test_wide_pair_log_mean():
 
 @pytest.mark.parametrize("gap", [1e-13, 1e-9, 1e-7, 0.9999e-6, 1.0001e-6])
 def test_near_equal_series_agrees_with_high_precision(gap):
-    # crosses the collapse (1e-12) and series (1e-6) thresholds
+    # from deep in the series branch across its threshold (1e-6)
     for a in (1.0, 0.013, 731.0):
         b = a * (1.0 + gap)
         if a == b:
@@ -151,6 +151,20 @@ def test_near_equal_series_agrees_with_high_precision(gap):
         logm, idm = _mp_log_identric(a, b)
         assert ms.logarithmic == pytest.approx(logm, rel=1e-12), (a, gap)
         assert ms.identric == pytest.approx(idm, rel=1e-12), (a, gap)
+
+
+@pytest.mark.parametrize("a", [1e-5, 0.013, 1.0, 731.0, 1e5])
+def test_near_equal_pairs_are_within_one_ulp_of_high_precision(a):
+    # b is a few ulp to a few thousand ulp above a: relative gaps 1e-16 to 1e-12
+    for steps in (1, 2, 7, 100, 4500):
+        b = a + steps * math.ulp(a)
+        ms = all_means(a, b)
+        with mpmath.workdps(50):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            logm = float((mb - ma) / (mpmath.log(mb) - mpmath.log(ma)))
+            idm = float(mpmath.exp((mb * mpmath.log(mb) - ma * mpmath.log(ma)) / (mb - ma) - 1))
+        assert abs(ms.logarithmic - logm) <= math.ulp(logm), (a, steps)
+        assert abs(ms.identric - idm) <= math.ulp(idm), (a, steps)
 
 
 def test_naive_formulas_agree_away_from_diagonal():

@@ -202,6 +202,7 @@ def test_search_respects_quarter_cap():
 
 
 def test_witness_certificate_error_type():
-    # SearchError is raised for internal certificate failures; the
-    # shipped witnesses never trip it, so just confirm the type exists
+    # SearchError is raised for a degenerate ratio or an empty search (a
+    # failed convexity certificate is the profile's ValueError); the shipped
+    # witnesses never trip it, so just confirm the type exists
     assert issubclass(SearchError, RuntimeError)
