@@ -54,7 +54,8 @@ class ConvexityProfile:
     """Sampled classification of f and of the shape of f''.
 
     f_convex: "yes" / "no" / "indeterminate", the sign of sampled f''.
-    f2_shape: "convex" / "concave" / "indeterminate", for sampled f''''.
+    f2_shape: "convex" / "concave" / "indeterminate", for sampled f'''';
+    always "indeterminate" in an order-2 profile, which samples no f''''.
     Classification is evidence from n Chebyshev samples, not proof;
     operations requiring a determinate shape fail loudly otherwise.
     """
@@ -142,21 +143,23 @@ def _chebyshev_nodes(iv: Interval, n: int) -> list[float]:
     return [iv.mid + half * math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(1, n + 1)]
 
 
-def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityProfile:
+def convexity_profile(
+    f: Node | str, iv: Interval, n: int = 129, order: int = 4
+) -> ConvexityProfile:
     """Classify sign of f'' and of f'''' from n Chebyshev samples.
 
     Tolerance is scale-relative: 1e-10 * (1 + max sampled magnitude).
-    Mixed signs (or non-finite samples) yield "indeterminate".
+    Mixed signs (or non-finite samples) yield "indeterminate".  order is
+    the jet order, 2 or 4 as in `eval_jet`.  An order-2 profile samples
+    only f'', which is all the convexity gate reads: its f_convex and
+    min_f2 are those of the order-4 profile, and its f2_shape is
+    "indeterminate", which every bound that needs a shape refuses.
     """
     if n < 33:
         raise ValueError(f"need at least 33 sample points, got {n}")
     node = as_node(f)
-    d2s: list[float] = []
-    d4s: list[float] = []
-    for x in _chebyshev_nodes(iv, n):
-        d = eval_jet(node, x).derivatives
-        d2s.append(d[2])
-        d4s.append(d[4])
+    ds = [eval_jet(node, x, order).derivatives for x in _chebyshev_nodes(iv, n)]
+    d2s = [d[2] for d in ds]
 
     def classify(vals: list[float], pos: str, neg: str) -> str:
         if not all(math.isfinite(v) for v in vals):
@@ -169,7 +172,7 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
         return "indeterminate"
 
     f_convex = classify(d2s, "yes", "no")
-    f2_shape = classify(d4s, "convex", "concave")
+    f2_shape = classify([d[4] for d in ds], "convex", "concave") if order == 4 else "indeterminate"
     finite_d2 = [v for v in d2s if math.isfinite(v)]
     min_f2 = min(finite_d2) if finite_d2 else math.nan
     return ConvexityProfile(f_convex, f2_shape, min_f2, n)
@@ -384,7 +387,7 @@ def adaptive_enclosure(
         raise ValueError(f"tol must be positive, got {tol}")
     node = as_node(f)
     if prof is None:
-        prof = convexity_profile(node, iv)
+        prof = convexity_profile(node, iv, order=2)
     prof.certified_convex()
 
     total = iv.length

@@ -12,6 +12,17 @@ at order 4 and cut down by the first operation that meets a shorter jet.
 Composition uses truncated polynomial arithmetic in w = u - u(x0), which
 is exact through degree d because w has no constant term.
 
+Products and compositions are truncated Taylor arithmetic (Griewank and
+Walther, Evaluating Derivatives, 2008).  Their loops, `_mul_loop` and
+`_compose_loop`, spend most of their time on interpreter overhead, so
+`_mul` and `_compose` spell out the two lengths that occur, 3 and 5
+coefficients, as straight-line sums.  Each output coefficient starts from
+0.0 and adds its terms in the loop's order, so every bit matches the
+loop, the sign of zero included.  The loops skip a term whose left factor
+is zero; that changes a result only when the right operand holds an inf
+or a NaN (0*inf is NaN), so the straight-line sums run only when that
+operand's coefficients sum to a finite value, and the loops take the rest.
+
 One case reads past the order it returns: a non-integer power of a base
 that vanishes at the point with a vanishing first coefficient, whose
 leading behaviour sits in coefficients 2..4.  An order-2 jet that reaches
@@ -61,7 +72,7 @@ class Jet4:
     @property
     def derivatives(self) -> Coeffs:
         """Raw derivatives (f, f', f'', ...) recovered as k!*c_k."""
-        return tuple(c * f for c, f in zip(self.coefficients, _FACT))
+        return tuple(map(operator.mul, self.coefficients, _FACT))
 
 
 class _NeedsOrder4(Exception):
@@ -73,18 +84,38 @@ def _const(v: float, n: int = len(_FACT)) -> Coeffs:
 
 
 def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _neg(a: Coeffs) -> Coeffs:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    n = min(len(a), len(b))
+    if n == 5 and math.isfinite(sum(b)):
+        a0, a1, a2, a3, a4 = a
+        b0, b1, b2, b3, b4 = b
+        return (
+            0.0 + a0 * b0,
+            0.0 + a0 * b1 + a1 * b0,
+            0.0 + a0 * b2 + a1 * b1 + a2 * b0,
+            0.0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            0.0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
+        )
+    if n == 3 and math.isfinite(sum(b)):
+        a0, a1, a2 = a[0], a[1], a[2]
+        b0, b1, b2 = b[0], b[1], b[2]
+        return (0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0, 0.0 + a0 * b2 + a1 * b1 + a2 * b0)
+    return _mul_loop(a, b)
+
+
+def _mul_loop(a: Coeffs, b: Coeffs) -> Coeffs:
+    """`_mul` at any length, skipping the terms whose a[i] is zero."""
     n = min(len(a), len(b))
     out = [0.0] * n
     for i in range(n):
@@ -116,6 +147,38 @@ def _compose(derivs: Coeffs, u: Coeffs) -> Coeffs:
     are summed in `_mul`'s order.  The product with w[0] = 0 is left out,
     so u[0] is never read and an infinite coefficient never meets it.
     """
+    n = len(u)
+    # a, b, c, d: the accumulator once derivs[4], [3], [2], [1] are in;
+    # coefficients that no later step reads are not formed
+    if n == 5 and math.isfinite(sum(u)):
+        _, u1, u2, u3, u4 = u
+        a0 = derivs[4] / 24.0
+        b0 = 0.0 + derivs[3] / 6.0
+        b1 = 0.0 + a0 * u1
+        c0 = 0.0 + derivs[2] / 2.0
+        c1 = 0.0 + b0 * u1
+        c2 = 0.0 + b0 * u2 + b1 * u1
+        d0 = 0.0 + derivs[1]
+        d1 = 0.0 + c0 * u1
+        d2 = 0.0 + c0 * u2 + c1 * u1
+        d3 = 0.0 + c0 * u3 + c1 * u2 + c2 * u1
+        return (
+            0.0 + derivs[0],
+            0.0 + d0 * u1,
+            0.0 + d0 * u2 + d1 * u1,
+            0.0 + d0 * u3 + d1 * u2 + d2 * u1,
+            0.0 + d0 * u4 + d1 * u3 + d2 * u2 + d3 * u1,
+        )
+    if n == 3 and math.isfinite(sum(u)):
+        _, u1, u2 = u
+        d0 = 0.0 + derivs[1]
+        d1 = 0.0 + derivs[2] / 2.0 * u1
+        return (0.0 + derivs[0], 0.0 + d0 * u1, 0.0 + d0 * u2 + d1 * u1)
+    return _compose_loop(derivs, u)
+
+
+def _compose_loop(derivs: Coeffs, u: Coeffs) -> Coeffs:
+    """`_compose` at any length, skipping the terms whose acc[i] is zero."""
     n = len(u)
     acc = [0.0] * n
     acc[0] = derivs[n - 1] / _FACT[n - 1]

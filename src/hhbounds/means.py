@@ -76,7 +76,9 @@ def all_means(a: float, b: float) -> MeanSet:
     """All six means; symmetric in the arguments.
 
     Below a relative gap of 1e-6 the logarithmic and identric means
-    switch to series in u = (b-a)/(a+b) to dodge cancellation.
+    switch to series in u = (b-a)/(a+b) to dodge cancellation; u is
+    formed as (b-a)/2 over A, because a + b overflows near the top of
+    the float range.
     """
     a, b = _check_positive(a, b)
     if a == b:
@@ -86,7 +88,7 @@ def all_means(a: float, b: float) -> MeanSet:
     gini = math.exp(_log_gini(a, b, arith))
     gap = (b - a) / a
     if gap <= _SERIES_GAP:
-        u = (b - a) / (a + b)
+        u = 0.5 * (b - a) / arith
         u2 = u * u
         logm = arith * (1.0 - u2 / 3.0 - 4.0 * u2 * u2 / 45.0)
         idm = arith * math.exp(-u2 / 6.0 - u2 * u2 / 20.0)
@@ -233,8 +235,11 @@ def _reciprocal_defect(a: float, b: float, ms: MeanSet) -> float:
     arith = ms.arithmetic
     u = 0.5 * abs(b - a) / arith
     if u < 0.5:
-        # the first term left out, u^60/61, is under 2e-19 of c >= u^2/3
-        c = sum(u ** (2 * k) / (2 * k + 1) for k in range(29, 0, -1))
+        # the first term left out, u^60/61, is under 2e-19 of c >= u^2/3;
+        # a plain loop, because `sum()` of floats is compensated from 3.12 on
+        c = 0.0
+        for k in range(29, 0, -1):
+            c += u ** (2 * k) / (2 * k + 1)
     else:
         c = arith / ms.logarithmic - 1.0
     return 0.5 * u * u / ms.harmonic - c / arith

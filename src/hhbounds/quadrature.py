@@ -114,8 +114,12 @@ def integrate_mean_fn(fn: Callable[[float], float], iv: Interval, tol: float = 1
         heapq.heappush(heap, left)
         heapq.heappush(heap, right)
     heap.sort(key=lambda p: p[1])
-    integral = sum(p[3] for p in heap)
-    err = sum(-p[0] for p in heap)
+    # a plain left-to-right sum: `sum()` of floats is compensated from
+    # Python 3.12 on, and would make the result depend on the interpreter
+    integral = err = 0.0
+    for p in heap:
+        integral += p[3]
+        err -= p[0]
     return QuadResult(integral / iv.length, err / iv.length, evals)
 
 

@@ -127,7 +127,7 @@ def witness_ratio() -> float:
     checked before the ratio is reported.  Value is 0.18128 to 4 places.
     """
     node = parse(WITNESS_SOURCE)
-    convexity_profile(node, UNIT).certified_convex()
+    convexity_profile(node, UNIT, order=2).certified_convex()
     report = f_ratio(node, UNIT)
     if report.degenerate:
         raise SearchError("witness integrand reported a degenerate ratio")
@@ -175,7 +175,8 @@ def _candidate_ratio(build, params: tuple[float, ...]) -> float:
     """Score one parameter vector; -inf when infeasible."""
     node = build(params)
     try:
-        convexity_profile(node, UNIT, _PROFILE_N).certified_convex()
+        # order 2: the gate reads only f''
+        convexity_profile(node, UNIT, _PROFILE_N, 2).certified_convex()
         report = f_ratio(node, UNIT)
     except (ValueError, ArithmeticError):
         return -math.inf
@@ -266,7 +267,7 @@ def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
         if ratio == -math.inf:
             break
         node = build(params)
-        prof = convexity_profile(node, UNIT, _RECHECK_FACTOR * _PROFILE_N)
+        prof = convexity_profile(node, UNIT, _RECHECK_FACTOR * _PROFILE_N, 2)
         if prof.f_convex == "yes":
             return SearchResult(family, ratio, params, len(ledger), seed)
     raise SearchError(f"no feasible candidate in family {family!r} within budget {budget}")

@@ -178,6 +178,23 @@ def test_profile_with_an_infinite_f2_sample_is_indeterminate():
     assert 0.0 < prof.min_f2 < math.inf
 
 
+@pytest.mark.parametrize(
+    "src, a, b",
+    [("exp(x)", 0.0, 1.0), ("x^2.5", 0.01, 1.0), ("sin(x)", 0.0, 3.14), ("x^3", -1.0, 1.0)],
+)
+def test_order_two_profile_has_the_order_four_gate(src, a, b):
+    iv = Interval(a, b)
+    low = convexity_profile(parse(src), iv, 129, 2)
+    full = convexity_profile(parse(src), iv, 129, 4)
+    assert (low.f_convex, repr(low.min_f2), low.samples) == (full.f_convex, repr(full.min_f2), 129)
+    assert low.f2_shape == "indeterminate"
+
+
+def test_profile_rejects_an_unsupported_order():
+    with pytest.raises(ValueError, match="jet order must be 2 or 4, got 3"):
+        convexity_profile(EXP, UNIT, order=3)
+
+
 def test_profile_minimum_sample_count():
     with pytest.raises(ValueError):
         convexity_profile(EXP, UNIT, 32)

@@ -306,3 +306,38 @@ def test_hyp_of_a_tiny_softness_has_a_positive_sampled_f2():
     prof = convexity_profile("hyp(x, 1e-9)", Interval(0.5, 1.0))
     assert prof.min_f2 > 0.0
     assert prof.f_convex == "yes"
+
+
+# Coefficients where the straight-line kernels could part from the loops:
+# signed zeros, infinities, NaN, the ends of the float range and ordinary values.
+_KERNEL_POOL = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324,
+    1.0, -1.0, 0.5, -2.5, 3.0, 0.1, 1e-300, 1e154,
+)
+
+
+def _draw(rng: random.Random, n: int) -> tuple[float, ...]:
+    return tuple(rng.choice(_KERNEL_POOL) for _ in range(n))
+
+
+@pytest.mark.parametrize("la, lb", [(3, 3), (5, 5), (5, 3), (3, 5)])
+def test_straight_line_product_matches_the_loop_bit_for_bit(la, lb):
+    rng = random.Random(1000 * la + lb)
+    finite = 0
+    for _ in range(10_000):
+        a, b = _draw(rng, la), _draw(rng, lb)
+        finite += math.isfinite(sum(b))
+        assert repr(jets._mul(a, b)) == repr(jets._mul_loop(a, b)), (a, b)
+    assert finite > 2_000  # the straight-line sums ran, not only the loop
+
+
+@pytest.mark.parametrize("ld, lu", [(3, 3), (5, 5), (5, 3)])
+def test_straight_line_composition_matches_the_loop_bit_for_bit(ld, lu):
+    # the table must reach the order of u, so (3, 5) is not a valid pair
+    rng = random.Random(1000 * ld + lu)
+    finite = 0
+    for _ in range(10_000):
+        derivs, u = _draw(rng, ld), _draw(rng, lu)
+        finite += math.isfinite(sum(u))
+        assert repr(jets._compose(derivs, u)) == repr(jets._compose_loop(derivs, u)), (derivs, u)
+    assert finite > 2_000

@@ -167,6 +167,19 @@ def test_near_equal_pairs_are_within_one_ulp_of_high_precision(a):
         assert abs(ms.identric - idm) <= math.ulp(idm), (a, steps)
 
 
+def test_near_equal_pair_at_the_top_of_the_float_range():
+    # a + b overflows here, which once zeroed the series variable and gave L = I = A
+    a = 1e308
+    b = a * (1.0 + 0.99e-6)
+    ms = all_means(a, b)
+    with mpmath.workdps(50):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        logm = float((mb - ma) / (mpmath.log(mb) - mpmath.log(ma)))
+        idm = float(mpmath.exp((mb * mpmath.log(mb) - ma * mpmath.log(ma)) / (mb - ma) - 1))
+    assert abs(ms.logarithmic - logm) <= math.ulp(logm)
+    assert abs(ms.identric - idm) <= math.ulp(idm)
+
+
 def test_naive_formulas_agree_away_from_diagonal():
     rng = random.Random(23)
     for _ in range(50):
