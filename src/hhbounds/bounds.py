@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
-from .expr import Node, as_node, eval_value
+from .expr import Node, as_node, eval_value, used_names
 from .jets import eval_jet
 from .quadrature import integrate_mean, integrate_mean_fn
 
@@ -55,9 +55,11 @@ class ConvexityProfile:
 
     f_convex: "yes" / "no" / "indeterminate", the sign of sampled f''.
     f2_shape: "convex" / "concave" / "indeterminate", for sampled f'''';
-    always "indeterminate" in an order-2 profile, which samples no f''''.
-    Classification is evidence from n Chebyshev samples, not proof;
-    operations requiring a determinate shape fail loudly otherwise.
+    always "indeterminate" in an order-2 profile, which samples no f'''',
+    and for a tree that calls abs, whose f'' has a point mass at each kink
+    that jets read as 0.  Classification is evidence from n Chebyshev
+    samples, not proof; operations requiring a determinate shape fail
+    loudly otherwise.
     """
 
     f_convex: str
@@ -153,7 +155,8 @@ def convexity_profile(
     the jet order, 2 or 4 as in `eval_jet`.  An order-2 profile samples
     only f'', which is all the convexity gate reads: its f_convex and
     min_f2 are those of the order-4 profile, and its f2_shape is
-    "indeterminate", which every bound that needs a shape refuses.
+    "indeterminate", which every bound that needs a shape refuses.  So is
+    the f2_shape of a tree that calls abs.
     """
     if n < 33:
         raise ValueError(f"need at least 33 sample points, got {n}")
@@ -172,7 +175,9 @@ def convexity_profile(
         return "indeterminate"
 
     f_convex = classify(d2s, "yes", "no")
-    f2_shape = classify([d[4] for d in ds], "convex", "concave") if order == 4 else "indeterminate"
+    f2_shape = "indeterminate"
+    if order == 4 and "abs" not in used_names(node):
+        f2_shape = classify([d[4] for d in ds], "convex", "concave")
     finite_d2 = [v for v in d2s if math.isfinite(v)]
     min_f2 = min(finite_d2) if finite_d2 else math.nan
     return ConvexityProfile(f_convex, f2_shape, min_f2, n)
@@ -185,6 +190,18 @@ def _f2_shape(node: Node, iv: Interval, prof: ConvexityProfile | None) -> str:
     if prof.f2_shape not in ("convex", "concave"):
         raise ValueError("second derivative has no certified convexity direction")
     return prof.f2_shape
+
+
+def _sandwich(
+    shape: str, length: float, d2a: float, d2m: float, d2b: float
+) -> tuple[float, float]:
+    """Theorem 2's (lower, upper) on the bisected-trapezoid defect of a panel."""
+    sq = length ** 2
+    mid_side = sq / 48.0 * d2m
+    end_side = sq / 96.0 * (d2a + d2b)
+    if shape == "convex":
+        return mid_side, end_side
+    return end_side, mid_side
 
 
 def _three_f2(node: Node, iv: Interval) -> tuple[float, float, float]:
@@ -206,13 +223,7 @@ def bisected_trapezoid_defect(
     """
     node = as_node(f)
     shape = _f2_shape(node, iv, prof)
-    d2a, d2m, d2b = _three_f2(node, iv)
-    sq = iv.length ** 2
-    mid_side = sq / 48.0 * d2m
-    end_side = sq / 96.0 * (d2a + d2b)
-    if shape == "convex":
-        return Enclosure(mid_side, end_side)
-    return Enclosure(end_side, mid_side)
+    return Enclosure(*_sandwich(shape, iv.length, *_three_f2(node, iv)))
 
 
 def simpson_one_sided_bound(
@@ -372,57 +383,129 @@ def simpson_estimate(f: Node | str, iv: Interval) -> SimpsonEstimate:
 
 _MAX_PANELS = 100_000
 
+# The adaptive bracket is widened on each side by this multiple of the
+# panels' summed magnitude w*(|f(a)| + 2|f(mid)| + |f(b)|)/4.  It covers the
+# rounding of the bracket's own arithmetic, not the error of evaluating f.
+_ROUNDING = 8.0 * 2.0 ** -52
+
+
+class _ShapeRefuted(Exception):
+    """A panel's values contradict the f'' shape the profile sampled."""
+
+
+def _fits_shape(
+    shape: str, half: float, fa: float, fm: float, fb: float, d2a: float, d2m: float, d2b: float
+) -> bool:
+    """Whether a panel's f values agree with its f'' values under shape.
+
+    fa - 2*fm + fb is the integral of f'' against the hat of height half
+    over the panel.  A convex f'' puts it between half^2*f''(mid) (Jensen)
+    and half^2*(f''(a) + 4*f''(mid) + f''(b))/6 (f'' under its chords on
+    each half); a concave f'' swaps the two.  f'' mass between the three
+    points, which a shape read from samples can miss, shows in the values
+    but not in f''.  The slack is `_ROUNDING` times the terms' magnitudes.
+    """
+    sq = half * half
+    jensen = sq * d2m
+    chords = sq * (d2a + 4.0 * d2m + d2b) / 6.0
+    lo, hi = (jensen, chords) if shape == "convex" else (chords, jensen)
+    slack = _ROUNDING * (
+        abs(fa) + 2.0 * abs(fm) + abs(fb) + sq * (abs(d2a) + 4.0 * abs(d2m) + abs(d2b))
+    )
+    return lo - slack <= fa - 2.0 * fm + fb <= hi + slack
+
 
 def adaptive_enclosure(
     f: Node | str, iv: Interval, tol: float, prof: ConvexityProfile | None = None
 ) -> Enclosure:
     """Bisect until the certified bracket around the mean is <= tol wide.
 
-    Per panel the lower bound is the midpoint value and the upper bound
-    the bisected-trapezoid value; both certified by convexity.  The
-    widest panel (by width contribution) is split first; the final
-    aggregation sums panels leftmost-first so results are deterministic.
+    A panel's mean is its bisected-trapezoid value v minus a defect in
+    [Dlo, Dhi].  Where prof gives f'' a shape, [Dlo, Dhi] is theorem 2's
+    sandwich from f'' at the panel's ends and midpoint, which narrows like
+    len^4; each new point costs one order-2 jet.  Elsewhere it is
+    [0, v - f(mid)], which convexity certifies and which narrows like
+    len^2.  The shape is read from samples, so each panel's values are
+    checked against it (`_fits_shape`); the first panel that contradicts
+    it, as a kink or a narrow hyp between the samples does, restarts the
+    call on [0, v - f(mid)].  The widest panel is split first.  The panels
+    are summed exactly with math.fsum and the sum is widened by the
+    allowance of `_ROUNDING`.  A tol below twice that allowance is refused
+    at the first pass that shows it: before any split unless the panels'
+    summed magnitude grows as they refine.  prof=None profiles f at order 4.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     node = as_node(f)
     if prof is None:
-        prof = convexity_profile(node, iv, order=2)
+        prof = convexity_profile(node, iv)
     prof.certified_convex()
+    try:
+        shape = _f2_shape(node, iv, prof)
+    except ValueError:
+        return _bisect(node, iv, tol, None)
+    try:
+        return _bisect(node, iv, tol, shape)
+    except _ShapeRefuted:
+        return _bisect(node, iv, tol, None)
 
+
+def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosure:
+    """The heap loop of `adaptive_enclosure`; shape None is [0, v - f(mid)]."""
+    # A panel is (-w*(Dhi - Dlo), a, b, f(a), f(mid), f(b), Dlo), w its weight.
     total = iv.length
+    if shape is None:
+        def point(x: float) -> float:
+            return eval_value(node, x)
 
-    def panel(a: float, b: float, fa: float, fm: float, fb: float):
-        # width contribution: weight * (bisected trapezoid - midpoint)
-        gap = (b - a) / total * (fa - 2.0 * fm + fb) / 4.0
-        return (-gap, a, b, fa, fm, fb)
+        def panel(a: float, b: float, fa: float, fm: float, fb: float) -> tuple:
+            return ((a - b) / total * (0.25 * (fa + fb) - 0.5 * fm), a, b, fa, fm, fb, 0.0)
+    else:
+        f2 = {}  # f'' at each point evaluated, for the sandwich
 
-    fa, fm, fb = _three_values(node, iv)
-    heap = [panel(iv.a, iv.b, fa, fm, fb)]
+        def point(x: float) -> float:
+            d = eval_jet(node, x, order=2).derivatives
+            f2[x] = d[2]
+            return d[0]
+
+        def panel(a: float, b: float, fa: float, fm: float, fb: float) -> tuple:
+            d2a, d2m, d2b = f2[a], f2[0.5 * (a + b)], f2[b]
+            if not _fits_shape(shape, 0.5 * (b - a), fa, fm, fb, d2a, d2m, d2b):
+                raise _ShapeRefuted
+            dlo, dhi = _sandwich(shape, b - a, d2a, d2m, d2b)
+            return ((a - b) / total * (dhi - dlo), a, b, fa, fm, fb, dlo)
+
+    heap = [panel(iv.a, iv.b, point(iv.a), point(iv.mid), point(iv.b))]
     width = -heap[0][0]
-    target = tol
     while True:
+        # Upper terms w*(v - Dlo); adding a panel's -w*(Dhi - Dlo) gives its
+        # lower term.
+        highs = [
+            (b - a) / total * (0.25 * (fa + fb) + 0.5 * fm - dlo)
+            for _, a, b, fa, fm, fb, dlo in heap
+        ]
+        magnitude = math.fsum(
+            [(b - a) * (abs(fa) + 2.0 * abs(fm) + abs(fb)) for _, a, b, fa, fm, fb, _ in heap]
+        )
+        allowance = _ROUNDING * magnitude / (4.0 * total)
+        if 2.0 * allowance > tol:
+            raise ValueError(
+                f"tol {tol:g} is below the rounding floor {2.0 * allowance:.2g} of this bracket"
+            )
+        upper = math.fsum(highs) + allowance
+        lower = math.fsum(highs + [p[0] for p in heap]) - allowance
+        if upper - lower <= tol:
+            return Enclosure(lower, upper)
+        # Split until the running width sits below tol by the allowance and
+        # by the rounding drift of the running sum from the exact one.
+        target = tol - (upper - lower - width)
         while width > target:
             if len(heap) >= _MAX_PANELS:
                 raise BudgetError(f"subdivision budget of {_MAX_PANELS} panels exhausted")
-            neg_gap, a, b, fa, fm, fb = heapq.heappop(heap)
+            neg_gap, a, b, fa, fm, fb, _ = heap[0]
             m = 0.5 * (a + b)
-            flm = eval_value(node, 0.5 * (a + m))
-            frm = eval_value(node, 0.5 * (m + b))
-            left = panel(a, m, fa, flm, fm)
-            right = panel(m, b, fm, frm, fb)
-            heapq.heappush(heap, left)
+            left = panel(a, m, fa, point(0.5 * (a + m)), fm)
+            right = panel(m, b, fm, point(0.5 * (m + b)), fb)
+            heapq.heapreplace(heap, left)
             heapq.heappush(heap, right)
             width += neg_gap - left[0] - right[0]
-
-        lower = 0.0
-        upper = 0.0
-        for _, a, b, fa, fm, fb in sorted(heap, key=lambda p: p[1]):
-            w = (b - a) / total
-            lower += w * fm
-            upper += w * (fa + 2.0 * fm + fb) / 4.0
-        if upper - lower <= tol:
-            return Enclosure(lower, upper)
-        # The running width has drifted from the summed bracket by rounding;
-        # split until it sits that far below tol.
-        target = tol - (upper - lower - width)

@@ -17,11 +17,11 @@ errors are 0-based positions into the source string.
 One walker, `evaluate`, reads every tree, under an interchangeable
 arithmetic: `FLOATS` here for plain values (`eval_value` and the folding
 of constant exponents), `jets.JETS` for Taylor jets, `SOURCE` for
-printing (`to_source`) and `DEPENDS` for the x-dependence check
-(`contains_var`).  The walker checks every domain rule once, on the value
-part of the operand, and re-raises an arithmetic's OverflowError with a
-message naming the operation, and its "math domain error" for sin or cos
-of an infinite value as a DomainError.
+printing (`to_source`) and `NAMES` for the functions a tree calls and
+whether it reads x (`used_names`, `contains_var`).  The walker checks
+every domain rule once, on the value part of the operand, and re-raises an
+arithmetic's OverflowError with a message naming the operation, and its
+"math domain error" for sin or cos of an infinite value as a DomainError.
 """
 
 from __future__ import annotations
@@ -414,15 +414,26 @@ def _constant(node: Node, off: int) -> float | None:
         raise ParseError(f"constant is undefined: {exc}", off) from None
 
 
-# The x-dependence check is an arithmetic: each number says whether its
-# subtree reads x.  Its head is NaN, as in `SOURCE`.
-DEPENDS = {
-    "const": lambda v: False,
-    "head": lambda depends: math.nan,
+def _names_call(fn: str):
+    return lambda names, *constants: names | {fn}
+
+
+# The names a tree uses are an arithmetic: each number is the frozenset of
+# function names in its subtree, plus "x" where it reads the variable.  Its
+# head is NaN, as in `SOURCE`.
+NAMES = {
+    "const": lambda v: frozenset(),
+    "head": lambda names: math.nan,
     **dict.fromkeys(_BIN_OPS, operator.or_),
-    **dict.fromkeys(("^", "hyp", *_UNARY_FNS), lambda depends, *constants: depends),
+    "^": lambda names, exponent: names,
+    **{fn: _names_call(fn) for fn in ("hyp", *_UNARY_FNS)},
 }
 
 
+def used_names(node: Node) -> frozenset[str]:
+    """The functions the tree calls, and "x" if it reads the variable."""
+    return evaluate(node, frozenset({"x"}), NAMES)
+
+
 def contains_var(node: Node) -> bool:
-    return evaluate(node, True, DEPENDS)
+    return "x" in used_names(node)

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,15 @@ def test_profile_rejects_an_unsupported_order():
 def test_profile_minimum_sample_count():
     with pytest.raises(ValueError):
         convexity_profile(EXP, UNIT, 32)
+
+
+@pytest.mark.parametrize("src", ["abs(x - 0.3)", "x^2 + abs(x - 0.3)", "exp(abs(x - 0.3))"])
+def test_profile_gives_a_tree_that_calls_abs_no_f2_shape(src):
+    # jets read abs's f'' as 0, so the point mass at the kink is never sampled
+    prof = convexity_profile(parse(src), UNIT)
+    assert (prof.f_convex, prof.f2_shape) == ("yes", "indeterminate")
+    with pytest.raises(ValueError, match="no certified convexity direction"):
+        simpson_one_sided_bound(parse(src), UNIT, prof)
 
 
 def test_profile_domain_error_at_sample():
@@ -521,6 +531,131 @@ def test_adaptive_rejects_nan_tol():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=20
     )
     assert proc.stdout == "tol must be positive, got nan\n"
+
+
+def _counting_evaluations(monkeypatch) -> dict:
+    """Count the values and jets adaptive_enclosure asks bounds for."""
+    counts = {"values": 0, "jets": 0}
+    value, jet = bounds.eval_value, bounds.eval_jet
+
+    def counted_value(*args, **kwargs):
+        counts["values"] += 1
+        return value(*args, **kwargs)
+
+    def counted_jet(*args, **kwargs):
+        counts["jets"] += 1
+        return jet(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "eval_value", counted_value)
+    monkeypatch.setattr(bounds, "eval_jet", counted_jet)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "src, a, b, anti",
+    [
+        ("exp(x)", 0.0, 1.0, lambda mp, t: mp.exp(t)),
+        ("1/x", 1.0, 2.0, lambda mp, t: mp.log(t)),
+        ("x*log(x)", 0.5, 2.0, lambda mp, t: t * t * (2 * mp.log(t) - 1) / 4),
+        ("x^2.5", 0.1, 2.0, lambda mp, t: t ** mp.mpf(3.5) / mp.mpf(3.5)),
+    ],
+)
+def test_adaptive_tight_tol_contains_the_mpmath_mean_without_slack(src, a, b, anti):
+    # x^2.5 has a concave f'', so it runs the swapped sandwich
+    mpmath = pytest.importorskip("mpmath")
+    encl = adaptive_enclosure(src, Interval(a, b), 1e-12)
+    assert 0.0 < encl.width <= 1e-12
+    with mpmath.workdps(40):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        mean = (anti(mpmath, mb) - anti(mpmath, ma)) / (mb - ma)
+        assert encl.lower <= mean <= encl.upper
+
+
+@pytest.mark.parametrize(
+    "src, a, b",
+    [
+        ("exp(x)", 0.0, 1.0),
+        ("1/x", 1.0, 2.0),
+        ("x*log(x)", 0.5, 2.0),
+        ("-log(x)", 0.5, 3.0),
+        ("x^2.5", 0.1, 2.0),
+        ("exp(x) + x^2", -1.0, 1.0),
+    ],
+)
+def test_adaptive_shaped_path_needs_a_hundredth_of_the_evaluations(monkeypatch, src, a, b):
+    iv = Interval(a, b)
+    node = parse(src)
+    shaped = convexity_profile(node, iv)
+    unshaped = convexity_profile(node, iv, order=2)
+    counts = _counting_evaluations(monkeypatch)
+    adaptive_enclosure(node, iv, 1e-9, shaped)
+    assert counts["values"] == 0
+    fourth = counts["jets"]
+    counts.update(values=0, jets=0)
+    adaptive_enclosure(node, iv, 1e-9, unshaped)
+    assert counts["jets"] == 0
+    assert 100 * fourth <= counts["values"]
+
+
+@pytest.mark.parametrize(
+    "src, a, b, mean",
+    [
+        ("x^2", 0.0, 1.0, Fraction(1, 3)),
+        ("x", 0.1, 0.7, (Fraction(0.1) + Fraction(0.7)) / 2),
+        # the upper term v - Dlo cancels to 5.6e-17 here, so an allowance
+        # scaled by the upper terms alone would miss the mean 1.85e-17
+        ("x^2 - 1/3", -1.0, 1.0, Fraction(1, 3) - Fraction(1 / 3)),
+    ],
+)
+def test_adaptive_exact_sandwich_is_widened_by_the_rounding_allowance(src, a, b, mean):
+    # f'' is constant, so the sandwich closes to a point on the first panel
+    encl = adaptive_enclosure(src, Interval(a, b), 1e-6)
+    assert encl.width > 0.0
+    assert Fraction(encl.lower) <= mean <= Fraction(encl.upper)
+
+
+@pytest.mark.parametrize(
+    "src, shape, mean",
+    [
+        ("abs(x - 0.3)", "indeterminate", 0.29),
+        ("hyp(x - 0.3, 1e-9)", "convex", 0.29),
+        ("sqrt((x - 0.3)^2 + 1e-18)", "convex", 0.29),
+        ("hyp(x - 0.05, 1e-9)", "convex", 0.4525),
+        ("sqrt((x - 0.05)^2 + 1e-18)", "convex", 0.4525),
+    ],
+)
+def test_adaptive_keeps_the_second_order_bracket_where_f2_peaks(src, shape, mean):
+    # A kink, or a narrow hyp in any spelling, hides f'' mass between the
+    # profile's samples, so the sampled shape can read "convex".  The panel
+    # values refute it: the f'' sandwich returned [0.35, 0.35] and
+    # [0.475, 0.475] here.
+    node = parse(src)
+    prof = convexity_profile(node, UNIT)
+    assert prof.f2_shape == shape
+    encl = adaptive_enclosure(node, UNIT, 1e-6, prof)
+    assert encl == adaptive_enclosure(node, UNIT, 1e-6, convexity_profile(node, UNIT, order=2))
+    assert encl.width <= 1e-6
+    assert encl.contains(mean)
+
+
+def test_adaptive_shape_check_allows_for_rounded_values(monkeypatch):
+    # f(a) - 2f(mid) + f(b) of 1e6 + x^2 carries the rounding of 1e6, which
+    # the exact f'' terms do not; without the slack the shape would be
+    # refuted on the first panel
+    iv = Interval(2.8, 3.0)
+    prof = convexity_profile("1e6 + x^2", iv)
+    counts = _counting_evaluations(monkeypatch)
+    encl = adaptive_enclosure("1e6 + x^2", iv, 1e-6, prof)
+    assert counts["values"] == 0
+    assert encl.contains(1e6 + (3.0**3 - 2.8**3) / 3 / (3.0 - 2.8))
+
+
+def test_adaptive_tol_below_the_rounding_floor_fails_at_once(monkeypatch):
+    prof = convexity_profile(EXP, UNIT)
+    counts = _counting_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match=r"^tol 1e-16 is below the rounding floor 6.2e-15 "):
+        adaptive_enclosure(EXP, UNIT, 1e-16, prof)
+    assert counts == {"values": 0, "jets": 3}
 
 
 def test_adaptive_deterministic():

@@ -358,6 +358,24 @@ def test_enclose_hyp_whose_squares_leave_the_float_range(f, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enclose", "--method=simpson"),
+        ("defect", "--theorem=2"),
+        ("defect", "--theorem=4"),
+    ],
+)
+def test_abs_kink_gives_no_f2_shape_to_simpson_or_defect(argv, capsys):
+    # f'' has a point mass at 0.3 that no sampled jet sees; the mean is 0.29
+    command, option = argv
+    assert cli.main(["--json", command, "--f=abs(x - 0.3)", "--a=0", "--b=1", option]) == 2
+    out, err = capsys.readouterr()
+    error = "second derivative has no certified convexity direction"
+    assert json.loads(out)["outputs"] == {"error": error}
+    assert err == ""
+
+
 # --- ratio -------------------------------------------------------------------
 
 

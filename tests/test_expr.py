@@ -3,7 +3,17 @@ import math
 import pytest
 
 from hhbounds import DomainError, ParseError, eval_jet, eval_value, parse, to_source
-from hhbounds.expr import _MAX_DEPTH, BinOp, Const, Hyp, Pow, Unary, Var, contains_var
+from hhbounds.expr import (
+    _MAX_DEPTH,
+    BinOp,
+    Const,
+    Hyp,
+    Pow,
+    Unary,
+    Var,
+    contains_var,
+    used_names,
+)
 
 
 def test_parse_precedence():
@@ -237,6 +247,13 @@ def test_roundtrip_fixed_corpus():
 def test_contains_var():
     assert contains_var(parse("exp(x) + 1"))
     assert not contains_var(parse("exp(1) + 2^0.5"))
+
+
+def test_used_names_lists_the_functions_a_tree_calls():
+    names = used_names(parse("exp(abs(x - 0.3))^2 * -hyp(x, 1)"))
+    assert names == {"x", "exp", "abs", "neg", "hyp"}
+    assert used_names(parse("2^0.5 + x")) == {"x"}
+    assert used_names(parse("sin(1)")) == {"sin"}
 
 
 def test_eval_matches_math_for_primitives():

@@ -85,7 +85,10 @@ BASE_CASES: dict[str, tuple[str, ...]] = {
     "error-small-budget": ("search-alpha", "--family=power", "--budget=10", "--seed=1"),
     "error-exponent-overflow": ("enclose", "--f=x^exp(1000)", "--a=1", "--b=2"),
     "error-adaptive-budget": (
-        "enclose", "--f=exp(x)", "--a=0", "--b=1", "--method=adaptive", "--tol=1e-13",
+        "enclose", "--f=hyp(x - 0.5, 0.1)", "--a=0", "--b=1", "--method=adaptive", "--tol=1e-13",
+    ),
+    "error-adaptive-tol-floor": (
+        "enclose", "--f=exp(x)", "--a=0", "--b=1", "--method=adaptive", "--tol=1e-16",
     ),
     "error-usage": ("enclose", "--f=exp(x)", "--a=0", "--b=1", "--method=gauss"),
 }
