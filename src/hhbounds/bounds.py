@@ -1,14 +1,14 @@
 """Endpoint-midpoint bounds for mean values of convex integrands.
 
-For convex f the mean value (1/(b-a)) * integral of f over [a,b] sits
-between f(mid) and the endpoint average.  The weighted combinations
-w_end*(f(a)+f(b)) + w_mid*f(mid) sharpen the upper side: the bisected
-trapezoid value (weights 1/4, 1/2) always dominates the mean, and the
-Simpson value (weights 1/6, 2/3) bounds it one-sidedly when f'' has a
-definite shape.  Second-derivative endpoint/midpoint data sandwiches
-the defect of either value, and two exact integral identities express
-the defects against a kernel in a normalized variable; the residual
-checks here confirm them numerically via the independent integrator.
+Every bracket on one panel's mean is a row of `RULES`, a function of the
+panel's length, f and f'' at its ends and midpoint, and the shape of f'':
+classic [f(mid), endpoint average] and n14 [f(mid), bisected trapezoid]
+for convex f, theorem 2's defect sandwich and theorem 4's Simpson bracket
+where f'' is convex or concave.  The public bounds, the CLI's methods and
+the adaptive refinement all call the rows, after one check of the panel's
+values (`_panel`).  Two exact integral identities express the defects
+against a kernel in a normalized variable; the residual checks here
+confirm them numerically via the independent integrator.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .quadrature import integrate_mean, integrate_mean_fn
 
 __all__ = [
     "DEFECTS",
+    "RULES",
     "ConvexityProfile",
     "OneSidedBound",
     "IdentityCheck",
@@ -43,6 +44,7 @@ __all__ = [
     "adaptive_enclosure",
     "convexity_profile",
     "mean_enclosure_via_defect",
+    "rule_enclosure",
     "Enclosure",
     "Interval",
     "WeightPair",
@@ -102,16 +104,113 @@ def _three_values(node: Node, iv: Interval) -> tuple[float, float, float]:
     return eval_value(node, iv.a), eval_value(node, iv.mid), eval_value(node, iv.b)
 
 
-def classic_hh(f: Node | str, iv: Interval) -> Enclosure:
-    """Midpoint-vs-endpoint-average bracket; valid for convex f.
+# --- panel rules --------------------------------------------------------------
 
-    Convexity is not checked here; callers pair this with
-    convexity_profile.  For concave f the pair inverts and Enclosure
-    construction fails.
+# A panel's values may miss `_fits_shape` by this multiple of the terms' magnitudes, and
+# adaptive widens its bracket by it times the panels' summed w*(|f(a)| + 2|f(mid)| + |f(b)|)/4,
+# for the rounding of the bracket's own arithmetic, not the error of evaluating f.
+_ROUNDING = 8.0 * 2.0 ** -52
+
+
+class _ShapeRefuted(ValueError):
+    """A panel's values contradict the f'' shape the profile sampled."""
+
+
+# A panel is (len, f(a), f(mid), f(b), f''(a), f''(mid), f''(b), shape), with
+# the f'' values 0.0 and shape None where no f'' shape is known.
+def _fits_shape(length, fa, fm, fb, d2a, d2m, d2b, shape) -> bool:
+    """Whether a panel's f values agree with its f'' values under shape.
+
+    fa - 2*fm + fb is the integral of f'' against the hat of height h = len/2
+    over the panel.  A convex f'' puts it between h^2*f''(mid) (Jensen) and
+    h^2*(f''(a) + 4*f''(mid) + f''(b))/6 (f'' under its chords on each
+    half); a concave f'' swaps the two; with no shape, f'' >= 0 puts it at
+    or above 0.  f'' mass between the three points, which samples can miss,
+    shows in the values but not in f''.
     """
+    sq = 0.25 * length * length
+    jensen = sq * d2m
+    chords = sq * (d2a + 4.0 * d2m + d2b) / 6.0
+    lo, hi = {"convex": (jensen, chords), "concave": (chords, jensen)}.get(shape, (0.0, math.inf))
+    slack = _ROUNDING * (
+        abs(fa) + 2.0 * abs(fm) + abs(fb) + sq * (abs(d2a) + 4.0 * abs(d2m) + abs(d2b))
+    )
+    return lo - slack <= fa - 2.0 * fm + fb <= hi + slack
+
+
+def _point(node: Node, x: float, shape: str | None) -> tuple[float, float]:
+    """f(x) and f''(x): one order-2 jet under a shape, one value and 0.0 without."""
+    if shape is None:
+        return eval_value(node, x), 0.0
+    d = eval_jet(node, x, order=2).derivatives
+    return d[0], d[2]
+
+
+def _panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple, shape: str | None) -> tuple:
+    """The panel on [a, b] from its `_point`s, once it passes `_fits_shape`."""
+    (fa, d2a), (fm, d2m), (fb, d2b) = pa, pm, pb
+    panel = (b - a, fa, fm, fb, d2a, d2m, d2b, shape)
+    if not _fits_shape(*panel):
+        on = f"on [{a!r}, {b!r}]"
+        if shape is None:
+            raise ValueError(f"integrand is not certified convex (f(a)-2f(mid)+f(b) < 0 {on})")
+        raise _ShapeRefuted(f"panel values {on} contradict the sampled f'' shape ({shape})")
+    return panel
+
+
+def _one_panel(f: Node | str, iv: Interval, prof: ConvexityProfile | None, shaped: bool) -> tuple:
+    """`_panel` of iv itself; if shaped, with f'' and the shape of prof (`_f2_shape`)."""
     node = as_node(f)
-    fa, fm, fb = _three_values(node, iv)
-    return Enclosure(fm, 0.5 * (fa + fb))
+    shape = _f2_shape(node, iv, prof) if shaped else None
+    return _panel(iv.a, iv.b, *(_point(node, x, shape) for x in (iv.a, iv.mid, iv.b)), shape)
+
+
+def _sandwich(length, fa, fm, fb, d2a, d2m, d2b, shape) -> tuple[float, float]:
+    """Theorem 2's (lower, upper) on the bisected-trapezoid defect of a panel."""
+    sq = length ** 2
+    mid_side, end_side = sq / 48.0 * d2m, sq / 96.0 * (d2a + d2b)
+    return (mid_side, end_side) if shape == "convex" else (end_side, mid_side)
+
+
+def _simpson_defect(length, fa, fm, fb, d2a, d2m, d2b, shape) -> float:
+    """Theorem 4's bound on a panel's S - mean (mean - S when f'' is concave)."""
+    curv = d2a + d2b - 2.0 * d2m
+    return length ** 2 / 324.0 * (-curv if shape == "concave" else curv)
+
+
+def _theorem2(*panel) -> tuple[float, float]:
+    dlo, dhi = _sandwich(*panel)
+    v = RULES["n14"](*panel)[1]
+    return v - dhi, v - dlo
+
+
+def _simpson(length, fa, fm, fb, d2a, d2m, d2b, shape) -> tuple[float, float]:
+    s = (fa + 4.0 * fm + fb) / 6.0
+    gap = _simpson_defect(length, fa, fm, fb, d2a, d2m, d2b, shape)
+    return (s, s + gap) if shape == "concave" else (s - gap, s)
+
+
+# Rule -> fn(*panel), the (lower, upper) bracket on the panel's mean: classic and n14
+# for convex f, reading no f'' or shape; theorem2 and simpson where f'' has the shape.
+RULES = {
+    "classic": lambda length, fa, fm, fb, d2a, d2m, d2b, shape: (fm, 0.5 * (fa + fb)),
+    "n14": lambda length, fa, fm, fb, d2a, d2m, d2b, shape: (fm, 0.25 * (fa + fb) + 0.5 * fm),
+    "theorem2": _theorem2,
+    "simpson": _simpson,
+}
+
+
+def rule_enclosure(
+    rule: str, f: Node | str, iv: Interval, prof: ConvexityProfile | None = None
+) -> Enclosure:
+    """RULES[rule] on the single panel iv; theorem2 and simpson read f'' and prof's shape."""
+    return Enclosure(*RULES[rule](*_one_panel(f, iv, prof, rule in ("theorem2", "simpson"))))
+
+
+def classic_hh(f: Node | str, iv: Interval) -> Enclosure:
+    """The classic row [f(mid), endpoint average], unchecked; valid for convex f."""
+    panel = (iv.length, *_three_values(as_node(f), iv), 0.0, 0.0, 0.0, None)
+    return Enclosure(*RULES["classic"](*panel))
 
 
 def weighted_value(f: Node | str, iv: Interval, w: WeightPair) -> float:
@@ -122,19 +221,16 @@ def weighted_value(f: Node | str, iv: Interval, w: WeightPair) -> float:
 
 
 def bisected_trapezoid(f: Node | str, iv: Interval) -> float:
-    """Weights (1/4, 1/2): the trapezoid rule on the two halves.
+    """Weights (1/4, 1/2), the n14 row's upper end: the trapezoid rule on both halves.
 
-    Dominates the mean for convex f and never exceeds the plain
-    trapezoid value.
+    Dominates the mean for convex f and never exceeds the plain trapezoid value.
     """
-    return weighted_value(f, iv, WeightPair(0.25, 0.5))
+    return RULES["n14"](iv.length, *_three_values(as_node(f), iv), 0.0, 0.0, 0.0, None)[1]
 
 
 def simpson_value(f: Node | str, iv: Interval) -> float:
-    """Weights (1/6, 2/3): single-panel Simpson, normalized to a mean."""
-    node = as_node(f)
-    fa, fm, fb = _three_values(node, iv)
-    return (fa + 4.0 * fm + fb) / 6.0
+    """Weights (1/6, 2/3): Simpson's S, the simpson row's [S, S] where f'' reads 0."""
+    return RULES["simpson"](iv.length, *_three_values(as_node(f), iv), 0.0, 0.0, 0.0, "convex")[1]
 
 
 # --- convexity profiling -----------------------------------------------------
@@ -185,29 +281,10 @@ def convexity_profile(
 
 def _f2_shape(node: Node, iv: Interval, prof: ConvexityProfile | None) -> str:
     """Determinate shape of f'' from prof, profiling f when prof is None."""
-    if prof is None:
-        prof = convexity_profile(node, iv)
+    prof = prof or convexity_profile(node, iv)
     if prof.f2_shape not in ("convex", "concave"):
         raise ValueError("second derivative has no certified convexity direction")
     return prof.f2_shape
-
-
-def _sandwich(
-    shape: str, length: float, d2a: float, d2m: float, d2b: float
-) -> tuple[float, float]:
-    """Theorem 2's (lower, upper) on the bisected-trapezoid defect of a panel."""
-    sq = length ** 2
-    mid_side = sq / 48.0 * d2m
-    end_side = sq / 96.0 * (d2a + d2b)
-    if shape == "convex":
-        return mid_side, end_side
-    return end_side, mid_side
-
-
-def _three_f2(node: Node, iv: Interval) -> tuple[float, float, float]:
-    """f''(a), f''(mid), f''(b)."""
-    d2a, d2m, d2b = (eval_jet(node, x, order=2).derivatives[2] for x in (iv.a, iv.mid, iv.b))
-    return d2a, d2m, d2b
 
 
 # --- defect sandwiches -------------------------------------------------------
@@ -221,9 +298,7 @@ def bisected_trapezoid_defect(
     f'' convex:  len^2/48 * f''(mid) <= D <= len^2/96 * (f''(a)+f''(b));
     f'' concave: the two expressions swap roles.
     """
-    node = as_node(f)
-    shape = _f2_shape(node, iv, prof)
-    return Enclosure(*_sandwich(shape, iv.length, *_three_f2(node, iv)))
+    return Enclosure(*_sandwich(*_one_panel(f, iv, prof, True)))
 
 
 def simpson_one_sided_bound(
@@ -246,23 +321,14 @@ def simpson_defect_bound(
     f'' convex:  encloses simpson_value - mean, hi = len^2/324 * (f''(a)+f''(b)-2f''(mid));
     f'' concave: encloses mean - simpson_value, hi = len^2/324 * (2f''(mid)-f''(a)-f''(b)).
     """
-    node = as_node(f)
-    shape = _f2_shape(node, iv, prof)
-    d2a, d2m, d2b = _three_f2(node, iv)
-    curv = d2a + d2b - 2.0 * d2m
-    if shape == "concave":
-        curv = -curv
-    return Enclosure(0.0, iv.length ** 2 / 324.0 * curv)
+    return Enclosure(0.0, _simpson_defect(*_one_panel(f, iv, prof, True)))
 
 
 def mean_enclosure_via_defect(
     f: Node | str, iv: Interval, prof: ConvexityProfile | None = None
 ) -> Enclosure:
-    """Convert the bisected-trapezoid defect sandwich into a mean bracket."""
-    node = as_node(f)
-    d = bisected_trapezoid_defect(node, iv, prof)
-    v = bisected_trapezoid(node, iv)
-    return Enclosure(v - d.upper, v - d.lower)
+    """The theorem2 row: the bisected-trapezoid defect sandwich as a mean bracket."""
+    return rule_enclosure("theorem2", f, iv, prof)
 
 
 # Theorem (the CLI's --theorem) -> (citations, defect(node, iv, prof, mean)),
@@ -295,9 +361,7 @@ def _symmetric_pair(iv: Interval, t: float) -> tuple[float, float]:
     return x, iv.a + iv.b - x
 
 
-def symmetric_point_triple(
-    h: Node | str, iv: Interval, t: float
-) -> tuple[float, float, float]:
+def symmetric_point_triple(h: Node | str, iv: Interval, t: float) -> tuple[float, float, float]:
     """(2h(mid), h(x)+h(y), h(a)+h(b)) for the symmetric pair at t.
 
     x = a*t/2 + b*(1-t/2) and y = a+b-x, so the pair straddles the
@@ -343,9 +407,7 @@ def bisected_trapezoid_identity_residual(
     return _identity_residual(f, iv, tol, bisected_trapezoid, lambda t: t * (1.0 - t), 16.0)
 
 
-def simpson_identity_residual(
-    f: Node | str, iv: Interval, tol: float = 1e-11
-) -> IdentityCheck:
+def simpson_identity_residual(f: Node | str, iv: Interval, tol: float = 1e-11) -> IdentityCheck:
     """Check: simpson_value - mean == len^2/48 * kernel integral.
 
     Same substitution with kernel t(2-3t)*(f''(x_t)+f''(y_t)); the
@@ -383,109 +445,56 @@ def simpson_estimate(f: Node | str, iv: Interval) -> SimpsonEstimate:
 
 _MAX_PANELS = 100_000
 
-# The adaptive bracket is widened on each side by this multiple of the
-# panels' summed magnitude w*(|f(a)| + 2|f(mid)| + |f(b)|)/4.  It covers the
-# rounding of the bracket's own arithmetic, not the error of evaluating f.
-_ROUNDING = 8.0 * 2.0 ** -52
-
-
-class _ShapeRefuted(Exception):
-    """A panel's values contradict the f'' shape the profile sampled."""
-
-
-def _fits_shape(
-    shape: str, half: float, fa: float, fm: float, fb: float, d2a: float, d2m: float, d2b: float
-) -> bool:
-    """Whether a panel's f values agree with its f'' values under shape.
-
-    fa - 2*fm + fb is the integral of f'' against the hat of height half
-    over the panel.  A convex f'' puts it between half^2*f''(mid) (Jensen)
-    and half^2*(f''(a) + 4*f''(mid) + f''(b))/6 (f'' under its chords on
-    each half); a concave f'' swaps the two.  f'' mass between the three
-    points, which a shape read from samples can miss, shows in the values
-    but not in f''.  The slack is `_ROUNDING` times the terms' magnitudes.
-    """
-    sq = half * half
-    jensen = sq * d2m
-    chords = sq * (d2a + 4.0 * d2m + d2b) / 6.0
-    lo, hi = (jensen, chords) if shape == "convex" else (chords, jensen)
-    slack = _ROUNDING * (
-        abs(fa) + 2.0 * abs(fm) + abs(fb) + sq * (abs(d2a) + 4.0 * abs(d2m) + abs(d2b))
-    )
-    return lo - slack <= fa - 2.0 * fm + fb <= hi + slack
-
 
 def adaptive_enclosure(
     f: Node | str, iv: Interval, tol: float, prof: ConvexityProfile | None = None
 ) -> Enclosure:
     """Bisect until the certified bracket around the mean is <= tol wide.
 
-    A panel's mean is its bisected-trapezoid value v minus a defect in
-    [Dlo, Dhi].  Where prof gives f'' a shape, [Dlo, Dhi] is theorem 2's
-    sandwich from f'' at the panel's ends and midpoint, which narrows like
-    len^4; each new point costs one order-2 jet.  Elsewhere it is
-    [0, v - f(mid)], which convexity certifies and which narrows like
-    len^2.  The shape is read from samples, so each panel's values are
-    checked against it (`_fits_shape`); the first panel that contradicts
-    it, as a kink or a narrow hyp between the samples does, restarts the
-    call on [0, v - f(mid)].  The widest panel is split first.  The panels
-    are summed exactly with math.fsum and the sum is widened by the
-    allowance of `_ROUNDING`.  A tol below twice that allowance is refused
-    at the first pass that shows it: before any split unless the panels'
-    summed magnitude grows as they refine.  prof=None profiles f at order 4.
+    Where prof gives f'' a shape, each panel's bracket is the simpson row,
+    theorem 4's [S - len^2/324*k, S] with k = f''(a) + f''(b) - 2f''(mid),
+    mirrored when f'' is concave: it narrows like len^4, and each new point
+    costs one order-2 jet.  Elsewhere it is the n14 row, which narrows like
+    len^2.  Each panel passes `_panel`'s check: the first that contradicts
+    the sampled shape, as a kink or a narrow hyp between the samples does,
+    restarts the call on the n14 row.  The widest panel is split first; the
+    panels are summed exactly with math.fsum and widened by the allowance
+    of `_ROUNDING`.  A tol below twice that is refused at the first pass
+    that shows it, before any split unless the summed magnitude grows as
+    the panels refine.  prof=None profiles f at order 4.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     node = as_node(f)
-    if prof is None:
-        prof = convexity_profile(node, iv)
-    prof.certified_convex()
+    prof = (prof or convexity_profile(node, iv)).certified_convex()
     try:
         shape = _f2_shape(node, iv, prof)
     except ValueError:
-        return _bisect(node, iv, tol, None)
+        return _bisect(node, iv, tol, "n14", None)
     try:
-        return _bisect(node, iv, tol, shape)
+        return _bisect(node, iv, tol, "simpson", shape)
     except _ShapeRefuted:
-        return _bisect(node, iv, tol, None)
+        return _bisect(node, iv, tol, "n14", None)
 
 
-def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosure:
-    """The heap loop of `adaptive_enclosure`; shape None is [0, v - f(mid)]."""
-    # A panel is (-w*(Dhi - Dlo), a, b, f(a), f(mid), f(b), Dlo), w its weight.
-    total = iv.length
-    if shape is None:
-        def point(x: float) -> float:
-            return eval_value(node, x)
+def _bisect(node: Node, iv: Interval, tol: float, rule: str, shape: str | None) -> Enclosure:
+    """The heap loop of `adaptive_enclosure` on the panels of RULES[rule]."""
+    row, total = RULES[rule], iv.length
 
-        def panel(a: float, b: float, fa: float, fm: float, fb: float) -> tuple:
-            return ((a - b) / total * (0.25 * (fa + fb) - 0.5 * fm), a, b, fa, fm, fb, 0.0)
-    else:
-        f2 = {}  # f'' at each point evaluated, for the sandwich
+    # A panel is (-w*(hi - lo), a, b, `_point`s at a, mid and b, w*hi), w its weight.
+    def panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple) -> tuple:
+        lo, hi = row(*_panel(a, b, pa, pm, pb, shape))
+        w = (b - a) / total
+        return (w * (lo - hi), a, b, pa, pm, pb, w * hi)
 
-        def point(x: float) -> float:
-            d = eval_jet(node, x, order=2).derivatives
-            f2[x] = d[2]
-            return d[0]
-
-        def panel(a: float, b: float, fa: float, fm: float, fb: float) -> tuple:
-            d2a, d2m, d2b = f2[a], f2[0.5 * (a + b)], f2[b]
-            if not _fits_shape(shape, 0.5 * (b - a), fa, fm, fb, d2a, d2m, d2b):
-                raise _ShapeRefuted
-            dlo, dhi = _sandwich(shape, b - a, d2a, d2m, d2b)
-            return ((a - b) / total * (dhi - dlo), a, b, fa, fm, fb, dlo)
-
-    heap = [panel(iv.a, iv.b, point(iv.a), point(iv.mid), point(iv.b))]
+    heap = [panel(iv.a, iv.b, *(_point(node, x, shape) for x in (iv.a, iv.mid, iv.b)))]
     width = -heap[0][0]
     while True:
-        # Upper terms w*(v - Dlo); adding a panel's -w*(Dhi - Dlo) gives its
-        # lower term.
-        highs = [
-            (b - a) / total * (0.25 * (fa + fb) + 0.5 * fm - dlo)
-            for _, a, b, fa, fm, fb, dlo in heap
-        ]
+        # Adding a panel's -w*(hi - lo) to its upper term gives its lower term.
+        highs = [p[6] for p in heap]
         magnitude = math.fsum(
-            [(b - a) * (abs(fa) + 2.0 * abs(fm) + abs(fb)) for _, a, b, fa, fm, fb, _ in heap]
+            [(b - a) * (abs(pa[0]) + 2.0 * abs(pm[0]) + abs(pb[0]))
+             for _, a, b, pa, pm, pb, _ in heap]
         )
         allowance = _ROUNDING * magnitude / (4.0 * total)
         if 2.0 * allowance > tol:
@@ -502,10 +511,10 @@ def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosur
         while width > target:
             if len(heap) >= _MAX_PANELS:
                 raise BudgetError(f"subdivision budget of {_MAX_PANELS} panels exhausted")
-            neg_gap, a, b, fa, fm, fb, _ = heap[0]
+            neg_gap, a, b, pa, pm, pb, _ = heap[0]
             m = 0.5 * (a + b)
-            left = panel(a, m, fa, point(0.5 * (a + m)), fm)
-            right = panel(m, b, fm, point(0.5 * (m + b)), fb)
+            left = panel(a, m, pa, _point(node, 0.5 * (a + m), shape), pm)
+            right = panel(m, b, pm, _point(node, 0.5 * (m + b), shape), pb)
             heapq.heapreplace(heap, left)
             heapq.heappush(heap, right)
             width += neg_gap - left[0] - right[0]

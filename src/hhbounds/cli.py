@@ -19,7 +19,7 @@ from typing import Any
 
 from . import bounds
 from .core import BudgetError, DomainError, Interval, ParseError
-from .expr import eval_value, parse
+from .expr import parse
 from .means import BRACKETS, all_means
 from .quadrature import integrate_mean
 from .search import SearchError, best_constant_search, f_ratio
@@ -34,27 +34,18 @@ _CONTAIN_SLACK = 1e-9
 def _run_enclose(args) -> tuple[dict[str, Any], list[str], str]:
     node = parse(args.f)
     iv = Interval(args.a, args.b)
-    method = args.method
-    tol = args.tol
+    method, tol = args.method, args.tol
     citations = ["hermite-hadamard"]
     prof = bounds.convexity_profile(node, iv).certified_convex()
-    if method == "classic":
-        encl = bounds.classic_hh(node, iv)
-    elif method == "n14":
-        fm = eval_value(node, iv.mid)
-        encl = bounds.Enclosure(fm, bounds.bisected_trapezoid(node, iv))
-        citations.append("bisected-trapezoid")
-    elif method == "simpson":
-        one_sided = bounds.simpson_one_sided_bound(node, iv, prof)
-        defect = bounds.simpson_defect_bound(node, iv, prof)
-        if one_sided.is_upper:
-            encl = bounds.Enclosure(one_sided.value - defect.upper, one_sided.value)
-        else:
-            encl = bounds.Enclosure(one_sided.value, one_sided.value + defect.upper)
-        citations = ["simpson-one-sided", "simpson-defect"]
-    else:
+    if method == "adaptive":
         encl = bounds.adaptive_enclosure(node, iv, tol if tol is not None else 1e-6, prof)
         citations.append("adaptive-refinement")
+    else:
+        encl = bounds.rule_enclosure(method, node, iv, prof)
+        if method == "n14":
+            citations.append("bisected-trapezoid")
+        elif method == "simpson":
+            citations = ["simpson-one-sided", "simpson-defect"]
     outputs = {
         "method": method,
         "lower": encl.lower,

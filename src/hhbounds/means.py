@@ -245,22 +245,22 @@ def _reciprocal_defect(a: float, b: float, ms: MeanSet) -> float:
     return 0.5 * u * u / ms.harmonic - c / arith
 
 
+def _identric_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[Enclosure, float]:
+    """The I row: identric_enclosure with its upper end capped at A, and I.
+
+    I <= A always, and past b/a of about 480 the paper's exponent overflows.
+    """
+    encl = identric_enclosure(a, b, use_printed_constant=printed)
+    return Enclosure(encl.lower, min(encl.upper, ms.arithmetic)), ms.identric
+
+
 # Bracket kind -> (citation, fn(a, b, all_means(a, b), printed_constant)
-# returning the bracket and the value it must contain).  The lambdas look
+# returning the bracket and the value it must contain).  The rows look
 # the bracket functions up when called, so wrappers installed on this
 # module's names (bench/spans.py) see every call.
 BRACKETS = {
-    "L": (
-        "log-mean-bracket",
-        lambda a, b, ms, printed: (log_mean_enclosure(a, b), ms.logarithmic),
-    ),
-    "I": (
-        "identric-bracket",
-        lambda a, b, ms, printed: (
-            identric_enclosure(a, b, use_printed_constant=printed),
-            ms.identric,
-        ),
-    ),
+    "L": ("log-mean-bracket", lambda a, b, ms, printed: (log_mean_enclosure(a, b), ms.logarithmic)),
+    "I": ("identric-bracket", _identric_bracket),
     "Isq": (
         "identric-square-bracket",
         lambda a, b, ms, printed: (

@@ -36,6 +36,7 @@ from hhbounds import (
 )
 
 from hhbounds.expr import BinOp, Const, Pow, Var
+from hhbounds.jets import eval_jet
 
 UNIT = Interval(0.0, 1.0)
 EXP = parse("exp(x)")
@@ -274,6 +275,71 @@ def test_mean_enclosure_via_defect():
     assert encl.width == pytest.approx(
         bisected_trapezoid_defect(EXP, UNIT).width, rel=1e-12
     )
+
+
+def _simpson_one_sided_plus_defect(node, iv, prof):
+    """The Simpson bracket as assembled from its two public halves."""
+    one_sided = simpson_one_sided_bound(node, iv, prof)
+    gap = simpson_defect_bound(node, iv, prof).upper
+    if one_sided.is_upper:
+        return Enclosure(one_sided.value - gap, one_sided.value)
+    return Enclosure(one_sided.value, one_sided.value + gap)
+
+
+def _theorem2_from_the_defect(node, iv, prof):
+    """The theorem-2 bracket as assembled from the value and its defect sandwich."""
+    v, d = bisected_trapezoid(node, iv), bisected_trapezoid_defect(node, iv, prof)
+    return Enclosure(v - d.upper, v - d.lower)
+
+
+@pytest.mark.parametrize(
+    "rule, public",
+    [
+        ("classic", lambda node, iv, prof: classic_hh(node, iv)),
+        (
+            "n14",
+            lambda node, iv, prof: Enclosure(
+                eval_value(node, iv.mid), bisected_trapezoid(node, iv)
+            ),
+        ),
+        ("theorem2", mean_enclosure_via_defect),
+        ("theorem2", _theorem2_from_the_defect),
+        ("simpson", _simpson_one_sided_plus_defect),
+    ],
+)
+def test_each_rule_row_is_bit_identical_to_the_public_functions_it_backs(rule, public):
+    # verify's random corpus; the shaped rows run on its shaped cases
+    from hhbounds.verify import _Context
+
+    ctx = _Context(200, 1, False)
+    shaped = rule in ("theorem2", "simpson")
+    cases = ctx.shaped if shaped else [(i, c, None) for i, c in enumerate(ctx.cases)]
+    assert len(cases) > 100
+    for _, case, prof in cases:
+        node, iv = case.node, case.iv
+        fa, fm, fb = (eval_value(node, x) for x in (iv.a, iv.mid, iv.b))
+        d2 = [eval_jet(node, x, order=2).derivatives[2] for x in (iv.a, iv.mid, iv.b)]
+        if not shaped:
+            d2 = [0.0, 0.0, 0.0]
+        shape = prof.f2_shape if shaped else None
+        row = bounds.RULES[rule](iv.length, fa, fm, fb, *d2, shape)
+        assert row == (public(node, iv, prof).lower, public(node, iv, prof).upper)
+        assert bounds.rule_enclosure(rule, node, iv, prof) == Enclosure(*row)
+
+
+@pytest.mark.parametrize("rule", ["classic", "n14"])
+def test_rows_without_a_shape_read_no_jets(monkeypatch, rule):
+    counts = _counting_evaluations(monkeypatch)
+    bounds.rule_enclosure(rule, EXP, UNIT)
+    assert counts == {"values": 3, "jets": 0}
+
+
+@pytest.mark.parametrize("rule", ["theorem2", "simpson"])
+def test_shaped_rows_read_three_jets_and_no_values(monkeypatch, rule):
+    prof = convexity_profile(EXP, UNIT)
+    counts = _counting_evaluations(monkeypatch)
+    bounds.rule_enclosure(rule, EXP, UNIT, prof)
+    assert counts == {"values": 0, "jets": 3}
 
 
 def test_simpson_one_sided_exp():
@@ -533,6 +599,17 @@ def test_adaptive_rejects_nan_tol():
     assert proc.stdout == "tol must be positive, got nan\n"
 
 
+# Order-2 jets of adaptive_enclosure at tol 1e-9 on the six cases below.
+SIMPSON_ROW_JETS_AT_1E9 = {
+    "exp(x)": 75,
+    "1/x": 93,
+    "x*log(x)": 109,
+    "-log(x)": 181,
+    "x^2.5": 135,
+    "exp(x) + x^2": 127,
+}
+
+
 def _counting_evaluations(monkeypatch) -> dict:
     """Count the values and jets adaptive_enclosure asks bounds for."""
     counts = {"values": 0, "jets": 0}
@@ -558,16 +635,19 @@ def _counting_evaluations(monkeypatch) -> dict:
         ("1/x", 1.0, 2.0, lambda mp, t: mp.log(t)),
         ("x*log(x)", 0.5, 2.0, lambda mp, t: t * t * (2 * mp.log(t) - 1) / 4),
         ("x^2.5", 0.1, 2.0, lambda mp, t: t ** mp.mpf(3.5) / mp.mpf(3.5)),
+        ("-log(x)", 0.5, 3.0, lambda mp, t: t - t * mp.log(t)),
+        ("exp(x) + x^2", -1.0, 1.0, lambda mp, t: mp.exp(t) + t ** 3 / 3),
     ],
 )
 def test_adaptive_tight_tol_contains_the_mpmath_mean_without_slack(src, a, b, anti):
-    # x^2.5 has a concave f'', so it runs the swapped sandwich
+    # x^2.5 has a concave f'', so it runs the mirrored Simpson bracket
     mpmath = pytest.importorskip("mpmath")
-    encl = adaptive_enclosure(src, Interval(a, b), 1e-12)
-    assert 0.0 < encl.width <= 1e-12
     with mpmath.workdps(40):
         ma, mb = mpmath.mpf(a), mpmath.mpf(b)
         mean = (anti(mpmath, mb) - anti(mpmath, ma)) / (mb - ma)
+    for tol in (1e-9, 5e-10, 1e-12):
+        encl = adaptive_enclosure(src, Interval(a, b), tol)
+        assert 0.0 < encl.width <= tol
         assert encl.lower <= mean <= encl.upper
 
 
@@ -591,6 +671,8 @@ def test_adaptive_shaped_path_needs_a_hundredth_of_the_evaluations(monkeypatch, 
     adaptive_enclosure(node, iv, 1e-9, shaped)
     assert counts["values"] == 0
     fourth = counts["jets"]
+    # the simpson row; theorem 2's sandwich took 113, 125, 147, 243, 181, 189
+    assert fourth == SIMPSON_ROW_JETS_AT_1E9[src]
     counts.update(values=0, jets=0)
     adaptive_enclosure(node, iv, 1e-9, unshaped)
     assert counts["jets"] == 0
@@ -627,7 +709,7 @@ def test_adaptive_exact_sandwich_is_widened_by_the_rounding_allowance(src, a, b,
 def test_adaptive_keeps_the_second_order_bracket_where_f2_peaks(src, shape, mean):
     # A kink, or a narrow hyp in any spelling, hides f'' mass between the
     # profile's samples, so the sampled shape can read "convex".  The panel
-    # values refute it: the f'' sandwich returned [0.35, 0.35] and
+    # values refute it: theorem 2's sandwich returned [0.35, 0.35] and
     # [0.475, 0.475] here.
     node = parse(src)
     prof = convexity_profile(node, UNIT)

@@ -175,11 +175,16 @@ def test_means_printed_constant_flag_flips_exit_code():
     assert rep["outputs"]["upper"] < rep["outputs"]["target"]
 
 
-def test_means_identric_overflow_names_the_infinite_output():
-    rc, rep = run_json("means", "--a=1", "--b=600", "--enclose=I")
-    assert rc == 2
-    assert rep["status"] == "error"
-    assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
+@pytest.mark.parametrize("b, identric", [(600.0, 223.09752407602338), (1000.0, 370.4320210413378)])
+def test_means_identric_past_the_exponent_overflow_is_capped_at_the_arithmetic_mean(b, identric):
+    # the paper's exponent overflows past b/a of about 480; I <= A always
+    rc, rep = run_json("means", "--a=1", f"--b={b!r}", "--enclose=I")
+    assert rc == 0
+    out = rep["outputs"]
+    assert out["upper"] == out["arithmetic"] == (1.0 + b) / 2.0
+    assert out["target"] == pytest.approx(identric, rel=1e-14)
+    assert out["lower"] < out["target"] < out["upper"]
+    assert out["contained"] is True
 
 
 def test_means_identric_of_squares_with_squares_near_the_float_range():
@@ -188,10 +193,16 @@ def test_means_identric_of_squares_with_squares_near_the_float_range():
     assert rep["outputs"]["contained"] is True
 
 
-def test_means_identric_across_the_float_range_names_the_infinite_bound():
+def test_means_identric_across_the_float_range_is_capped_at_the_arithmetic_mean():
+    # I(a, b) is about b/e here (mpmath: 3.6787944117144232e199, which the
+    # exp-log form of all_means misses by 1.4e-13), and A^(2/3) G^(1/3) 1.36e133
     rc, rep = run_json("means", "--a=1e-200", "--b=1e200", "--enclose=I")
-    assert rc == 2
-    assert rep["outputs"]["error"] == "output 'upper' is not finite (inf)"
+    assert rc == 0
+    out = rep["outputs"]
+    assert out["upper"] == out["arithmetic"] == 5e199
+    assert out["target"] == pytest.approx(3.6787944117144232e199, rel=1e-12)
+    assert out["lower"] < out["target"] < out["upper"]
+    assert out["contained"] is True
 
 
 def test_means_identric_of_squares_across_the_float_range_names_the_infinite_bound():
@@ -372,6 +383,44 @@ def test_abs_kink_gives_no_f2_shape_to_simpson_or_defect(argv, capsys):
     assert cli.main(["--json", command, "--f=abs(x - 0.3)", "--a=0", "--b=1", option]) == 2
     out, err = capsys.readouterr()
     error = "second derivative has no certified convexity direction"
+    assert json.loads(out)["outputs"] == {"error": error}
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # a narrow hyp hides its f'' mass between the samples, which then read
+        # f'' as convex; Simpson returned the point bracket [0.3, 0.3] and
+        # theorem 2 an inverted sandwich, while the mean is 0.29
+        (
+            ("enclose", "--f=hyp(x - 0.3, 1e-9)", "--method=simpson"),
+            "panel values on [0.0, 1.0] contradict the sampled f'' shape (convex)",
+        ),
+        (
+            ("enclose", "--f=sqrt((x - 0.3)^2 + 1e-18)", "--method=simpson"),
+            "panel values on [0.0, 1.0] contradict the sampled f'' shape (convex)",
+        ),
+        (
+            ("defect", "--f=hyp(x - 0.3, 1e-9)", "--theorem=2"),
+            "panel values on [0.0, 1.0] contradict the sampled f'' shape (convex)",
+        ),
+        # jets read the f'' of abs as 0, so a concave kink passes the profile;
+        # these ended in "enclosure inverted"
+        (
+            ("enclose", "--f=-abs(x - 0.3)"),
+            "integrand is not certified convex (f(a)-2f(mid)+f(b) < 0 on [0.0, 1.0])",
+        ),
+        (
+            ("enclose", "--f=x^2 - 0.1*abs(x - 0.3)", "--method=adaptive", "--tol=1e-6"),
+            "integrand is not certified convex (f(a)-2f(mid)+f(b) < 0 on [0.25, 0.375])",
+        ),
+    ],
+)
+def test_panel_values_that_contradict_the_sampled_f2_are_refused(argv, error, capsys):
+    command, f, *options = argv
+    assert cli.main(["--json", command, f, "--a=0", "--b=1", *options]) == 2
+    out, err = capsys.readouterr()
     assert json.loads(out)["outputs"] == {"error": error}
     assert err == ""
 
