@@ -78,31 +78,25 @@ def all_means(a: float, b: float) -> MeanSet:
     Below a relative gap of 1e-6 the logarithmic and identric means
     switch to series in u = (b-a)/(a+b) to dodge cancellation; u is
     formed as (b-a)/2 over A, because a + b overflows near the top of
-    the float range.
+    the float range.  The Gini and identric means are b times the exp of
+    a small multiple of L = log(b/a), so their rounding does not grow
+    with |log a|: log(I/b) = a L/(b-a) - 1.
     """
     a, b = _check_positive(a, b)
     if a == b:
         return MeanSet(a, a, a, a, a, a)
     arith, harm, _ = _arith_harm(a, b)
     geom = math.sqrt(a) * math.sqrt(b)
-    gini = math.exp(_log_gini(a, b, arith))
-    gap = (b - a) / a
-    if gap <= _SERIES_GAP:
+    log_ratio, log_gini = _log_ratio_gini(a, b, arith)
+    gini = b * math.exp(log_gini)
+    if (b - a) / a <= _SERIES_GAP:
         u = 0.5 * (b - a) / arith
         u2 = u * u
         logm = arith * (1.0 - u2 / 3.0 - 4.0 * u2 * u2 / 45.0)
         idm = arith * math.exp(-u2 / 6.0 - u2 * u2 / 20.0)
-    elif math.isfinite(gap):
-        logm = (b - a) / math.log1p(gap)
-        # (b*log(b) - a*log(a))/(b-a) - 1, regrouped so the data that
-        # cancels is the leading 1 of b*log1p(gap)/(b-a)
-        idm = a * math.exp(b * math.log1p(gap) / (b - a) - 1.0)
     else:
-        # b/a is past the float range: log1p(gap) is inf, and the exp
-        # factor overflows although I itself is finite
-        log_ratio = math.log(b) - math.log(a)
         logm = (b - a) / log_ratio
-        idm = math.exp(math.log(a) + b * log_ratio / (b - a) - 1.0)
+        idm = b * math.exp(a * log_ratio / (b - a) - 1.0)
     return MeanSet(harm, geom, logm, idm, arith, gini)
 
 
@@ -119,9 +113,12 @@ def _arith_harm(a: float, b: float) -> tuple[float, float, float]:
     return arith, harm, 0.25 * r * r
 
 
-def _log_gini(a: float, b: float, arith: float) -> float:
-    """log of the Gini mean, (a log a + b log b)/(a + b) = log a + b/(a+b) log(b/a)."""
-    return math.log(a) + 0.5 * b / arith * (math.log(b) - math.log(a))
+def _log_ratio_gini(a: float, b: float, arith: float) -> tuple[float, float]:
+    """L = log(b/a) for a < b, by log1p while (b-a)/a is finite, and log(S/b) =
+    -a/(a+b) L for the Gini mean S = exp((a log a + b log b)/(a + b))."""
+    gap = (b - a) / a
+    log_ratio = math.log1p(gap) if math.isfinite(gap) else math.log(b) - math.log(a)
+    return log_ratio, -0.5 * a / arith * log_ratio
 
 
 def _exp_or_inf(t: float) -> float:
@@ -205,7 +202,8 @@ def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
     """
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
-    log_upper = (4.0 * math.log(arith) + 2.0 * _log_gini(a, b, arith)) / 3.0
+    log_gini = math.log(b) + _log_ratio_gini(a, b, arith)[1]
+    log_upper = (4.0 * math.log(arith) + 2.0 * log_gini) / 3.0
     exponent = (4.0 / 81.0) * gap * (gap * (arith / harm))
     return Enclosure(_exp_or_inf(log_upper - exponent), _exp_or_inf(log_upper))
 

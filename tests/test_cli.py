@@ -194,13 +194,13 @@ def test_means_identric_of_squares_with_squares_near_the_float_range():
 
 
 def test_means_identric_across_the_float_range_is_capped_at_the_arithmetic_mean():
-    # I(a, b) is about b/e here (mpmath: 3.6787944117144232e199, which the
-    # exp-log form of all_means misses by 1.4e-13), and A^(2/3) G^(1/3) 1.36e133
+    # I(a, b) is about b/e here (mpmath: 3.6787944117144232e199), and
+    # A^(2/3) G^(1/3) 1.36e133
     rc, rep = run_json("means", "--a=1e-200", "--b=1e200", "--enclose=I")
     assert rc == 0
     out = rep["outputs"]
     assert out["upper"] == out["arithmetic"] == 5e199
-    assert out["target"] == pytest.approx(3.6787944117144232e199, rel=1e-12)
+    assert out["target"] == pytest.approx(3.6787944117144232e199, rel=1e-15)
     assert out["lower"] < out["target"] < out["upper"]
     assert out["contained"] is True
 

@@ -1,9 +1,9 @@
 import math
-from types import SimpleNamespace
+from fractions import Fraction
 
 import pytest
 
-from hhbounds import convexity_profile, parse, search
+from hhbounds import search
 from hhbounds import (
     Interval,
     SearchError,
@@ -138,21 +138,42 @@ def test_search_scores_only_points_inside_the_box(monkeypatch, family, sign):
     # box's faces; no clip keeps the points inside, the construction does
     seen = []
     monkeypatch.setattr(
-        search, "_candidate_ratio", lambda build, params: seen.append(params) or sign * sum(params)
+        search, "_candidate_ratio", lambda spec, params: seen.append(params) or sign * sum(params)
     )
-    monkeypatch.setattr(search, "convexity_profile", lambda *args: SimpleNamespace(f_convex="yes"))
     best_constant_search(family, 200, 3)
     box = search.FAMILIES[family]["box"]
     assert len(seen) > 49  # past the jittered grid, into the golden-section steps
     assert all(lo <= v <= hi for params in seen for v, (lo, hi) in zip(params, box))
 
 
-def test_a_candidate_that_fails_the_convexity_gate_scores_minus_inf():
-    # sin is concave on [0, 1]: the gate refuses it and the candidate scores -inf
-    build = lambda params: parse("sin(x)")
-    with pytest.raises(ValueError, match=r"^integrand is not certified convex \(no\)$"):
-        convexity_profile(build(()), UNIT).certified_convex()
-    assert search._candidate_ratio(build, ()) == -math.inf
+def test_a_candidate_that_fails_the_convexity_gate_scores_minus_inf(monkeypatch):
+    # f'' = x^(p-2) (p(p-1) - 12c x^(4-p)): this pair passes the float test
+    # p*(p-1) >= 12*c but not the exact one, so f''(1) < 0; past p = 4 any
+    # c > 0 makes f'' < 0 near x = 0.  Neither is scored
+    edge = (1.4117490898960796, 0.04844053357719413)
+    p, c = edge
+    assert p * (p - 1) >= 12 * c
+    assert Fraction(p) * (Fraction(p) - 1) < 12 * Fraction(c)
+
+    def no_ratio(*args):
+        raise AssertionError("f_ratio called on a candidate outside the convex region")
+
+    monkeypatch.setattr(search, "f_ratio", no_ratio)
+    spec = search.FAMILIES["power-combo"]
+    for params in (edge, (4.0 + 1e-9, 1e-6), (6.0, 2.0)):
+        assert search._candidate_ratio(spec, params) == -math.inf, params
+    # the edge itself, and c = 0 at any p, are convex
+    assert all(spec["convex"](params) for params in ((4.0, 1.0), (3.0, 0.5), (6.0, 0.0)))
+
+
+def test_power_combo_witnesses_are_convex_and_below_the_supremum():
+    # the family's supremum F = 0.18147515937743206 lies on the edge
+    # c = p(p-1)/12, near p = 3.8324
+    for seed in range(1, 51):
+        res = best_constant_search("power-combo", 400, seed)
+        p, c = map(Fraction, res.witness)
+        assert p * (p - 1) - 12 * c >= 0, seed
+        assert res.best_ratio <= 0.18147515937743206 + 1e-9, seed
 
 
 @pytest.mark.parametrize("family", sorted(search.FAMILIES))
@@ -161,13 +182,12 @@ def test_the_ledger_never_grows_past_the_budget(monkeypatch, family):
     # refinement step past it must leave the candidate unevaluated
     seen = []
 
-    def fake_ratio(build, params):
+    def fake_ratio(spec, params):
         seen.append(params)
         r = math.sin(997.0 * sum(params))
         return -math.inf if r < -0.3 else r
 
     monkeypatch.setattr(search, "_candidate_ratio", fake_ratio)
-    monkeypatch.setattr(search, "convexity_profile", lambda *args: SimpleNamespace(f_convex="yes"))
     result = best_constant_search(family, 100, 4)
     assert len(seen) == result.evaluations == 100
 
