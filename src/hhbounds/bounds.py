@@ -57,9 +57,8 @@ class ConvexityProfile:
 
     f_convex: "yes" / "no" / "indeterminate", the sign of sampled f''.
     f2_shape: "convex" / "concave" / "indeterminate", for sampled f'''';
-    always "indeterminate" in an order-2 profile, which samples no f'''',
-    and for a tree that calls abs, whose f'' has a point mass at each kink
-    that jets read as 0.  Classification is evidence from n Chebyshev
+    always "indeterminate" for a tree that calls abs, whose f'' has a point
+    mass at each kink that jets read as 0.  Classification is evidence from n Chebyshev
     samples, not proof; operations requiring a determinate shape fail
     loudly otherwise.
     """
@@ -241,23 +240,18 @@ def _chebyshev_nodes(iv: Interval, n: int) -> list[float]:
     return [iv.mid + half * math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(1, n + 1)]
 
 
-def convexity_profile(
-    f: Node | str, iv: Interval, n: int = 129, order: int = 4
-) -> ConvexityProfile:
+def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityProfile:
     """Classify sign of f'' and of f'''' from n Chebyshev samples.
 
     Tolerance is scale-relative: 1e-10 * (1 + max sampled magnitude).
-    Mixed signs (or non-finite samples) yield "indeterminate".  order is
-    the jet order, 2 or 4 as in `eval_jet`.  An order-2 profile samples
-    only f'', which is all the convexity gate reads: its f_convex and
-    min_f2 are those of the order-4 profile, and its f2_shape is
-    "indeterminate", which every bound that needs a shape refuses.  So is
-    the f2_shape of a tree that calls abs.
+    Mixed signs (or non-finite samples) yield "indeterminate".  The
+    f2_shape of a tree that calls abs is "indeterminate", which every
+    bound that needs a shape refuses.
     """
     if n < 33:
         raise ValueError(f"need at least 33 sample points, got {n}")
     node = as_node(f)
-    ds = [eval_jet(node, x, order).derivatives for x in _chebyshev_nodes(iv, n)]
+    ds = [eval_jet(node, x).derivatives for x in _chebyshev_nodes(iv, n)]
     d2s = [d[2] for d in ds]
 
     def classify(vals: list[float], pos: str, neg: str) -> str:
@@ -272,7 +266,7 @@ def convexity_profile(
 
     f_convex = classify(d2s, "yes", "no")
     f2_shape = "indeterminate"
-    if order == 4 and "abs" not in used_names(node):
+    if "abs" not in used_names(node):
         f2_shape = classify([d[4] for d in ds], "convex", "concave")
     finite_d2 = [v for v in d2s if math.isfinite(v)]
     min_f2 = min(finite_d2) if finite_d2 else math.nan

@@ -20,7 +20,7 @@ from typing import Any
 from . import bounds
 from .core import BudgetError, DomainError, Interval, ParseError
 from .expr import parse
-from .means import BRACKETS, all_means
+from .means import BRACKETS, all_means, contains_target
 from .quadrature import integrate_mean
 from .search import SearchError, best_constant_search, f_ratio
 from .verify import SUITE_NAMES, run_suite
@@ -86,7 +86,7 @@ def _run_means(args) -> tuple[dict[str, Any], list[str], str]:
         citation, bracket = BRACKETS[args.enclose]
         encl, target = bracket(args.a, args.b, ms, args.printed_constant)
         citations.append(citation)
-        contained = encl.contains(target, slack=_CONTAIN_SLACK * (1.0 + abs(target)))
+        contained = contains_target(encl, target)
         outputs.update(
             {
                 "enclose": args.enclose,

@@ -27,6 +27,7 @@ __all__ = [
     "reciprocal_log_mean_defect",
     "identric_enclosure",
     "identric_of_squares_enclosure",
+    "contains_target",
 ]
 
 _SERIES_GAP = 1e-6
@@ -183,11 +184,12 @@ def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -
     bound yields for f = -log t.  With use_printed_constant the
     exponent is divided by 4, a documented falsification target that
     drops the upper bound below the identric mean itself (see the
-    means verification suite).
+    means verification suite).  The lower end is b times the exp of the
+    offsets log(A/b) = log1p(-(b-a)/(2b)) and log(G/b) = -L/2.
     """
     a, b = _check_distinct(a, b)
-    ms = all_means(a, b)
-    lower = math.exp((2.0 * math.log(ms.arithmetic) + math.log(ms.geometric)) / 3.0)
+    log_ratio = _log_ratio_gini(a, b, 0.5 * a + 0.5 * b)[0]
+    lower = b * math.exp((2.0 * math.log1p(-0.5 * (b - a) / b) - 0.5 * log_ratio) / 3.0)
     exponent = _identric_exponent(a, b)
     if use_printed_constant:
         exponent /= 4.0
@@ -197,15 +199,17 @@ def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -
 def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
     """Bracket for the identric mean of (a^2, b^2) from A and the Gini mean.
 
-    Upper bound A^(4/3)S^(2/3); lower bound shrinks it by
-    exp(-(4/81)(A-H)^2/(A*H)).
+    Upper bound A^(4/3)S^(2/3); lower bound shrinks it by exp(-(4/81)(A-H)^2/(A*H)).
+    Each is (b exp(t/2))^2 for its log offset t from b^2, so neither rounds
+    with |log b| nor underflows before b^2 does.
     """
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
-    log_gini = math.log(b) + _log_ratio_gini(a, b, arith)[1]
-    log_upper = (4.0 * math.log(arith) + 2.0 * log_gini) / 3.0
-    exponent = (4.0 / 81.0) * gap * (gap * (arith / harm))
-    return Enclosure(_exp_or_inf(log_upper - exponent), _exp_or_inf(log_upper))
+    log_gini = _log_ratio_gini(a, b, arith)[1]
+    half = (2.0 * math.log1p(-0.5 * (b - a) / b) + log_gini) / 3.0
+    shrink = (2.0 / 81.0) * gap * (gap * (arith / harm))
+    lower, upper = b * math.exp(half - shrink), b * math.exp(half)
+    return Enclosure(lower * lower, upper * upper)
 
 
 def _identric_of_squares(a: float, b: float) -> float:
@@ -250,6 +254,11 @@ def _identric_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[E
     """
     encl = identric_enclosure(a, b, use_printed_constant=printed)
     return Enclosure(encl.lower, min(encl.upper, ms.arithmetic)), ms.identric
+
+
+def contains_target(encl: Enclosure, target: float) -> bool:
+    """encl holds a BRACKETS target to 1e-13 |target|, a slack below a vanishing target."""
+    return encl.contains(target, slack=1e-13 * abs(target))
 
 
 # Bracket kind -> (citation, fn(a, b, all_means(a, b), printed_constant)

@@ -21,9 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import convexity_profile
 from .core import Interval
-from .expr import BinOp, Const, Hyp, Node, Pow, Var, as_node, eval_value, parse
+from .expr import BinOp, Const, Hyp, Node, Pow, Var, as_node, eval_value
 from .quadrature import integrate_mean
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
 ]
 
 UNIT = Interval(0.0, 1.0)
-
-WITNESS_SOURCE = "4*x^3.5/35 - x^4/12"
 
 # Tolerance of the oracle mean in every ratio.
 _RATIO_TOL = 1e-10
@@ -121,26 +118,17 @@ def left_counterexample(gamma: float) -> CounterexampleReport:
 
 
 def witness_ratio() -> float:
-    """F ratio of the documented witness 4t^3.5/35 - t^4/12 on [0,1].
+    """F ratio of the documented witness 4t^3.5/35 - t^4/12 on [0,1], 0.18128.
 
-    The witness's second derivative t^1.5 - t^2 is nonnegative on the
-    unit interval with equality only at the ends, so the certificate is
-    checked before the ratio is reported.  Value is 0.18128 to 4 places.
+    Up to the factor 35/4, which F ignores, it is the power-combo member
+    (3.5, 35/48), whose convexity the family's exact predicate decides.
     """
-    node = parse(WITNESS_SOURCE)
-    convexity_profile(node, UNIT, order=2).certified_convex()
-    report = f_ratio(node, UNIT)
-    if report.degenerate:
-        raise SearchError("witness integrand reported a degenerate ratio")
-    return report.value
+    return _member_ratio(FAMILIES["power-combo"], (3.5, 35.0 / 48.0))
 
 
 def smoothed_tent_ratio(eps: float) -> float:
     """F ratio of hyp(x - 1/2, eps) on [0,1]; tends to 1/4 as eps -> 0."""
-    report = f_ratio(_tent_expr((eps,)), UNIT)
-    if report.degenerate:
-        raise SearchError("smoothed tent reported a degenerate ratio")
-    return report.value
+    return _member_ratio(FAMILIES["smoothed-tent"], (eps,))
 
 
 # --- family definitions -------------------------------------------------------
@@ -182,15 +170,22 @@ FAMILIES: dict[str, dict] = {
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _member_ratio(spec: dict, params: tuple[float, ...]) -> float:
+    """F ratio of a FAMILIES row's member on [0,1]; SearchError if not convex or degenerate."""
+    if not spec["convex"](params):
+        raise SearchError("integrand is outside the family's convex region")
+    report = f_ratio(spec["build"](params), UNIT)
+    if report.degenerate:
+        raise SearchError("integrand reported a degenerate ratio")
+    return report.value
+
+
 def _candidate_ratio(spec: dict, params: tuple[float, ...]) -> float:
     """Score one parameter vector of a FAMILIES row; -inf when infeasible."""
-    if not spec["convex"](params):
-        return -math.inf
     try:
-        report = f_ratio(spec["build"](params), UNIT)
-    except (ValueError, ArithmeticError):
+        return _member_ratio(spec, params)
+    except (SearchError, ValueError, ArithmeticError):
         return -math.inf
-    return -math.inf if report.degenerate else report.value
 
 
 def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:

@@ -22,6 +22,7 @@ from .jets import eval_jet
 from .means import (
     BRACKETS,
     all_means,
+    contains_target,
     identric_enclosure,
     log_mean_enclosure,
     reciprocal_log_mean_defect,
@@ -397,7 +398,7 @@ def _bracket_prop(kind: str):
         for _ in range(ctx.bracket_trials):
             a, b = _rand_pair(rng)
             encl, target = bracket(a, b, all_means(a, b), ctx.printed_constant)
-            if not encl.contains(target, slack=1e-9 * (1.0 + abs(target))):
+            if not contains_target(encl, target):
                 return False, f"target {target:.9g} escaped [{encl.lower:.9g}, {encl.upper:.9g}] at ({a:.9g}, {b:.9g})"
         return _ok(ctx.bracket_trials)
 

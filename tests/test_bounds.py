@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -178,23 +179,6 @@ def test_profile_with_an_infinite_f2_sample_is_indeterminate():
     assert prof.f_convex == "indeterminate"
     assert prof.f2_shape == "indeterminate"
     assert 0.0 < prof.min_f2 < math.inf
-
-
-@pytest.mark.parametrize(
-    "src, a, b",
-    [("exp(x)", 0.0, 1.0), ("x^2.5", 0.01, 1.0), ("sin(x)", 0.0, 3.14), ("x^3", -1.0, 1.0)],
-)
-def test_order_two_profile_has_the_order_four_gate(src, a, b):
-    iv = Interval(a, b)
-    low = convexity_profile(parse(src), iv, 129, 2)
-    full = convexity_profile(parse(src), iv, 129, 4)
-    assert (low.f_convex, repr(low.min_f2), low.samples) == (full.f_convex, repr(full.min_f2), 129)
-    assert low.f2_shape == "indeterminate"
-
-
-def test_profile_rejects_an_unsupported_order():
-    with pytest.raises(ValueError, match="jet order must be 2 or 4, got 3"):
-        convexity_profile(EXP, UNIT, order=3)
 
 
 def test_profile_minimum_sample_count():
@@ -666,7 +650,7 @@ def test_adaptive_shaped_path_needs_a_hundredth_of_the_evaluations(monkeypatch, 
     iv = Interval(a, b)
     node = parse(src)
     shaped = convexity_profile(node, iv)
-    unshaped = convexity_profile(node, iv, order=2)
+    unshaped = dataclasses.replace(shaped, f2_shape="indeterminate")
     counts = _counting_evaluations(monkeypatch)
     adaptive_enclosure(node, iv, 1e-9, shaped)
     assert counts["values"] == 0
@@ -715,7 +699,8 @@ def test_adaptive_keeps_the_second_order_bracket_where_f2_peaks(src, shape, mean
     prof = convexity_profile(node, UNIT)
     assert prof.f2_shape == shape
     encl = adaptive_enclosure(node, UNIT, 1e-6, prof)
-    assert encl == adaptive_enclosure(node, UNIT, 1e-6, convexity_profile(node, UNIT, order=2))
+    unshaped = dataclasses.replace(prof, f2_shape="indeterminate")
+    assert encl == adaptive_enclosure(node, UNIT, 1e-6, unshaped)
     assert encl.width <= 1e-6
     assert encl.contains(mean)
 

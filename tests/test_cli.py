@@ -263,6 +263,14 @@ def _mp_means_and_targets(a, b):
         return {k: float(v) for k, v in means.items()}, {k: float(v) for k, v in targets.items()}
 
 
+def test_means_near_equal_reciprocal_defect_is_contained():
+    rc, rep = run_json("means", "--a=1", "--b=1.00001", "--enclose=recipL")
+    assert (rc, rep["status"]) == (0, "ok")
+    out = rep["outputs"]
+    assert out["contained"] is True
+    assert out["lower"] <= out["target"] <= out["upper"] < 3.0 * out["target"]
+
+
 @pytest.mark.parametrize(
     "a,b,enclose",
     [

@@ -12,7 +12,7 @@ from hhbounds import (
     log_mean_enclosure,
     reciprocal_log_mean_defect,
 )
-from hhbounds.means import BRACKETS, _identric_exponent
+from hhbounds.means import BRACKETS, _identric_exponent, contains_target
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -256,6 +256,15 @@ def test_reciprocal_defect_near_equal_no_blowup():
     assert encl.contains(defect, slack=1e-9)
 
 
+def test_containment_slack_is_below_a_vanishing_target():
+    # near a = b the recipL target is 4.2e-12; a slack of 1e-9 (1 + |target|)
+    # would count three times the target as contained
+    encl, target = BRACKETS["recipL"][1](1.0, 1.00001, all_means(1.0, 1.00001), False)
+    assert target == pytest.approx(4.17e-12, rel=1e-2)
+    assert contains_target(encl, target)
+    assert not contains_target(encl, 3.0 * target)
+
+
 def test_reciprocal_defect_bulk():
     rng = random.Random(7)
     for _ in range(300):
@@ -334,6 +343,38 @@ def test_identric_squares_upper_combines_arithmetic_and_gini():
     encl = identric_of_squares_enclosure(1.0, 2.0)
     want = ms.arithmetic ** (4.0 / 3.0) * ms.gini ** (2.0 / 3.0)
     assert encl.upper == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        # the worst pairs of a 2,000-pair sweep over 1e-150..1e150 for the
+        # absolute-log forms: 1,217 ulp on the Isq upper end, 1,348 on the
+        # Isq lower end and 541 on the I lower end
+        (1.9553020201252015e-142, 9.281929362263575e-140),
+        (1.4986811735586227e138, 2.5991834495995136e139),
+        (1.6610718921069125e119, 4.752010056450161e119),
+    ],
+)
+def test_mean_brackets_are_formed_relative_to_b(a, b):
+    with mpmath.workdps(40):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        arith, geom, harm = (ma + mb) / 2, mpmath.sqrt(ma * mb), 2 * ma * mb / (ma + mb)
+        gini = mpmath.exp((ma * mpmath.log(ma) + mb * mpmath.log(mb)) / (ma + mb))
+        isq_upper = arith ** (mpmath.mpf(4) / 3) * gini ** (mpmath.mpf(2) / 3)
+        isq_lower = isq_upper * mpmath.exp(-mpmath.mpf(4) / 81 * (arith - harm) ** 2 / (arith * harm))
+        i_lower = arith ** (mpmath.mpf(2) / 3) * geom ** (mpmath.mpf(1) / 3)
+    isq = identric_of_squares_enclosure(a, b)
+    for got, want in ((isq.upper, isq_upper), (isq.lower, isq_lower), (identric_enclosure(a, b).lower, i_lower)):
+        want = float(want)
+        assert abs(got - want) <= 8 * math.ulp(want), (got, want)
+
+
+def test_identric_squares_lower_end_survives_an_underflowing_offset():
+    # the lower end is b^2 exp(t) with exp(t) below the float range; it is
+    # formed as (b exp(t/2))^2, since b (b exp(t)) would read 0.0 here
+    a, b = 2.634110624896576e144, 2.450649494046949e149
+    assert identric_of_squares_enclosure(a, b).lower == pytest.approx(3.85757165998993e-201, rel=1e-11)
 
 
 def test_identric_squares_bulk():

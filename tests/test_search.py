@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhbounds import search
+from hhbounds import bounds, search
 from hhbounds import (
     Interval,
     SearchError,
@@ -93,6 +93,25 @@ def test_witness_ratio_beats_one_sixth():
     assert got == pytest.approx(0.18127975106853839, rel=1e-9)
     assert got == pytest.approx(0.18128, abs=5e-5)
     assert got > SIXTH
+
+
+def test_witness_ratio_matches_mpmath():
+    # mpmath at 50 digits on x^3.5 - c x^4, c = float(35/48), whose mean is
+    # 1/4.5 - c/5; the exact witness gives ...839, 2e-16 relative below
+    assert witness_ratio() == pytest.approx(0.18127975106853843, rel=1e-13)
+
+
+def test_witness_ratio_samples_no_jets(monkeypatch):
+    def no_jet(*args, **kwargs):
+        raise AssertionError("witness_ratio evaluated a jet")
+
+    monkeypatch.setattr(bounds, "eval_jet", no_jet)
+    assert witness_ratio() > SIXTH
+
+
+def test_search_samples_no_second_derivative():
+    assert not hasattr(search, "convexity_profile")
+    assert not hasattr(search, "WITNESS_SOURCE")
 
 
 def test_smoothed_tent_ratio_values():
@@ -222,7 +241,7 @@ def test_search_respects_quarter_cap():
 
 
 def test_witness_certificate_error_type():
-    # SearchError is raised for a degenerate ratio or an empty search (a
-    # failed convexity certificate is the profile's ValueError); the shipped
-    # witnesses never trip it, so just confirm the type exists
+    # SearchError is raised for a member outside its family's convex region,
+    # a degenerate ratio or an empty search; the shipped witnesses never trip
+    # it, so just confirm the type exists
     assert issubclass(SearchError, RuntimeError)
