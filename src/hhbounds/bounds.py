@@ -105,28 +105,33 @@ def _three_values(node: Node, iv: Interval) -> tuple[float, float, float]:
 
 # --- panel rules --------------------------------------------------------------
 
-# A panel's values may miss `_fits_shape` by this multiple of the terms' magnitudes, and
+# A panel's values may miss `_panel`'s range by this multiple of the terms' magnitudes, and
 # adaptive widens its bracket by it times the panels' summed w*(|f(a)| + 2|f(mid)| + |f(b)|)/4,
 # for the rounding of the bracket's own arithmetic, not the error of evaluating f.
 _ROUNDING = 8.0 * 2.0 ** -52
 
 
 class _ShapeRefuted(ValueError):
-    """A panel's values contradict the f'' shape the profile sampled."""
+    """f'' has no shape a row may read: the profile found none, or a panel refutes it."""
 
 
 # A panel is (len, f(a), f(mid), f(b), f''(a), f''(mid), f''(b), shape), with
 # the f'' values 0.0 and shape None where no f'' shape is known.
-def _fits_shape(length, fa, fm, fb, d2a, d2m, d2b, shape) -> bool:
-    """Whether a panel's f values agree with its f'' values under shape.
+def _panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple, shape: str | None) -> tuple:
+    """The panel on [a, b] from its `_point`s, once a row may read it.
 
     fa - 2*fm + fb is the integral of f'' against the hat of height h = len/2
     over the panel.  A convex f'' puts it between h^2*f''(mid) (Jensen) and
     h^2*(f''(a) + 4*f''(mid) + f''(b))/6 (f'' under its chords on each
     half); a concave f'' swaps the two; with no shape, f'' >= 0 puts it at
     or above 0.  f'' mass between the three points, which samples can miss,
-    shows in the values but not in f''.
+    shows in the values but not in f''.  Refused: a panel whose f, f'' or
+    slack is not finite (f'' of x^1.5 at 0), which no row can bound, and one
+    whose second difference misses its range by more than the slack.  Under
+    a shape the refusal is `_ShapeRefuted`; without one, a plain ValueError.
     """
+    (fa, d2a), (fm, d2m), (fb, d2b) = pa, pm, pb
+    length = b - a
     sq = 0.25 * length * length
     jensen = sq * d2m
     chords = sq * (d2a + 4.0 * d2m + d2b) / 6.0
@@ -134,7 +139,15 @@ def _fits_shape(length, fa, fm, fb, d2a, d2m, d2b, shape) -> bool:
     slack = _ROUNDING * (
         abs(fa) + 2.0 * abs(fm) + abs(fb) + sq * (abs(d2a) + 4.0 * abs(d2m) + abs(d2b))
     )
-    return lo - slack <= fa - 2.0 * fm + fb <= hi + slack
+    if math.isfinite(slack) and lo - slack <= fa - 2.0 * fm + fb <= hi + slack:
+        return (length, fa, fm, fb, d2a, d2m, d2b, shape)
+    on = f"on [{a!r}, {b!r}]"
+    refusal = ValueError if shape is None else _ShapeRefuted
+    if not math.isfinite(slack):
+        raise refusal(f"f or f'' is not finite {on}")
+    if shape is None:
+        raise refusal(f"integrand is not certified convex (f(a)-2f(mid)+f(b) < 0 {on})")
+    raise refusal(f"panel values {on} contradict the sampled f'' shape ({shape})")
 
 
 def _point(node: Node, x: float, shape: str | None) -> tuple[float, float]:
@@ -143,18 +156,6 @@ def _point(node: Node, x: float, shape: str | None) -> tuple[float, float]:
         return eval_value(node, x), 0.0
     d = eval_jet(node, x, order=2).derivatives
     return d[0], d[2]
-
-
-def _panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple, shape: str | None) -> tuple:
-    """The panel on [a, b] from its `_point`s, once it passes `_fits_shape`."""
-    (fa, d2a), (fm, d2m), (fb, d2b) = pa, pm, pb
-    panel = (b - a, fa, fm, fb, d2a, d2m, d2b, shape)
-    if not _fits_shape(*panel):
-        on = f"on [{a!r}, {b!r}]"
-        if shape is None:
-            raise ValueError(f"integrand is not certified convex (f(a)-2f(mid)+f(b) < 0 {on})")
-        raise _ShapeRefuted(f"panel values {on} contradict the sampled f'' shape ({shape})")
-    return panel
 
 
 def _one_panel(f: Node | str, iv: Interval, prof: ConvexityProfile | None, shaped: bool) -> tuple:
@@ -274,10 +275,10 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
 
 
 def _f2_shape(node: Node, iv: Interval, prof: ConvexityProfile | None) -> str:
-    """Determinate shape of f'' from prof, profiling f when prof is None."""
+    """Determinate shape of f'' from prof (profiling f if None); `_ShapeRefuted` if none."""
     prof = prof or convexity_profile(node, iv)
     if prof.f2_shape not in ("convex", "concave"):
-        raise ValueError("second derivative has no certified convexity direction")
+        raise _ShapeRefuted("second derivative has no certified convexity direction")
     return prof.f2_shape
 
 
@@ -451,29 +452,27 @@ def adaptive_enclosure(
     costs one order-2 jet.  Elsewhere it is the n14 row, which narrows like
     len^2.  Each panel passes `_panel`'s check: the first that contradicts
     the sampled shape, as a kink or a narrow hyp between the samples does,
-    restarts the call on the n14 row.  The widest panel is split first; the
-    panels are summed exactly with math.fsum and widened by the allowance
-    of `_ROUNDING`.  A tol below twice that is refused at the first pass
-    that shows it, before any split unless the summed magnitude grows as
-    the panels refine.  prof=None profiles f at order 4.
+    or whose f'' is not finite, as x^1.5's is at 0, restarts the call on the
+    n14 row.  The widest panel is split first; the panels are summed exactly
+    with math.fsum and widened by the allowance of `_ROUNDING`.  A tol below
+    twice that is refused at the first pass that shows it, before any split
+    unless the summed magnitude grows as the panels refine.  prof=None
+    profiles f.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     node = as_node(f)
     prof = (prof or convexity_profile(node, iv)).certified_convex()
     try:
-        shape = _f2_shape(node, iv, prof)
-    except ValueError:
-        return _bisect(node, iv, tol, "n14", None)
-    try:
-        return _bisect(node, iv, tol, "simpson", shape)
+        return _bisect(node, iv, tol, _f2_shape(node, iv, prof))
     except _ShapeRefuted:
-        return _bisect(node, iv, tol, "n14", None)
+        return _bisect(node, iv, tol, None)
 
 
-def _bisect(node: Node, iv: Interval, tol: float, rule: str, shape: str | None) -> Enclosure:
-    """The heap loop of `adaptive_enclosure` on the panels of RULES[rule]."""
-    row, total = RULES[rule], iv.length
+def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosure:
+    """The heap loop of `adaptive_enclosure`; its row follows from the shape:
+    simpson where f'' has one, n14 (shape None) where it has none."""
+    row, total = RULES["n14" if shape is None else "simpson"], iv.length
 
     # A panel is (-w*(hi - lo), a, b, `_point`s at a, mid and b, w*hi), w its weight.
     def panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple) -> tuple:

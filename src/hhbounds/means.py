@@ -154,14 +154,16 @@ def reciprocal_log_mean_defect(a: float, b: float) -> Enclosure:
     """Bracket for the defect (1/A + 1/H)/2 - 1/L.
 
     Both ends are closed forms in A and H; this is the bisected
-    trapezoid defect sandwich specialized to f(t) = 1/t.
+    trapezoid defect sandwich specialized to f(t) = 1/t.  Each is divided
+    by the scale once, last, so that a small end keeps its digits until
+    it leaves the normal float range.
     """
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
     # (A-H)/(6A^2) and A(A-H)/(6H^2) * (4/H - 3/A), with gap = (A-H)/A
     ratio = arith / harm
-    lower = gap / arith / 6.0
-    upper = gap * ratio * (4.0 * ratio - 3.0) / harm / 6.0
+    lower = gap / 6.0 / arith
+    upper = gap * ratio * (4.0 * ratio - 3.0) / 6.0 / harm
     return Enclosure(lower, upper)
 
 
@@ -230,8 +232,10 @@ def _reciprocal_defect(a: float, b: float, ms: MeanSet) -> float:
 
     With u = (b-a)/(a+b), H = A(1 - u^2) and A/L = artanh(u)/u, so the
     defect is (u^2/2 * A/H - c)/A with c = artanh(u)/u - 1; it is
-    evaluated as u^2/(2H) - c/A, whose terms stay about 3/2 apart near
-    a = b, so little cancels.  c is summed from its series
+    evaluated as (u^2/2 - c*(H/A))/H, whose terms stay about 3/2 apart
+    near a = b, so little cancels, and which divides by the scale once,
+    last: where the defect is subnormal, two subnormal terms would round
+    apart.  H/A <= 1, so nothing overflows.  c is summed from its series
     u^2/3 + u^4/5 + ... below u = 1/2, and is A/L - 1 above.
     """
     arith = ms.arithmetic
@@ -244,7 +248,17 @@ def _reciprocal_defect(a: float, b: float, ms: MeanSet) -> float:
             c += u ** (2 * k) / (2 * k + 1)
     else:
         c = arith / ms.logarithmic - 1.0
-    return 0.5 * u * u / ms.harmonic - c / arith
+    return (0.5 * u * u - c * (ms.harmonic / arith)) / ms.harmonic
+
+
+def _log_mean_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[Enclosure, float]:
+    """The L row: log_mean_enclosure with its lower end floored at G, and L.
+
+    G <= L always, and the paper's lower end falls below G for wide pairs,
+    below 0 past b/a of about 1e4 and to -inf near the top of the range.
+    """
+    encl = log_mean_enclosure(a, b)
+    return Enclosure(max(encl.lower, ms.geometric), encl.upper), ms.logarithmic
 
 
 def _identric_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[Enclosure, float]:
@@ -266,7 +280,7 @@ def contains_target(encl: Enclosure, target: float) -> bool:
 # the bracket functions up when called, so wrappers installed on this
 # module's names (bench/spans.py) see every call.
 BRACKETS = {
-    "L": ("log-mean-bracket", lambda a, b, ms, printed: (log_mean_enclosure(a, b), ms.logarithmic)),
+    "L": ("log-mean-bracket", _log_mean_bracket),
     "I": ("identric-bracket", _identric_bracket),
     "Isq": (
         "identric-square-bracket",

@@ -583,6 +583,47 @@ def test_adaptive_rejects_nan_tol():
     assert proc.stdout == "tol must be positive, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "src, b, mean",
+    [
+        ("x^1.5", 1.0, lambda mp, b: b ** mp.mpf(1.5) / mp.mpf(2.5)),
+        ("x^1.08", 0.0012599158614142898, lambda mp, b: b ** mp.mpf(1.08) / mp.mpf(2.08)),
+        (
+            "hyp(exp(1.389), 1.947) * (log(1.871) - x^0.58)",
+            0.8016860347930838,
+            lambda mp, b: mp.sqrt(mp.exp(mp.mpf(1.389)) ** 2 + mp.mpf(1.947) ** 2)
+            * (mp.log(mp.mpf(1.871)) - b ** mp.mpf(0.58) / mp.mpf(1.58)),
+        ),
+    ],
+    ids=["x^1.5", "x^1.08", "hyp-product"],
+)
+def test_adaptive_answers_where_f2_is_infinite_at_an_end(src, b, mean):
+    # f'' is +inf at 0, so the simpson row's lower end was -inf, the running
+    # width NaN, and no panel was ever split: the call ran forever.  It runs
+    # in a child process with a deadline, so a regression fails here.
+    mpmath = pytest.importorskip("mpmath")
+    code = (
+        "from hhbounds import Interval, adaptive_enclosure\n"
+        f"e = adaptive_enclosure({src!r}, Interval(0.0, {b!r}), 1e-8)\n"
+        "print(repr(e.lower), repr(e.upper))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20
+    )
+    lower, upper = map(float, proc.stdout.split())
+    with mpmath.workdps(40):
+        target = mean(mpmath, mpmath.mpf(b))
+    assert 0.0 < upper - lower <= 1e-8
+    assert lower <= target <= upper
+
+
+def test_an_unshaped_panel_with_a_non_finite_value_is_a_plain_refusal():
+    nan = (math.nan, 0.0)
+    with pytest.raises(ValueError, match=r"^f or f'' is not finite on \[0\.0, 1\.0\]$") as info:
+        bounds._panel(0.0, 1.0, (1.0, 0.0), nan, (1.0, 0.0), None)
+    assert type(info.value) is ValueError
+
+
 # Order-2 jets of adaptive_enclosure at tol 1e-9 on the six cases below.
 SIMPSON_ROW_JETS_AT_1E9 = {
     "exp(x)": 75,

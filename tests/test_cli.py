@@ -187,6 +187,23 @@ def test_means_identric_past_the_exponent_overflow_is_capped_at_the_arithmetic_m
     assert out["contained"] is True
 
 
+def test_means_log_mean_across_the_float_range_is_floored_at_the_geometric_mean(capsys):
+    # the paper's lower end overflowed: "output 'lower' is not finite (-inf)"
+    assert cli.main(["--json", "means", "--a=1", "--b=1e306", "--enclose=L"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["lower"] == out["geometric"] == 1e153
+    assert out["lower"] < out["target"] < out["upper"]
+    assert out["contained"] is True
+
+
+def test_means_reciprocal_defect_below_the_normal_range_is_contained(capsys):
+    # read target 5e-324 against the bracket [0, 0], status violated
+    argv = ["--a=8.569823552236704e+294", "--b=8.569823552236822e+294", "--enclose=recipL"]
+    assert cli.main(["--json", "means", *argv]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["contained"] is True
+
+
 def test_means_identric_of_squares_with_squares_near_the_float_range():
     rc, rep = run_json("means", "--a=1e100", "--b=3e100", "--enclose=Isq")
     assert rc == 0
@@ -423,6 +440,11 @@ def test_abs_kink_gives_no_f2_shape_to_simpson_or_defect(argv, capsys):
             ("enclose", "--f=x^2 - 0.1*abs(x - 0.3)", "--method=adaptive", "--tol=1e-6"),
             "integrand is not certified convex (f(a)-2f(mid)+f(b) < 0 on [0.25, 0.375])",
         ),
+        # f''(0) of x^1.5 is +inf, which no row can bound; these ended in
+        # "output 'lower' is not finite (-inf)" or "... 'upper' ... (inf)"
+        (("enclose", "--f=x^1.5", "--method=simpson"), "f or f'' is not finite on [0.0, 1.0]"),
+        (("defect", "--f=x^1.5", "--theorem=2"), "f or f'' is not finite on [0.0, 1.0]"),
+        (("defect", "--f=x^1.5", "--theorem=4"), "f or f'' is not finite on [0.0, 1.0]"),
     ],
 )
 def test_panel_values_that_contradict_the_sampled_f2_are_refused(argv, error, capsys):

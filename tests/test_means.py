@@ -230,6 +230,16 @@ def test_log_mean_bracket_bulk():
         assert encl.contains(logm, slack=1e-9 * (1.0 + logm)), (a, b)
 
 
+def test_log_mean_row_floors_its_lower_end_at_the_geometric_mean():
+    # the paper's lower end is -832.6 at (1, 1e4), below G = 100 and below 0
+    ms = all_means(1.0, 1e4)
+    encl, target = BRACKETS["L"][1](1.0, 1e4, ms, False)
+    paper = log_mean_enclosure(1.0, 1e4)
+    assert paper.lower < 0.0
+    assert (encl.lower, encl.upper) == (ms.geometric, paper.upper) == (100.0, 1733.5)
+    assert encl.lower < target < encl.upper
+
+
 def test_log_mean_bracket_rejects_equal():
     with pytest.raises(ValueError):
         log_mean_enclosure(2.0, 2.0)
@@ -263,6 +273,26 @@ def test_containment_slack_is_below_a_vanishing_target():
     assert target == pytest.approx(4.17e-12, rel=1e-2)
     assert contains_target(encl, target)
     assert not contains_target(encl, 3.0 * target)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (8.569823552236704e294, 8.569823552236822e294),
+        (9.613237505897539e297, 9.613242709573453e297),
+        (3.7720005204481734e292, 3.772000520465916e292),
+    ],
+)
+def test_reciprocal_defect_below_the_normal_range_matches_mpmath(a, b):
+    # the target was a difference of two subnormal terms, which rounded apart
+    # (5e-324 where the defect, 9.2e-325, rounds to 0) and escaped the bracket
+    encl, target = BRACKETS["recipL"][1](a, b, all_means(a, b), False)
+    with mpmath.workdps(80):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        arith, harm = (ma + mb) / 2, 2 * ma * mb / (ma + mb)
+        want = float((1 / arith + 1 / harm) / 2 - (mpmath.log(mb) - mpmath.log(ma)) / (mb - ma))
+    assert target == want < 2.3e-308
+    assert contains_target(encl, target)
 
 
 def test_reciprocal_defect_bulk():
