@@ -126,9 +126,10 @@ def _panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple, shape: str | Non
     half); a concave f'' swaps the two; with no shape, f'' >= 0 puts it at
     or above 0.  f'' mass between the three points, which samples can miss,
     shows in the values but not in f''.  Refused: a panel whose f, f'' or
-    slack is not finite (f'' of x^1.5 at 0), which no row can bound, and one
-    whose second difference misses its range by more than the slack.  Under
-    a shape the refusal is `_ShapeRefuted`; without one, a plain ValueError.
+    slack is not finite (f'' of x^1.5 at 0; len^2 or the sum of |f| past the
+    float range), which no row can bound, and one whose second difference
+    misses its range by more than the slack.  Under a shape the refusal is
+    `_ShapeRefuted`; without one, a plain ValueError.
     """
     (fa, d2a), (fm, d2m), (fb, d2b) = pa, pm, pb
     length = b - a
@@ -144,6 +145,8 @@ def _panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple, shape: str | Non
     on = f"on [{a!r}, {b!r}]"
     refusal = ValueError if shape is None else _ShapeRefuted
     if not math.isfinite(slack):
+        if all(map(math.isfinite, (fa, fm, fb, d2a, d2m, d2b))):
+            raise refusal(f"the panel check's magnitudes overflow {on}")
         raise refusal(f"f or f'' is not finite {on}")
     if shape is None:
         raise refusal(f"integrand is not certified convex (f(a)-2f(mid)+f(b) < 0 {on})")

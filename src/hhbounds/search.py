@@ -10,7 +10,10 @@ For every convex f the ratio sits in [0, 1/4]; it tends to 1/6 as the
 interval shrinks; a documented witness integrand pushes it to 0.18128,
 and smoothed tents approach 1/4.  best_constant_search maximizes the
 ratio over small parametric families with a seeded, fully
-deterministic derivative-free strategy.
+deterministic derivative-free strategy.  Each family has its mean on
+[0, 1] and its convexity in closed form, so the search scores a member
+from three point values of its tree and integrates nothing; f_ratio's
+quadrature oracle serves arbitrary integrands.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Interval
 from .expr import BinOp, Const, Hyp, Node, Pow, Var, as_node, eval_value
@@ -39,9 +41,7 @@ __all__ = [
     "FAMILIES",
 ]
 
-UNIT = Interval(0.0, 1.0)
-
-# Tolerance of the oracle mean in every ratio.
+# Tolerance of f_ratio's oracle mean; the search families use their closed forms.
 _RATIO_TOL = 1e-10
 
 
@@ -151,30 +151,57 @@ def _tent_expr(params: tuple[float, ...]) -> Node:
 
 def _power_combo_convex(params: tuple[float, ...]) -> bool:
     """f'' = x^(p-2) (p(p-1) - 12c x^(4-p)) >= 0 on (0, 1]: for c > 0, p <= 4 and
-    f''(1) >= 0.  Exact in fractions, so no rounding passes a witness past the edge."""
-    p, c = map(Fraction, params)
-    return c <= 0 or (p <= 4 and 12 * c <= p * (p - 1))
+    f''(1) >= 0.  Exact in integers, with p = n/d and c = m/e from the floats'
+    ratios (d, e > 0), so no rounding passes a witness past the edge."""
+    (n, d), (m, e) = (v.as_integer_ratio() for v in params)
+    return m <= 0 or (n <= 4 * d and 12 * m * d * d <= n * (n - d) * e)
 
 
-# Each family: box, integrand, convexity on [0, 1] (x^p, p > 1, and hyp, eps > 0, always are).
+def _power_combo_mean(params: tuple[float, ...]) -> float:
+    p, c = params
+    return 1.0 / (p + 1.0) - c / 5.0
+
+
+def _tent_mean(params: tuple[float, ...]) -> float:
+    """2 * integral of hypot(u, eps) for u in [0, 1/2]."""
+    (eps,) = params
+    return 0.5 * math.hypot(0.5, eps) + eps * eps * math.asinh(0.5 / eps)
+
+
+# Each family: box, integrand, its mean on [0, 1], and its convexity there
+# (x^p, p > 1, and hyp, eps > 0, always are convex).
 FAMILIES: dict[str, dict] = {
-    "power": {"box": [(1.01, 20.0)], "build": _power_expr, "convex": lambda params: True},
+    "power": {
+        "box": [(1.01, 20.0)],
+        "build": _power_expr,
+        "mean": lambda params: 1.0 / (params[0] + 1.0),
+        "convex": lambda params: True,
+    },
     "power-combo": {
         "box": [(1.01, 6.0), (0.0, 2.0)],
         "build": _power_combo_expr,
+        "mean": _power_combo_mean,
         "convex": _power_combo_convex,
     },
-    "smoothed-tent": {"box": [(1e-4, 1.0)], "build": _tent_expr, "convex": lambda params: True},
+    "smoothed-tent": {
+        "box": [(1e-4, 1.0)],
+        "build": _tent_expr,
+        "mean": _tent_mean,
+        "convex": lambda params: True,
+    },
 }
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _member_ratio(spec: dict, params: tuple[float, ...]) -> float:
-    """F ratio of a FAMILIES row's member on [0,1]; SearchError if not convex or degenerate."""
+    """F ratio of a FAMILIES row's member on [0,1] from its tree's values and the row's
+    closed-form mean; SearchError if not convex or degenerate."""
     if not spec["convex"](params):
         raise SearchError("integrand is outside the family's convex region")
-    report = f_ratio(spec["build"](params), UNIT)
+    node = spec["build"](params)
+    fa, fm, fb = (eval_value(node, x) for x in (0.0, 0.5, 1.0))
+    report = RatioReport.of(fa, fm, fb, spec["mean"](params))
     if report.degenerate:
         raise SearchError("integrand reported a degenerate ratio")
     return report.value

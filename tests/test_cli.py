@@ -455,6 +455,24 @@ def test_panel_values_that_contradict_the_sampled_f2_are_refused(argv, error, ca
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        # f and f'' are finite; len^2 overflows, times an f'' of 0.0 read without a shape
+        ("x", "-1e200", "1e200"),
+        # |f(a)| + 2|f(mid)| + |f(b)| overflows
+        ("1e308", "0", "1"),
+    ],
+)
+def test_a_panel_check_that_overflows_names_the_overflow(f, a, b, capsys):
+    argv = ["--json", "enclose", f"--f={f}", f"--a={a}", f"--b={b}", "--method=classic"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    on = f"on [{float(a)!r}, {float(b)!r}]"
+    assert json.loads(out)["outputs"] == {"error": f"the panel check's magnitudes overflow {on}"}
+    assert err == ""
+
+
 # --- ratio -------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from hhbounds import (
     smoothed_tent_ratio,
     witness_ratio,
 )
+from hhbounds.expr import evaluate
+from hhbounds.quadrature import integrate_mean
 
 UNIT = Interval(0.0, 1.0)
 SIXTH = 1.0 / 6.0
@@ -98,7 +102,7 @@ def test_witness_ratio_beats_one_sixth():
 def test_witness_ratio_matches_mpmath():
     # mpmath at 50 digits on x^3.5 - c x^4, c = float(35/48), whose mean is
     # 1/4.5 - c/5; the exact witness gives ...839, 2e-16 relative below
-    assert witness_ratio() == pytest.approx(0.18127975106853843, rel=1e-13)
+    assert witness_ratio() == pytest.approx(0.18127975106853843, rel=1e-15, abs=0)
 
 
 def test_witness_ratio_samples_no_jets(monkeypatch):
@@ -124,6 +128,17 @@ def test_smoothed_tent_ratio_values():
         assert smoothed_tent_ratio(eps) == pytest.approx(target, rel=1e-9), eps
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.01, 1e-4])
+def test_smoothed_tent_ratio_matches_mpmath(eps):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        f = lambda t: mpmath.sqrt((t - mpmath.mpf(0.5)) ** 2 + e * e)
+        mean = mpmath.quad(f, [0, 0.5, 1])
+        want = (mean - f(0.5)) / (f(0) + f(1) - 2 * f(0.5))
+    assert smoothed_tent_ratio(eps) == pytest.approx(float(want), rel=1e-15, abs=0)
+
+
 def test_smoothed_tent_ratio_increases_toward_quarter():
     values = [smoothed_tent_ratio(eps) for eps in (0.1, 0.05, 0.01, 0.0001)]
     assert all(v1 < v2 for v1, v2 in zip(values, values[1:]))
@@ -135,6 +150,63 @@ def test_smoothed_tent_rejects_bad_eps():
     for eps in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             smoothed_tent_ratio(eps)
+
+
+# --- closed-form family means -----------------------------------------------------
+
+
+def _mp_arithmetic(mpmath):
+    """The operations of the family trees in mpmath, for their means at high precision."""
+    mpf = mpmath.mpf
+    return {
+        "const": mpf,
+        "head": float,
+        "+": operator.add,
+        "-": operator.sub,
+        "*": operator.mul,
+        "/": operator.truediv,
+        "^": lambda base, r: base ** mpf(r),
+        "hyp": lambda u, softness: mpmath.sqrt(u * u + mpf(softness) ** 2),
+    }
+
+
+# The ends of each box, and members where the power-combo mean cancels: on
+# the convex edge toward (4, 1), and at (4, 1) itself, where f = 0.
+FAMILY_MEMBERS = {
+    "power": [(1.01,), (math.nextafter(1.01, 2.0),), (20.0,), (math.nextafter(20.0, 0.0),)],
+    "power-combo": [
+        (1.01, 0.0), (6.0, 2.0), (3.5, 35.0 / 48.0), (3.99, 0.99), (4.0, 0.999), (4.0, 1.0)
+    ],
+    "smoothed-tent": [(1e-4,), (1.0,), (0.5,)],
+}
+
+# What a mean's rounding is relative to: the sum of its terms' magnitudes.  The
+# terms of power and smoothed-tent are positive, so for them it is the mean.
+TERM_SCALE = {
+    "power": lambda params: 1.0 / (params[0] + 1.0),
+    "power-combo": lambda params: 1.0 / (params[0] + 1.0) + abs(params[1]) / 5.0,
+    "smoothed-tent": lambda params: search.FAMILIES["smoothed-tent"]["mean"](params),
+}
+
+
+@pytest.mark.parametrize("family", sorted(search.FAMILIES))
+def test_each_family_mean_is_the_mean_of_its_tree(family):
+    # the built tree is the member's definition; the search reads the row's
+    # closed form instead of integrating it
+    mpmath = pytest.importorskip("mpmath")
+    spec = search.FAMILIES[family]
+    rng = random.Random(17)
+    members = FAMILY_MEMBERS[family] + [
+        tuple(rng.uniform(lo, hi) for lo, hi in spec["box"]) for _ in range(12)
+    ]
+    arithmetic = _mp_arithmetic(mpmath)
+    for params in members:
+        node = spec["build"](params)
+        with mpmath.workdps(40):
+            want = mpmath.quad(lambda t: evaluate(node, t, arithmetic), [0, 0.5, 1])
+        got = spec["mean"](params)
+        assert abs(got - want) <= 1e-15 * TERM_SCALE[family](params), params
+        assert abs(got - integrate_mean(node, UNIT, 1e-10).value) <= 1e-10, params
 
 
 # --- budgeted search ------------------------------------------------------------------
@@ -165,24 +237,52 @@ def test_search_scores_only_points_inside_the_box(monkeypatch, family, sign):
     assert all(lo <= v <= hi for params in seen for v, (lo, hi) in zip(params, box))
 
 
+# f'' = x^(p-2) (p(p-1) - 12c x^(4-p)): this pair passes the float test
+# p*(p-1) >= 12*c but not the exact one, so f''(1) < 0; past p = 4 any
+# c > 0 makes f'' < 0 near x = 0
+FLOAT_EDGE = (1.4117490898960796, 0.04844053357719413)
+NOT_CONVEX = (FLOAT_EDGE, (4.0 + 1e-9, 1e-6), (6.0, 2.0))
+# the edge itself, and c = 0 at any p, are convex
+CONVEX = ((4.0, 1.0), (3.0, 0.5), (6.0, 0.0))
+
+
 def test_a_candidate_that_fails_the_convexity_gate_scores_minus_inf(monkeypatch):
-    # f'' = x^(p-2) (p(p-1) - 12c x^(4-p)): this pair passes the float test
-    # p*(p-1) >= 12*c but not the exact one, so f''(1) < 0; past p = 4 any
-    # c > 0 makes f'' < 0 near x = 0.  Neither is scored
-    edge = (1.4117490898960796, 0.04844053357719413)
-    p, c = edge
+    p, c = FLOAT_EDGE
     assert p * (p - 1) >= 12 * c
     assert Fraction(p) * (Fraction(p) - 1) < 12 * Fraction(c)
 
-    def no_ratio(*args):
-        raise AssertionError("f_ratio called on a candidate outside the convex region")
+    def not_scored(*args):
+        raise AssertionError("a candidate outside the convex region was evaluated")
 
-    monkeypatch.setattr(search, "f_ratio", no_ratio)
     spec = search.FAMILIES["power-combo"]
-    for params in (edge, (4.0 + 1e-9, 1e-6), (6.0, 2.0)):
+    monkeypatch.setattr(search, "eval_value", not_scored)
+    monkeypatch.setitem(spec, "mean", not_scored)
+    for params in NOT_CONVEX:
         assert search._candidate_ratio(spec, params) == -math.inf, params
-    # the edge itself, and c = 0 at any p, are convex
-    assert all(spec["convex"](params) for params in ((4.0, 1.0), (3.0, 0.5), (6.0, 0.0)))
+    assert all(spec["convex"](params) for params in CONVEX)
+
+
+def _fraction_convex(params):
+    p, c = map(Fraction, params)
+    return c <= 0 or (p <= 4 and 12 * c <= p * (p - 1))
+
+
+def test_the_integer_convexity_gate_is_the_fraction_predicate():
+    # half the draws lie within one ulp of the edge c = p(p-1)/12, a tenth of
+    # those at p = 4 +- 1 ulp, where only exact arithmetic decides
+    rng = random.Random(20)
+    spread, edge = [], []
+    for _ in range(50_000):
+        spread.append((rng.uniform(0.5, 6.5), rng.uniform(-0.5, 2.5)))
+        p = rng.uniform(1.01, 4.0) if rng.random() < 0.9 else math.nextafter(4.0, rng.random() * 8)
+        c = p * (p - 1) / 12
+        edge.append((p, rng.choice((math.nextafter(c, 0.0), c, math.nextafter(c, 1.0)))))
+    gate = search.FAMILIES["power-combo"]["convex"]
+    draws = [*NOT_CONVEX, *CONVEX, *spread, *edge]
+    assert [params for params in draws if gate(params) != _fraction_convex(params)] == []
+    # the edge draws reach both verdicts, and the float test gets some of them wrong
+    assert 0 < sum(map(gate, edge)) < len(edge)
+    assert any(gate((p, c)) != (p * (p - 1) >= 12 * c) for p, c in edge)
 
 
 def test_power_combo_witnesses_are_convex_and_below_the_supremum():
@@ -221,7 +321,7 @@ def test_search_power_family_finds_interior_max():
     # closed-form optimum of ((p+1)^-1 - 2^-p) / (1 - 2^(1-p))
     res = best_constant_search("power", 400, 7)
     assert res.family == "power"
-    assert res.best_ratio == pytest.approx(0.16853045021827737, abs=1e-6)
+    assert res.best_ratio == pytest.approx(0.16853045021827737, rel=1e-15, abs=0)
     assert res.witness[0] == pytest.approx(2.4583478459793569, abs=1e-3)
     assert res.evaluations <= 400
     assert res.seed == 7
