@@ -37,6 +37,7 @@ __all__ = [
     "bisected_trapezoid_defect",
     "simpson_one_sided_bound",
     "simpson_defect_bound",
+    "defect_verdict",
     "symmetric_point_triple",
     "bisected_trapezoid_identity_residual",
     "simpson_identity_residual",
@@ -302,13 +303,13 @@ def bisected_trapezoid_defect(
 def simpson_one_sided_bound(
     f: Node | str, iv: Interval, prof: ConvexityProfile | None = None
 ) -> OneSidedBound:
-    """Simpson value as a certified one-sided bound on the mean.
+    """Simpson value as a certified one-sided bound on the mean: the simpson row's S end.
 
     Upper bound when f'' is convex, lower bound when f'' is concave.
     """
-    node = as_node(f)
-    shape = _f2_shape(node, iv, prof)
-    return OneSidedBound(simpson_value(node, iv), shape == "convex")
+    panel = _one_panel(f, iv, prof, True)
+    convex = panel[-1] == "convex"
+    return OneSidedBound(RULES["simpson"](*panel)[1 if convex else 0], convex)
 
 
 def simpson_defect_bound(
@@ -329,23 +330,30 @@ def mean_enclosure_via_defect(
     return rule_enclosure("theorem2", f, iv, prof)
 
 
-# Theorem (the CLI's --theorem) -> (citations, defect(node, iv, prof, mean)),
-# which returns the sandwich and the defect that must lie inside it.  Theorem
-# 4's defect is oriented: mean - simpson_value when f'' is concave.  Rows look
-# up the bound functions when they run, so wrappers on module names see them.
+def defect_verdict(encl: Enclosure, v: float, mean: float, sign: float = 1.0) -> tuple:
+    """(encl, the defect sign*(v - mean), whether encl holds it) for a panel value v and the
+    oracle's mean: `Enclosure.holds` to 1e-9, ten times its default tol, of |v| + |mean|."""
+    observed = (v - mean) * sign
+    return encl, observed, encl.holds(observed, abs(v) + abs(mean), 1e-9)
+
+
+# Theorem (the CLI's --theorem) -> (citations, defect(node, iv, prof, mean)) giving the
+# `defect_verdict` on the sandwich; theorem 4's is mean - simpson_value when f'' is concave.
+# Rows look up the bound functions when they run, so wrappers on module names see them.
 DEFECTS = {
     2: (
         ("bisected-trapezoid", "defect-sandwich"),
-        lambda node, iv, prof, mean: (
-            bisected_trapezoid_defect(node, iv, prof),
-            bisected_trapezoid(node, iv) - mean,
+        lambda node, iv, prof, mean: defect_verdict(
+            bisected_trapezoid_defect(node, iv, prof), bisected_trapezoid(node, iv), mean
         ),
     ),
     4: (
         ("simpson-defect",),
-        lambda node, iv, prof, mean: (
+        lambda node, iv, prof, mean: defect_verdict(
             simpson_defect_bound(node, iv, prof),
-            (simpson_value(node, iv) - mean) * (-1.0 if prof.f2_shape == "concave" else 1.0),
+            simpson_value(node, iv),
+            mean,
+            -1.0 if prof.f2_shape == "concave" else 1.0,
         ),
     ),
 }

@@ -20,12 +20,10 @@ from typing import Any
 from . import bounds
 from .core import BudgetError, DomainError, Interval, ParseError
 from .expr import parse
-from .means import BRACKETS, all_means, contains_target
+from .means import BRACKETS, all_means
 from .quadrature import integrate_mean
 from .search import SearchError, best_constant_search, f_ratio
 from .verify import SUITE_NAMES, run_suite
-
-_CONTAIN_SLACK = 1e-9
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -61,10 +59,8 @@ def _run_defect(args) -> tuple[dict[str, Any], list[str], str]:
     node = parse(args.f)
     iv = Interval(args.a, args.b)
     prof = bounds.convexity_profile(node, iv).certified_convex()
-    mean = integrate_mean(node, iv, 1e-10).value
     citations, defect = bounds.DEFECTS[args.theorem]
-    encl, observed = defect(node, iv, prof, mean)
-    contained = encl.contains(observed, slack=_CONTAIN_SLACK * (1.0 + abs(observed)))
+    encl, observed, contained = defect(node, iv, prof, integrate_mean(node, iv).value)
     outputs = {
         "theorem": args.theorem,
         "lower": encl.lower,
@@ -86,7 +82,7 @@ def _run_means(args) -> tuple[dict[str, Any], list[str], str]:
         citation, bracket = BRACKETS[args.enclose]
         encl, target = bracket(args.a, args.b, ms, args.printed_constant)
         citations.append(citation)
-        contained = contains_target(encl, target)
+        contained = encl.holds(target, abs(target))
         outputs.update(
             {
                 "enclose": args.enclose,

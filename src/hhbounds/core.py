@@ -71,6 +71,10 @@ class Enclosure:
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= value <= self.upper + slack
 
+    def holds(self, value: float, magnitude: float, tol: float = 0.0) -> bool:
+        """The one containment rule: to tol + 1e-13 * the size of the terms value came from."""
+        return self.contains(value, tol + 1e-13 * magnitude)
+
 
 @dataclass(frozen=True)
 class WeightPair:

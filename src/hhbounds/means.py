@@ -27,7 +27,6 @@ __all__ = [
     "reciprocal_log_mean_defect",
     "identric_enclosure",
     "identric_of_squares_enclosure",
-    "contains_target",
 ]
 
 _SERIES_GAP = 1e-6
@@ -270,13 +269,9 @@ def _identric_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[E
     return Enclosure(encl.lower, min(encl.upper, ms.arithmetic)), ms.identric
 
 
-def contains_target(encl: Enclosure, target: float) -> bool:
-    """encl holds a BRACKETS target to 1e-13 |target|, a slack below a vanishing target."""
-    return encl.contains(target, slack=1e-13 * abs(target))
-
-
 # Bracket kind -> (citation, fn(a, b, all_means(a, b), printed_constant)
-# returning the bracket and the value it must contain).  The rows look
+# returning the bracket and the value it must contain, by `Enclosure.holds`
+# with magnitude |target|, a slack below a vanishing target).  The rows look
 # the bracket functions up when called, so wrappers installed on this
 # module's names (bench/spans.py) see every call.
 BRACKETS = {

@@ -41,9 +41,6 @@ __all__ = [
     "FAMILIES",
 ]
 
-# Tolerance of f_ratio's oracle mean; the search families use their closed forms.
-_RATIO_TOL = 1e-10
-
 
 class SearchError(RuntimeError):
     """No feasible candidate found within the given budget."""
@@ -94,7 +91,7 @@ def f_ratio(f: Node | str, iv: Interval) -> RatioReport:
     fa = eval_value(node, iv.a)
     fm = eval_value(node, iv.mid)
     fb = eval_value(node, iv.b)
-    return RatioReport.of(fa, fm, fb, integrate_mean(node, iv, _RATIO_TOL).value)
+    return RatioReport.of(fa, fm, fb, integrate_mean(node, iv).value)
 
 
 def ratio_limit_scan(f: Node | str, a: float, h_list: list[float]) -> list[RatioReport]:

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import bounds
-from .core import Interval, WeightPair
+from .core import Enclosure, Interval, WeightPair
 from .expr import BinOp, Const, Hyp, Node, Pow, Unary, Var, eval_value, parse, to_source
 from .jets import eval_jet
 from .means import (
     BRACKETS,
     all_means,
-    contains_target,
     identric_enclosure,
     log_mean_enclosure,
     reciprocal_log_mean_defect,
@@ -81,7 +80,7 @@ class _Context:
     def mean(self, i: int) -> float:
         if i not in self._means:
             c = self.cases[i]
-            self._means[i] = integrate_mean(c.node, c.iv, 1e-10).value
+            self._means[i] = integrate_mean(c.node, c.iv).value
         return self._means[i]
 
     @cached_property
@@ -296,8 +295,8 @@ def _defect_prop(theorem: int, what: str, outside: str):
     def prop(rng, ctx):
         _, defect = bounds.DEFECTS[theorem]
         for i, case, prof in ctx.shaped:
-            encl, observed = defect(case.node, case.iv, prof, ctx.mean(i))
-            if not encl.contains(observed, slack=1e-9):
+            _, observed, contained = defect(case.node, case.iv, prof, ctx.mean(i))
+            if not contained:
                 return False, f"{what} {observed:.9g} outside {outside} for {_fmt(case)}"
         return _ok(len(ctx.shaped))
 
@@ -306,10 +305,10 @@ def _defect_prop(theorem: int, what: str, outside: str):
 
 def _prop_simpson_direction(rng, ctx):
     for i, case, prof in ctx.shaped:
-        one_sided = bounds.simpson_one_sided_bound(case.node, case.iv, prof)
-        mean = ctx.mean(i)
-        ok = mean <= one_sided.value + 1e-9 if one_sided.is_upper else mean >= one_sided.value - 1e-9
-        if not ok:
+        s = bounds.simpson_one_sided_bound(case.node, case.iv, prof)
+        # S - mean >= 0 for an upper bound S, mean - S >= 0 for a lower one
+        sign = 1.0 if s.is_upper else -1.0
+        if not bounds.defect_verdict(Enclosure(0.0, math.inf), s.value, ctx.mean(i), sign)[2]:
             return False, f"one-sided direction wrong for {_fmt(case)}"
     return _ok(len(ctx.shaped))
 
@@ -317,7 +316,8 @@ def _prop_simpson_direction(rng, ctx):
 def _prop_simpson_error_bound(rng, ctx):
     for i, case in enumerate(ctx.cases):
         est = bounds.simpson_estimate(case.node, case.iv)
-        if abs(est.value - ctx.mean(i)) > est.err_bound + 1e-9:
+        err = Enclosure(-est.err_bound, est.err_bound)
+        if not bounds.defect_verdict(err, est.value, ctx.mean(i))[2]:
             return False, f"error exceeds bound for {_fmt(case)}"
     return _ok(len(ctx.cases))
 
@@ -398,7 +398,7 @@ def _bracket_prop(kind: str):
         for _ in range(ctx.bracket_trials):
             a, b = _rand_pair(rng)
             encl, target = bracket(a, b, all_means(a, b), ctx.printed_constant)
-            if not contains_target(encl, target):
+            if not encl.holds(target, abs(target)):
                 return False, f"target {target:.9g} escaped [{encl.lower:.9g}, {encl.upper:.9g}] at ({a:.9g}, {b:.9g})"
         return _ok(ctx.bracket_trials)
 

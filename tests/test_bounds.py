@@ -66,6 +66,18 @@ def test_enclosure_validation_and_contains():
     assert e.width == 1.0
 
 
+def test_the_containment_rule_scales_with_the_terms_not_the_value():
+    e = Enclosure(0.0, 0.0)
+    # 1e-13 of terms near 1e10 is 1e-3, whatever the size of the value itself
+    assert e.holds(9e-4, 1e10) and e.holds(-9e-4, 1e10)
+    assert not e.holds(2e-3, 1e10)
+    assert not e.holds(1e-4, 1e-4)
+    assert e.holds(1e-9, 0.0, tol=1e-9) and not e.holds(2e-9, 0.0, tol=1e-9)
+    # a defect against the oracle's mean holds to 1e-9 plus 1e-13 (|v| + |mean|)
+    assert bounds.defect_verdict(e, 1e12 + 0.0625, 1e12, -1.0) == (e, -0.0625, True)
+    assert bounds.defect_verdict(e, 1.0 + 2e-9, 1.0)[2] is False
+
+
 def test_weight_pair_normalization():
     with pytest.raises(ValueError):
         WeightPair(0.3, 0.5)
@@ -340,6 +352,18 @@ def test_simpson_one_sided_concave_flips():
     assert got.value <= 1.0 / 3.5
 
 
+@pytest.mark.parametrize(
+    "src, shape",
+    [("hyp(x - 0.3, 1e-9)", "convex"), ("x^2 - 0.5*hyp(x - 0.50609, 0.00001)", "concave")],
+)
+def test_simpson_one_sided_refuses_panel_values_that_contradict_the_sampled_shape(src, shape):
+    # f'' mass between the profile's samples: the bound read 0.3 where the mean
+    # is 0.29, and a lower bound 0.24797 where the mean is 0.20831
+    message = rf"^panel values on \[0.0, 1.0\] contradict the sampled f'' shape \({shape}\)$"
+    with pytest.raises(ValueError, match=message):
+        simpson_one_sided_bound(parse(src), UNIT)
+
+
 def test_simpson_cubic_equality():
     got = simpson_one_sided_bound(parse("x^3"), UNIT)
     assert got.value == pytest.approx(0.25, abs=1e-15)
@@ -484,11 +508,12 @@ def test_defect_rows_match_the_recorded_cli_runs(theorem, f, a, b, suffix):
     recorded = json.loads((GOLDEN / f"defect-theorem{theorem}{suffix}.json.out").read_text())
     node, iv = parse(f), Interval(a, b)
     prof = convexity_profile(node, iv, 129)
-    mean = integrate_mean(node, iv, 1e-10).value
+    mean = integrate_mean(node, iv).value
     citations, defect = bounds.DEFECTS[theorem]
-    encl, observed = defect(node, iv, prof, mean)
+    encl, observed, contained = defect(node, iv, prof, mean)
     out = recorded["outputs"]
-    assert (encl.lower, encl.upper, observed) == (out["lower"], out["upper"], out["observed"])
+    got = (encl.lower, encl.upper, observed, contained)
+    assert got == (out["lower"], out["upper"], out["observed"], out["contained"])
     assert list(citations) == recorded["citations"]
     assert encl.lower <= observed <= encl.upper
 

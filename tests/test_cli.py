@@ -125,6 +125,19 @@ def test_defect_simpson():
     assert out["observed"] == pytest.approx(0.0005793, abs=1e-7)
 
 
+@pytest.mark.parametrize("theorem", [2, 4])
+@pytest.mark.parametrize("c", ["1e7", "1e12"])
+def test_defect_of_a_quadratic_on_a_large_constant_is_contained(c, theorem, capsys):
+    # both theorems hold exactly for a quadratic; the observed defect is off by
+    # the oracle mean's rounding, which scales with c (an ulp of 1e12 is 1.2e-4),
+    # not with the defect: a slack of 1e-9 (1 + |observed|) read "violated"
+    argv = ["--json", "defect", f"--f={c} + x^2", "--a=0", "--b=1", f"--theorem={theorem}"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["outputs"]["contained"] is True
+    assert err == ""
+
+
 # --- means -------------------------------------------------------------------
 
 

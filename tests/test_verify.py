@@ -67,6 +67,23 @@ def test_unknown_suite_rejected():
         run_suite("everything", samples=10, seed=1)
 
 
+def test_defect_sandwich_fails_with_a_wrong_mid_side_constant(monkeypatch):
+    # theorem 2's mid side len^2/48 f''(mid) read as len^2/40 f''(mid): the
+    # containment rule's slack must not hide a wrong constant
+    sandwich = bounds._sandwich
+
+    def mid_side_over_40(*panel):
+        lo, hi = sandwich(*panel)
+        return (lo * 48.0 / 40.0, hi) if panel[-1] == "convex" else (lo, hi * 48.0 / 40.0)
+
+    monkeypatch.setattr(bounds, "_sandwich", mid_side_over_40)
+    props = [p for p in verify.SUITES["inequalities"] if p[0] == "defect-sandwich"]
+    monkeypatch.setitem(verify.SUITES, "inequalities", props)
+    [result] = run_suite("inequalities", samples=200, seed=1)
+    assert (result.name, result.passed) == ("inequalities:defect-sandwich", False)
+    assert result.detail.startswith("defect ") and " outside sandwich for " in result.detail
+
+
 # --- fault injection ------------------------------------------------------------
 
 
@@ -85,8 +102,8 @@ def _each_call(values):
 
 
 _AT_1_OVER_X = "for 1/x on [2.60449705, 4.53621212]"
-_MEAN_IS_B = lambda: lambda node, iv, tol: QuadResult(iv.b, 0.0, 0)
-_DEFECT_OUTSIDE = ("x", lambda *args: (Enclosure(0.0, 0.0), 1.0))
+_MEAN_IS_B = lambda: lambda node, iv, tol=1e-10: QuadResult(iv.b, 0.0, 0)
+_DEFECT_OUTSIDE = ("x", lambda *args: (Enclosure(0.0, 0.0), 1.0, False))
 
 # (property, module, name, make, detail): with make() in place of module.name,
 # the property run alone at samples=3, seed=1 fails with this detail.
