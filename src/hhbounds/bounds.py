@@ -6,17 +6,19 @@ classic [f(mid), endpoint average] and n14 [f(mid), bisected trapezoid]
 for convex f, theorem 2's defect sandwich and theorem 4's Simpson bracket
 where f'' is convex or concave.  The public bounds, the CLI's methods and
 the adaptive refinement all call the rows, after one check of the panel's
-values (`_panel`).  Two exact integral identities express the defects
-against a kernel in a normalized variable; the residual checks here
-confirm them numerically via the independent integrator.
+values (`_panel`).  Two exact integral identities, the rows of
+`IDENTITIES`, express the defects against a kernel in a normalized
+variable; the residual checks here confirm them numerically via the
+independent integrator, and the two checks of one (f, iv, tol) share one
+oracle mean and one f'' pair per kernel node.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
 from .expr import Node, as_node, eval_value, used_names
@@ -25,6 +27,7 @@ from .quadrature import integrate_mean, integrate_mean_fn
 
 __all__ = [
     "DEFECTS",
+    "IDENTITIES",
     "RULES",
     "ConvexityProfile",
     "OneSidedBound",
@@ -61,21 +64,26 @@ class ConvexityProfile:
     always "indeterminate" for a tree that calls abs, whose f'' has a point
     mass at each kink that jets read as 0.  Classification is evidence from n Chebyshev
     samples, not proof; operations requiring a determinate shape fail
-    loudly otherwise.
+    loudly otherwise.  worst is (x, f''(x)) at the first sample whose f''
+    is not finite or, if all are, at the smallest f''.
     """
 
     f_convex: str
     f2_shape: str
     min_f2: float
     samples: int
+    worst: tuple[float, float]
 
     def certified_convex(self) -> ConvexityProfile:
-        """This profile if f is certified convex; ValueError otherwise.
+        """This profile if f is certified convex; ValueError naming the worst sample otherwise.
 
         The one refusal of the hypothesis every bound here rests on.
         """
         if self.f_convex != "yes":
-            raise ValueError(f"integrand is not certified convex ({self.f_convex})")
+            x, d2 = self.worst
+            raise ValueError(
+                f"integrand is not certified convex ({self.f_convex}: f'' = {d2!r} at x = {x!r})"
+            )
         return self
 
 
@@ -158,8 +166,8 @@ def _point(node: Node, x: float, shape: str | None) -> tuple[float, float]:
     """f(x) and f''(x): one order-2 jet under a shape, one value and 0.0 without."""
     if shape is None:
         return eval_value(node, x), 0.0
-    d = eval_jet(node, x, order=2).derivatives
-    return d[0], d[2]
+    c = eval_jet(node, x, order=2).coefficients
+    return c[0], c[2] * 2.0
 
 
 def _one_panel(f: Node | str, iv: Interval, prof: ConvexityProfile | None, shaped: bool) -> tuple:
@@ -256,8 +264,9 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
     if n < 33:
         raise ValueError(f"need at least 33 sample points, got {n}")
     node = as_node(f)
-    ds = [eval_jet(node, x).derivatives for x in _chebyshev_nodes(iv, n)]
-    d2s = [d[2] for d in ds]
+    xs = _chebyshev_nodes(iv, n)
+    cs = [eval_jet(node, x).coefficients for x in xs]
+    d2s = [c[2] * 2.0 for c in cs]
 
     def classify(vals: list[float], pos: str, neg: str) -> str:
         if not all(math.isfinite(v) for v in vals):
@@ -272,10 +281,12 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
     f_convex = classify(d2s, "yes", "no")
     f2_shape = "indeterminate"
     if "abs" not in used_names(node):
-        f2_shape = classify([d[4] for d in ds], "convex", "concave")
+        f2_shape = classify([c[4] * 24.0 for c in cs], "convex", "concave")
     finite_d2 = [v for v in d2s if math.isfinite(v)]
     min_f2 = min(finite_d2) if finite_d2 else math.nan
-    return ConvexityProfile(f_convex, f2_shape, min_f2, n)
+    bad = [k for k, v in enumerate(d2s) if not math.isfinite(v)]
+    k = bad[0] if bad else d2s.index(min_f2)
+    return ConvexityProfile(f_convex, f2_shape, min_f2, n, (xs[k], d2s[k]))
 
 
 def _f2_shape(node: Node, iv: Interval, prof: ConvexityProfile | None) -> str:
@@ -383,19 +394,45 @@ def symmetric_point_triple(h: Node | str, iv: Interval, t: float) -> tuple[float
 
 # --- exact defect identities -------------------------------------------------
 
+# Identity -> (value(node, iv), weight(t), scale): value - mean equals len^2/scale times
+# the integral over t in [0, 1] of weight(t)*(f''(x_t) + f''(y_t)), the pair of
+# `symmetric_point_triple`.  Rows look up the panel values when they run, so wrappers
+# on module names see them.
+IDENTITIES = {
+    "bisected-trapezoid": (
+        lambda node, iv: bisected_trapezoid(node, iv), lambda t: t * (1.0 - t), 16.0
+    ),
+    "simpson": (lambda node, iv: simpson_value(node, iv), lambda t: t * (2.0 - 3.0 * t), 48.0),
+}
 
-def _identity_residual(
-    f: Node | str, iv: Interval, tol: float, value: Callable, weight: Callable, scale: float
-) -> IdentityCheck:
-    """value - mean against len^2/scale * integral of weight(t)*(f''(x_t)+f''(y_t))."""
+
+@functools.lru_cache(maxsize=1)
+def _identity_data(node: Node, iv: Interval, tol: float) -> tuple[float, dict]:
+    """The oracle mean and {t: f''(x_t) + f''(y_t)} that both identities read.
+
+    Kept for the last (node, iv, tol), so the second identity of a pair makes
+    no new mean and evaluates only the kernel nodes the first did not.
+    """
+    return integrate_mean(node, iv, tol).value, {}
+
+
+def _identity_check(row: str, f: Node | str, iv: Interval, tol: float) -> IdentityCheck:
+    """IDENTITIES[row]: value - mean against its kernel integral."""
     node = as_node(f)
-    lhs = value(node, iv) - integrate_mean(node, iv, tol).value
+    value, weight, scale = IDENTITIES[row]
+    v = value(node, iv)
+    mean, pairs = _identity_data(node, iv, tol)
+    lhs = v - mean
 
     def kernel(t: float) -> float:
-        x, y = _symmetric_pair(iv, t)
-        d2x = eval_jet(node, x, order=2).derivatives[2]
-        d2y = eval_jet(node, y, order=2).derivatives[2]
-        return weight(t) * (d2x + d2y)
+        pair = pairs.get(t)
+        if pair is None:
+            x, y = _symmetric_pair(iv, t)
+            pair = pairs[t] = (
+                eval_jet(node, x, order=2).coefficients[2] * 2.0
+                + eval_jet(node, y, order=2).coefficients[2] * 2.0
+            )
+        return weight(t) * pair
 
     rhs = iv.length ** 2 / scale * integrate_mean_fn(kernel, Interval(0.0, 1.0), tol).value
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
@@ -409,8 +446,10 @@ def bisected_trapezoid_identity_residual(
     The kernel is t(1-t)*(f''(x_t)+f''(y_t)) over t in [0,1], with the
     symmetric substitution of symmetric_point_triple.  Both sides use
     the independent integrator; residual should vanish to tolerance.
+    It shares its oracle mean and its f'' pairs with
+    `simpson_identity_residual` on the same (f, iv, tol).
     """
-    return _identity_residual(f, iv, tol, bisected_trapezoid, lambda t: t * (1.0 - t), 16.0)
+    return _identity_check("bisected-trapezoid", f, iv, tol)
 
 
 def simpson_identity_residual(f: Node | str, iv: Interval, tol: float = 1e-11) -> IdentityCheck:
@@ -418,9 +457,10 @@ def simpson_identity_residual(f: Node | str, iv: Interval, tol: float = 1e-11) -
 
     Same substitution with kernel t(2-3t)*(f''(x_t)+f''(y_t)); the
     kernel changes sign, which is what makes the Simpson defect
-    second-order small.
+    second-order small.  Shares its mean and f'' pairs as the
+    bisected-trapezoid identity does.
     """
-    return _identity_residual(f, iv, tol, simpson_value, lambda t: t * (2.0 - 3.0 * t), 48.0)
+    return _identity_check("simpson", f, iv, tol)
 
 
 # --- Simpson estimate with fourth-derivative error bound ----------------------
@@ -440,7 +480,7 @@ def simpson_estimate(f: Node | str, iv: Interval) -> SimpsonEstimate:
     node = as_node(f)
     m4 = 0.0
     for x in _chebyshev_nodes(iv, _SIMPSON_N) + [iv.a, iv.b]:
-        m4 = max(m4, abs(eval_jet(node, x).derivatives[4]))
+        m4 = max(m4, abs(eval_jet(node, x).coefficients[4] * 24.0))
     h = 0.5 * iv.length
     err_bound = h ** 5 * m4 / (90.0 * iv.length)
     return SimpsonEstimate(simpson_value(node, iv), err_bound)

@@ -12,16 +12,25 @@ at order 4 and cut down by the first operation that meets a shorter jet.
 Composition uses truncated polynomial arithmetic in w = u - u(x0), which
 is exact through degree d because w has no constant term.
 
-Products and compositions are truncated Taylor arithmetic (Griewank and
-Walther, Evaluating Derivatives, 2008).  Their loops, `_mul_loop` and
-`_compose_loop`, spend most of their time on interpreter overhead, so
-`_mul` and `_compose` spell out the two lengths that occur, 3 and 5
-coefficients, as straight-line sums.  Each output coefficient starts from
-0.0 and adds its terms in the loop's order, so every bit matches the
-loop, the sign of zero included.  The loops skip a term whose left factor
-is zero; that changes a result only when the right operand holds an inf
-or a NaN (0*inf is NaN), so the straight-line sums run only when that
-operand's coefficients sum to a finite value, and the loops take the rest.
+Products, quotients and compositions are truncated Taylor arithmetic
+(Griewank and Walther, Evaluating Derivatives, 2008).  Loops spend most
+of their time on interpreter overhead, so four kernels spell out the two
+lengths that occur, 3 and 5 coefficients, as straight-line code, each
+beside its reference loop: `_mul` (`_mul_loop`), `_div` (`_div_loop`),
+`_compose` (`_compose_loop`) and `_pow_table` (`_pow_table_loop`), the
+derivative table of a non-integer power.  Each performs its loop's
+operations in the loop's order, so every bit matches the loop, the sign
+of zero included: a product coefficient starts from 0.0 and adds its
+terms; a quotient coefficient starts from a[k], subtracts b[j]*out[k-j]
+for j = 1..k and divides by b[0]; a table entry is the falling factorial
+1.0*r*(r-1)*... times u0**(r-k).  The product and composition loops skip
+a term whose left factor is zero; that changes a result only when the
+right operand holds an inf or a NaN (0*inf is NaN), so those straight-line
+sums run only when that operand's coefficients sum to a finite value, and
+the loops take the rest.  The quotient and table loops skip nothing, so
+their straight-line forms run unguarded.  A caller that needs one
+derivative reads `Jet4.coefficients` and scales that entry by k!, the
+product `Jet4.derivatives` forms for all of them.
 
 One case reads past the order it returns: a non-integer power of a base
 that vanishes at the point with a vanishing first coefficient, whose
@@ -130,6 +139,25 @@ def _mul_loop(a: Coeffs, b: Coeffs) -> Coeffs:
 def _div(a: Coeffs, b: Coeffs) -> Coeffs:
     # b[0] != 0: `evaluate` tests every divisor, `_pow_int` every reciprocal
     n = min(len(a), len(b))
+    if n == 5:
+        a0, a1, a2, a3, a4 = a
+        b0, b1, b2, b3, b4 = b
+        q0 = a0 / b0
+        q1 = (a1 - b1 * q0) / b0
+        q2 = (a2 - b1 * q1 - b2 * q0) / b0
+        q3 = (a3 - b1 * q2 - b2 * q1 - b3 * q0) / b0
+        return (q0, q1, q2, q3, (a4 - b1 * q3 - b2 * q2 - b3 * q1 - b4 * q0) / b0)
+    if n == 3:
+        b0, b1, b2 = b[0], b[1], b[2]
+        q0 = a[0] / b0
+        q1 = (a[1] - b1 * q0) / b0
+        return (q0, q1, (a[2] - b1 * q1 - b2 * q0) / b0)
+    return _div_loop(a, b)
+
+
+def _div_loop(a: Coeffs, b: Coeffs) -> Coeffs:
+    """`_div` at any length: out[k] = (a[k] - sum of b[j]*out[k-j], j = 1..k) / b[0]."""
+    n = min(len(a), len(b))
     out = [0.0] * n
     for k in range(n):
         acc = a[k]
@@ -202,11 +230,34 @@ def _falling(r: float, k: int) -> float:
     return out
 
 
+def _pow_table(u0: float, r: float, n: int) -> Coeffs:
+    """The first n derivatives of t^r at u0: falling(r, k) * u0^(r - k)."""
+    if n == 5:
+        f1 = 1.0 * r
+        f2 = f1 * (r - 1)
+        f3 = f2 * (r - 2)
+        f4 = f3 * (r - 3)
+        return (
+            1.0 * u0 ** r,
+            f1 * u0 ** (r - 1),
+            f2 * u0 ** (r - 2),
+            f3 * u0 ** (r - 3),
+            f4 * u0 ** (r - 4),
+        )
+    if n == 3:
+        f1 = 1.0 * r
+        return (1.0 * u0 ** r, f1 * u0 ** (r - 1), f1 * (r - 1) * u0 ** (r - 2))
+    return _pow_table_loop(u0, r, n)
+
+
+def _pow_table_loop(u0: float, r: float, n: int) -> Coeffs:
+    """`_pow_table` at any length."""
+    return tuple(_falling(r, k) * u0 ** (r - k) for k in range(n))
+
+
 def _pow_regular(u: Coeffs, r: float) -> Coeffs:
     """u^r for u[0] > 0 via derivative-table composition."""
-    u0 = u[0]
-    derivs = tuple(_falling(r, k) * u0 ** (r - k) for k in range(len(u)))
-    return _compose(derivs, u)
+    return _compose(_pow_table(u[0], r, len(u)), u)
 
 
 def _pow_int(u: Coeffs, e: int) -> Coeffs:

@@ -60,6 +60,7 @@ class _Context:
         self.mean_trials = max(10 * samples, 100)
         self.bracket_trials = max(samples, 50)
         self._means: dict[int, float] = {}
+        self._identities: dict[int, dict[str, bounds.IdentityCheck]] = {}
 
     @cached_property
     def cases(self) -> list[Case]:
@@ -82,6 +83,19 @@ class _Context:
             c = self.cases[i]
             self._means[i] = integrate_mean(c.node, c.iv).value
         return self._means[i]
+
+    def identities(self, i: int) -> dict[str, bounds.IdentityCheck]:
+        """Both identity checks of case i at tol 1e-9, by function name.
+
+        They run back to back, so the second reuses the first's oracle mean
+        and f'' pairs (`bounds.IDENTITIES`).
+        """
+        if i not in self._identities:
+            c = self.cases[i]
+            self._identities[i] = {
+                name: getattr(bounds, name)(c.node, c.iv, tol=1e-9) for name in _IDENTITY_CHECKS
+            }
+        return self._identities[i]
 
     @cached_property
     def shaped(self) -> list[tuple[int, Case, bounds.ConvexityProfile]]:
@@ -166,10 +180,13 @@ def _prop_oracle_closed_forms(rng, ctx):
     return _ok(100)
 
 
+_IDENTITY_CHECKS = ("bisected_trapezoid_identity_residual", "simpson_identity_residual")
+
+
 def _identity_prop(residual: str):
     def prop(rng, ctx):
-        for case in ctx.cases:
-            check = getattr(bounds, residual)(case.node, case.iv, tol=1e-9)
+        for i, case in enumerate(ctx.cases):
+            check = ctx.identities(i)[residual]
             scale = 1.0 + max(abs(check.lhs), abs(check.rhs))
             if check.residual > 1e-8 * scale:
                 return False, f"residual {check.residual:.3e} for {_fmt(case)}"

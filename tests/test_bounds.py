@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -175,11 +176,33 @@ def test_profile_fractional_power():
 def test_profile_concave_function():
     prof = convexity_profile(parse("sin(x)"), Interval(0.0, 3.14))
     assert prof.f_convex == "no"
+    # f'' = -sin(x) is smallest at the sample nearest pi/2
+    x, d2 = prof.worst
+    assert abs(x - math.pi / 2) < 0.02
+    assert d2 == prof.min_f2 == -math.sin(x)
 
 
 def test_profile_mixed_sign_indeterminate():
     prof = convexity_profile(parse("x^3"), Interval(-1.0, 1.0))
     assert prof.f_convex == "indeterminate"
+
+
+@pytest.mark.parametrize(
+    "src, a, b, verdict, x, d2",
+    [
+        ("-x^2", 0.0, 1.0, "no", 0.9999629323566323, -2.0),
+        ("log(x)", 1.0, 2.0, "no", 1.0000370676433676, -0.9999258688350916),
+        ("x^3", -1.0, 1.0, "indeterminate", -0.9999258647132645, -5.999555188279587),
+        # |x - 0.5|^0.5: f'' is -inf at the sample 0.5 itself, finite at every other
+        ("((x - 0.5)^2)^0.25", 0.0, 1.0, "indeterminate", 0.5, -math.inf),
+    ],
+)
+def test_a_refused_profile_names_its_worst_sample(src, a, b, verdict, x, d2):
+    prof = convexity_profile(parse(src), Interval(a, b))
+    assert prof.worst == (x, d2)
+    message = f"integrand is not certified convex ({verdict}: f'' = {d2!r} at x = {x!r})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        prof.certified_convex()
 
 
 def test_profile_with_an_infinite_f2_sample_is_indeterminate():
@@ -191,6 +214,8 @@ def test_profile_with_an_infinite_f2_sample_is_indeterminate():
     assert prof.f_convex == "indeterminate"
     assert prof.f2_shape == "indeterminate"
     assert 0.0 < prof.min_f2 < math.inf
+    # the refusal names the infinite sample, not the smallest finite one
+    assert prof.worst == (c, math.inf)
 
 
 def test_profile_minimum_sample_count():
@@ -469,6 +494,54 @@ def test_identity_residuals_are_pinned_bit_for_bit(residual, lhs, rhs):
 
 
 
+# (lhs, rhs, residual) of the bisected-trapezoid and Simpson checks at the default
+# tol, recorded when each identity made its own oracle mean and f'' pairs.
+_IDENTITY_BITS = {
+    ("exp(x)", 0.0, 1.0): (
+        ("0x1.2409ece100600p-5", "0x1.2409ece1005fdp-5", "0x1.8000000000000p-56"),
+        ("0x1.2fbb790eb1800p-11", "0x1.2fbb790eb17dap-11", "0x1.3000000000000p-58"),
+    ),
+    ("x^2.5", 0.1, 2.0): (
+        ("0x1.1d4ab4fdf84fcp-2", "0x1.1d4ab4fdf84f5p-2", "0x1.c000000000000p-52"),
+        ("-0x1.38efa6b867700p-8", "-0x1.38efa6b867830p-8", "0x1.3000000000000p-52"),
+    ),
+    ("1/x", 1.0, 2.0): (
+        ("0x1.f19eaec1c2e80p-7", "0x1.f19eaec1c2eddp-7", "0x1.7400000000000p-53"),
+        ("0x1.5411e7d533a00p-10", "0x1.5411e7d533e05p-10", "0x1.0140000000000p-52"),
+    ),
+}
+
+_RESIDUALS = (bisected_trapezoid_identity_residual, simpson_identity_residual)
+
+
+@pytest.mark.parametrize("src, a, b", list(_IDENTITY_BITS))
+@pytest.mark.parametrize("order", [(0,), (1,), (0, 1), (1, 0)])
+def test_identity_checks_keep_their_bits_alone_or_in_either_order(src, a, b, order):
+    bounds._identity_data.cache_clear()
+    for k in order:
+        check = _RESIDUALS[k](src, Interval(a, b))
+        assert (check.lhs.hex(), check.rhs.hex(), check.residual.hex()) == _IDENTITY_BITS[(src, a, b)][k]
+
+
+def test_identity_memo_shares_the_mean_and_f2_pairs_of_the_last_arguments(monkeypatch):
+    counts = _counting_evaluations(monkeypatch)
+    bounds._identity_data.cache_clear()
+    node, iv, tol = parse("1/x"), Interval(0.2, 3.0), 1e-11
+    bisected_trapezoid_identity_residual(node, iv, tol)
+    first = counts["jets"]
+    simpson_identity_residual("1/x", iv, tol)  # an equal tree hits
+    info = bounds._identity_data.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # each kernel node is one pair of jets, made by whichever check reached it first;
+    # here the Simpson kernel refines further, and reuses every node of the first
+    pairs = bounds._identity_data(node, iv, tol)[1]
+    assert first < counts["jets"] == 2 * len(pairs) < 2 * first
+    for args in ((EXP, iv, tol), (node, Interval(0.2, 3.5), tol), (node, iv, 1e-10)):
+        before = bounds._identity_data.cache_info().misses
+        simpson_identity_residual(*args)
+        assert bounds._identity_data.cache_info().misses == before + 1, args
+
+
 def test_bisected_trapezoid_kernel_matches_mpmath():
     # Benchmark defect 4: on this interval the adaptive-Simpson oracle put the
     # kernel integral off by 1.17e-8 and reported an error of 4.2e-10.
@@ -576,7 +649,9 @@ def test_adaptive_returned_width_within_tol(src, a, b, tol, anti):
 def test_adaptive_requires_convex_profile():
     iv = Interval(0.0, 3.14)
     prof = convexity_profile(parse("sin(x)"), iv)
-    with pytest.raises(ValueError, match=r"^integrand is not certified convex \(no\)$"):
+    x, d2 = prof.worst
+    message = f"integrand is not certified convex (no: f'' = {d2!r} at x = {x!r})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         adaptive_enclosure(parse("sin(x)"), iv, 1e-6, prof)
 
 

@@ -341,3 +341,39 @@ def test_straight_line_composition_matches_the_loop_bit_for_bit(ld, lu):
         finite += math.isfinite(sum(u))
         assert repr(jets._compose(derivs, u)) == repr(jets._compose_loop(derivs, u)), (derivs, u)
     assert finite > 2_000
+
+
+def _outcome(fn, *args) -> str:
+    """repr of fn(*args), or the type and text of what it raised."""
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("la, lb", [(5, 5), (3, 3), (5, 3)])
+def test_straight_line_quotient_matches_the_loop_bit_for_bit(la, lb):
+    # a zero divisor raises ZeroDivisionError at the first coefficient in both forms
+    rng = random.Random(2000 * la + lb)
+    divided = 0
+    for _ in range(10_000):
+        a, b = _draw(rng, la), _draw(rng, lb)
+        divided += b[0] != 0.0
+        assert _outcome(jets._div, a, b) == _outcome(jets._div_loop, a, b), (a, b)
+    assert divided > 2_000  # the straight-line form ran to its end, not only raised
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_straight_line_power_table_matches_the_loop_bit_for_bit(n):
+    # exponents from the pool and ordinary non-integers; bases from the pool, so
+    # 0 to a negative power and results past the float range raise in both forms
+    rng = random.Random(3000 + n)
+    returned = 0
+    for _ in range(10_000):
+        u0 = rng.choice(_KERNEL_POOL)
+        r = rng.choice(_KERNEL_POOL + (rng.uniform(-4.0, 4.0), round(rng.uniform(-4.0, 4.0), 1)))
+        got = _outcome(jets._pow_table, u0, r, n)
+        assert got == _outcome(jets._pow_table_loop, u0, r, n), (u0, r)
+        returned += got.startswith("(")
+    assert returned > 2_000
+
