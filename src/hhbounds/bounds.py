@@ -10,7 +10,10 @@ values (`_panel`).  Two exact integral identities, the rows of
 `IDENTITIES`, express the defects against a kernel in a normalized
 variable; the residual checks here confirm them numerically via the
 independent integrator, and the two checks of one (f, iv, tol) share one
-oracle mean and one f'' pair per kernel node.
+oracle mean and one f'' pair per kernel node.  The pairs a kernel panel
+adds come from one order-2 column walk, and `simpson_estimate` samples
+f'''' in one order-4 walk (`jets.jet_column`); where a walk declines,
+they call `eval_jet` point by point as before.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
 from .expr import Node, as_node, eval_value, used_names
-from .jets import eval_jet
+from .jets import eval_jet, jet_column
 from .quadrature import integrate_mean, integrate_mean_fn
 
 __all__ = [
@@ -434,7 +437,22 @@ def _identity_check(row: str, f: Node | str, iv: Interval, tol: float) -> Identi
             )
         return weight(t) * pair
 
-    rhs = iv.length ** 2 / scale * integrate_mean_fn(kernel, Interval(0.0, 1.0), tol).value
+    def kernel_column(ts: list[float]) -> list[float] | None:
+        """`kernel` at a panel's nodes: one order-2 walk over the pairs not yet known."""
+        new = [t for t in dict.fromkeys(ts) if t not in pairs]
+        if new:
+            a, b = iv.a, iv.b  # `_symmetric_pair`, written out
+            xs = [a * (0.5 * t) + b * (1.0 - 0.5 * t) for t in new]
+            cs = jet_column(node, xs + [a + b - x for x in xs], order=2)
+            if cs is None:
+                return None
+            for t, cx, cy in zip(new, cs, cs[len(new):]):
+                pairs[t] = cx[2] * 2.0 + cy[2] * 2.0
+        return [weight(t) * pairs[t] for t in ts]
+
+    rhs = iv.length ** 2 / scale * integrate_mean_fn(
+        kernel, Interval(0.0, 1.0), tol, kernel_column
+    ).value
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
 
@@ -447,7 +465,10 @@ def bisected_trapezoid_identity_residual(
     symmetric substitution of symmetric_point_triple.  Both sides use
     the independent integrator; residual should vanish to tolerance.
     It shares its oracle mean and its f'' pairs with
-    `simpson_identity_residual` on the same (f, iv, tol).
+    `simpson_identity_residual` on the same (f, iv, tol).  The pairs a
+    kernel panel adds come from one order-2 column walk over their x_t
+    and y_t, or from `eval_jet` per point where the walk declines; the
+    bits are the same either way.
     """
     return _identity_check("bisected-trapezoid", f, iv, tol)
 
@@ -457,8 +478,8 @@ def simpson_identity_residual(f: Node | str, iv: Interval, tol: float = 1e-11) -
 
     Same substitution with kernel t(2-3t)*(f''(x_t)+f''(y_t)); the
     kernel changes sign, which is what makes the Simpson defect
-    second-order small.  Shares its mean and f'' pairs as the
-    bisected-trapezoid identity does.
+    second-order small.  Shares its mean and f'' pairs, and makes them
+    in column walks, as the bisected-trapezoid identity does.
     """
     return _identity_check("simpson", f, iv, tol)
 
@@ -474,15 +495,20 @@ def simpson_estimate(f: Node | str, iv: Interval) -> SimpsonEstimate:
 
     err_bound = (1/90) h^5 max|f''''| / (b-a) with h = (b-a)/2, the
     max sampled at the 33 Chebyshev points of `_SIMPSON_N` plus both
-    endpoints.  The bound is certified only insofar as the sampled max
+    endpoints, in one order-4 column walk or, where it declines, with one
+    `eval_jet` per point.  A sample that is not finite, such as the
+    infinite or NaN f'''' of x^1.5 or sqrt(x)*x at 0, gives err_bound
+    inf.  The bound is certified only insofar as the sampled max
     dominates |f''''|.
     """
     node = as_node(f)
-    m4 = 0.0
-    for x in _chebyshev_nodes(iv, _SIMPSON_N) + [iv.a, iv.b]:
-        m4 = max(m4, abs(eval_jet(node, x).coefficients[4] * 24.0))
-    h = 0.5 * iv.length
-    err_bound = h ** 5 * m4 / (90.0 * iv.length)
+    xs = _chebyshev_nodes(iv, _SIMPSON_N) + [iv.a, iv.b]
+    cs = jet_column(node, xs) or [eval_jet(node, x).coefficients for x in xs]
+    d4s = [c[4] * 24.0 for c in cs]
+    err_bound = math.inf
+    if all(map(math.isfinite, d4s)):
+        h = 0.5 * iv.length
+        err_bound = h ** 5 * max(map(abs, d4s)) / (90.0 * iv.length)
     return SimpsonEstimate(simpson_value(node, iv), err_bound)
 
 

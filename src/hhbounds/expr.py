@@ -22,6 +22,14 @@ whether it reads x (`used_names`, `contains_var`).  The walker checks
 every domain rule once, on the value part of the operand, and re-raises an
 arithmetic's OverflowError with a message naming the operation, and its
 "math domain error" for sin or cos of an infinite value as a DomainError.
+
+Column arithmetics run one walk over a batch of points: `FLOAT_COLUMNS`
+here (`eval_column`) and the jet columns of `jets`.  A number is a list
+with one entry per point, and a column's head is its smallest entry, so
+the domain rules stay in `evaluate`.  `evaluate_columns` answers only
+where every point takes the same kernel branch; any error, or a branch
+that differs between points (`Fallback`), makes it return None, and the
+caller evaluates point by point, which stays the reference.
 """
 
 from __future__ import annotations
@@ -399,6 +407,74 @@ def evaluate(node: Node, x, arithmetic: dict):
 def eval_value(node: Node, x: float) -> float:
     """Evaluate the expression at a point (derivative-free path)."""
     return evaluate(node, x, FLOATS)
+
+
+# --- columns ---------------------------------------------------------------
+
+
+class Fallback(Exception):
+    """A column walk cannot answer for every point at once; evaluate point by point."""
+
+
+def column_head(column: list[float]) -> float:
+    """The head of a column: its smallest entry, once every entry is finite.
+
+    Each domain rule of `evaluate` then fires on it if it fires at some
+    point, or the column's own operation raises there: a divisor column
+    that holds 0.0 beside a negative entry divides by zero, and so does a
+    negative integer power of it.  A column with an entry that is not
+    finite raises `Fallback`, so no rule is judged on a NaN.
+    """
+    if not math.isfinite(sum(column)):
+        raise Fallback
+    return min(column)
+
+
+# In a column arithmetic a number is a list with one entry per point, and each
+# operation runs down the list.  Its "const" lifts a constant to one point's
+# entry; `evaluate_columns` repeats it down the column.
+FLOAT_COLUMNS = {
+    "const": float,
+    "head": column_head,
+    "+": lambda a, b: list(map(operator.add, a, b)),
+    "-": lambda a, b: list(map(operator.sub, a, b)),
+    "*": lambda a, b: list(map(operator.mul, a, b)),
+    "/": lambda a, b: list(map(operator.truediv, a, b)),
+    "^": lambda a, r: [v ** r for v in a],
+    "hyp": lambda a, softness: [math.hypot(v, softness) for v in a],
+    "neg": lambda a: list(map(operator.neg, a)),
+    "exp": lambda a: list(map(math.exp, a)),
+    "log": lambda a: list(map(math.log, a)),
+    "sqrt": lambda a: list(map(math.sqrt, a)),
+    "abs": lambda a: list(map(abs, a)),
+    "sin": lambda a: list(map(math.sin, a)),
+    "cos": lambda a: list(map(math.cos, a)),
+}
+
+
+def evaluate_columns(node: Node, column: list, columns: dict) -> list | None:
+    """`evaluate` once over a column of points under a column arithmetic.
+
+    None where the walk cannot answer for every point at once: an
+    arithmetic raised `Fallback` (its points would take different kernel
+    branches) or any error a point could raise, a domain rule included.
+    The caller then evaluates point by point, which stays the reference
+    and the only source of errors.
+    """
+    n, lift = len(column), columns["const"]
+    try:
+        return evaluate(node, column, {**columns, "const": lambda v: [lift(v)] * n})
+    except (Fallback, ArithmeticError, ValueError):
+        return None
+
+
+def eval_column(node: Node, xs: list[float]) -> list[float] | None:
+    """`eval_value` at every x of xs in one walk, or None (`evaluate_columns`).
+
+    The float arithmetic has no branches, so each entry is `eval_value` at
+    its point bit for bit, an entry that is not finite included.
+    """
+    return evaluate_columns(node, xs, FLOAT_COLUMNS)
 
 
 def _constant(node: Node, off: int) -> float | None:

@@ -44,16 +44,25 @@ their arguments lie inside the domain.  They check only rules about
 derivatives: abs is not differentiable at 0, a non-integer power of a
 base that vanishes at the point needs the base to be non-negative beside
 it.  An integer power raises OverflowError where the float power does.
+
+`JET2_COLUMNS` and `JET4_COLUMNS` are the same arithmetic over a column
+of points, one coefficient tuple per point (`jet_column`).  Their
+kernels are the straight-line kernels above, written out down the
+column in the same order, so each tuple equals `eval_jet` at its point
+bit for bit.  A column answers only where every point takes the
+straight-line branch and every coefficient is finite; otherwise
+`jet_column` returns None and the caller runs `eval_jet` per point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 
 from .core import DomainError
-from .expr import Node, as_node, evaluate
+from .expr import Fallback, Node, as_node, column_head, evaluate, evaluate_columns
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
@@ -417,3 +426,284 @@ def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
         coeffs = evaluate(node, (x, *_SEEDS[4]), JETS)
     # a tree without x stays at the order constants are lifted at
     return Jet4(x, coeffs[: order + 1])
+
+
+# --- columns -----------------------------------------------------------------
+#
+# A jet column holds one coefficient tuple per point, all of one length, 3 or
+# 5, and each operation runs its straight-line kernel down the column with the
+# scalar kernel's operations in the scalar kernel's order.  It answers only where
+# every point would take the scalar kernel's straight-line branch: the right
+# operand of a product and the inner jet of a composition are finite everywhere,
+# every base of a non-integer power is positive, abs sees one sign.  Otherwise,
+# and where an integer power or hyp would overflow, it raises `Fallback`.  The
+# guards read a plain `sum()`, which is no result arithmetic: a finite sum
+# means every term is finite.
+
+
+def _finite(column: list[Coeffs]) -> bool:
+    return math.isfinite(sum(itertools.chain.from_iterable(column)))
+
+
+def _add3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    return [(a0 + b0, a1 + b1, a2 + b2) for (a0, a1, a2), (b0, b1, b2) in zip(a, b)]
+
+
+def _add5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    return [
+        (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+        for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b)
+    ]
+
+
+def _sub3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    return [(a0 - b0, a1 - b1, a2 - b2) for (a0, a1, a2), (b0, b1, b2) in zip(a, b)]
+
+
+def _sub5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    return [
+        (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4)
+        for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b)
+    ]
+
+
+def _neg3(a: list[Coeffs]) -> list[Coeffs]:
+    return [(-a0, -a1, -a2) for a0, a1, a2 in a]
+
+
+def _neg5(a: list[Coeffs]) -> list[Coeffs]:
+    return [(-a0, -a1, -a2, -a3, -a4) for a0, a1, a2, a3, a4 in a]
+
+
+def _over_head3(a: list[Coeffs]) -> list[Coeffs]:
+    """Each jet divided by its own c0, as `_log` scales its argument."""
+    return [(a0 / a0, a1 / a0, a2 / a0) for a0, a1, a2 in a]
+
+
+def _over_head5(a: list[Coeffs]) -> list[Coeffs]:
+    return [(a0 / a0, a1 / a0, a2 / a0, a3 / a0, a4 / a0) for a0, a1, a2, a3, a4 in a]
+
+
+def _mul3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    if not _finite(b):
+        raise Fallback
+    return [
+        (0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0, 0.0 + a0 * b2 + a1 * b1 + a2 * b0)
+        for (a0, a1, a2), (b0, b1, b2) in zip(a, b)
+    ]
+
+
+def _mul5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    if not _finite(b):
+        raise Fallback
+    return [
+        (
+            0.0 + a0 * b0,
+            0.0 + a0 * b1 + a1 * b0,
+            0.0 + a0 * b2 + a1 * b1 + a2 * b0,
+            0.0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+            0.0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
+        )
+        for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b)
+    ]
+
+
+def _div3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    out = []
+    for (a0, a1, a2), (b0, b1, b2) in zip(a, b):
+        q0 = a0 / b0
+        q1 = (a1 - b1 * q0) / b0
+        out.append((q0, q1, (a2 - b1 * q1 - b2 * q0) / b0))
+    return out
+
+
+def _div5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
+    out = []
+    for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b):
+        q0 = a0 / b0
+        q1 = (a1 - b1 * q0) / b0
+        q2 = (a2 - b1 * q1 - b2 * q0) / b0
+        q3 = (a3 - b1 * q2 - b2 * q1 - b3 * q0) / b0
+        out.append((q0, q1, q2, q3, (a4 - b1 * q3 - b2 * q2 - b3 * q1 - b4 * q0) / b0))
+    return out
+
+
+def _compose3(tables: list[Coeffs], u: list[Coeffs]) -> list[Coeffs]:
+    """`_compose` down a column, each point with its own derivative table."""
+    if not _finite(u):
+        raise Fallback
+    out = []
+    for (g0, g1, g2), (_, u1, u2) in zip(tables, u):
+        d0 = 0.0 + g1
+        d1 = 0.0 + g2 / 2.0 * u1
+        out.append((0.0 + g0, 0.0 + d0 * u1, 0.0 + d0 * u2 + d1 * u1))
+    return out
+
+
+def _compose5(tables: list[Coeffs], u: list[Coeffs]) -> list[Coeffs]:
+    if not _finite(u):
+        raise Fallback
+    out = []
+    for (g0, g1, g2, g3, g4), (_, u1, u2, u3, u4) in zip(tables, u):
+        a0 = g4 / 24.0
+        b0 = 0.0 + g3 / 6.0
+        b1 = 0.0 + a0 * u1
+        c0 = 0.0 + g2 / 2.0
+        c1 = 0.0 + b0 * u1
+        c2 = 0.0 + b0 * u2 + b1 * u1
+        d0 = 0.0 + g1
+        d1 = 0.0 + c0 * u1
+        d2 = 0.0 + c0 * u2 + c1 * u1
+        d3 = 0.0 + c0 * u3 + c1 * u2 + c2 * u1
+        out.append((
+            0.0 + g0,
+            0.0 + d0 * u1,
+            0.0 + d0 * u2 + d1 * u1,
+            0.0 + d0 * u3 + d1 * u2 + d2 * u1,
+            0.0 + d0 * u4 + d1 * u3 + d2 * u2 + d3 * u1,
+        ))
+    return out
+
+
+def _pow_tables3(heads: list[float], r: float) -> list[Coeffs]:
+    f1 = 1.0 * r
+    f2 = f1 * (r - 1)
+    return [(1.0 * u0 ** r, f1 * u0 ** (r - 1), f2 * u0 ** (r - 2)) for u0 in heads]
+
+
+def _pow_tables5(heads: list[float], r: float) -> list[Coeffs]:
+    f1 = 1.0 * r
+    f2 = f1 * (r - 1)
+    f3 = f2 * (r - 2)
+    f4 = f3 * (r - 3)
+    return [
+        (
+            1.0 * u0 ** r,
+            f1 * u0 ** (r - 1),
+            f2 * u0 ** (r - 2),
+            f3 * u0 ** (r - 3),
+            f4 * u0 ** (r - 4),
+        )
+        for u0 in heads
+    ]
+
+
+def _column_arithmetic(n: int, straight: dict, compose, pow_tables, over_head) -> dict:
+    """The column arithmetic of n-coefficient jets from its straight-line kernels:
+    straight holds +, -, *, / and neg; the rest are built on compose."""
+    mul, div = straight["*"], straight["/"]
+    one = _const(1.0, n)
+
+    def pow_int(u: list[Coeffs], e: int) -> list[Coeffs]:
+        # `_pow_int`; where it would raise OverflowError, the column falls back
+        k = abs(e)
+        acc = [one] * len(u) if k == 0 else None
+        base = u
+        while k:
+            if k & 1:
+                acc = base if acc is None else mul(acc, base)
+            k >>= 1
+            if k:
+                base = mul(base, base)
+        if e < 0:  # a power that underflowed to 0 divides by zero
+            acc = div([one] * len(u), acc)
+        if not math.isfinite(sum([c[0] for c in acc])):
+            raise Fallback
+        return acc
+
+    def power(u: list[Coeffs], r: float) -> list[Coeffs]:
+        if r == int(r):
+            return pow_int(u, int(r))
+        heads = [c[0] for c in u]
+        if column_head(heads) > 0.0:
+            return compose(pow_tables(heads, r), u)
+        raise Fallback
+
+    def hyp(u: list[Coeffs], softness: float) -> list[Coeffs]:
+        # `_hyp` point by point; compose reads the first n entries of each table
+        tables, scaled, units = [], [], []
+        for c in u:
+            h = math.hypot(c[0], softness)
+            if h == math.inf:
+                raise Fallback
+            unit = math.ldexp(1.0, math.frexp(h)[1]) if h < _HYP_TINY else 1.0
+            if unit != 1.0:  # dividing or multiplying by 1.0 changes no bit
+                c = tuple(v / unit for v in c)
+                h /= unit
+            cos = c[0] / h
+            s2 = (softness / unit / h) ** 2
+            table = (h, cos, s2 / h)
+            if n == 5:
+                table += (-3.0 * s2 * cos / h / h, 3.0 * s2 * (4.0 * cos * cos - s2) / h / h / h)
+            tables.append(table)
+            scaled.append(c)
+            units.append(unit)
+        out = compose(tables, scaled)
+        return [c if unit == 1.0 else tuple(v * unit for v in c) for c, unit in zip(out, units)]
+
+    def exp(u: list[Coeffs]) -> list[Coeffs]:
+        return compose([(e,) * n for e in map(math.exp, [c[0] for c in u])], u)
+
+    log_tail = (1.0, -1.0, 2.0, -6.0)[: n - 1]
+
+    def log(u: list[Coeffs]) -> list[Coeffs]:
+        return compose([(math.log(c[0]),) + log_tail for c in u], over_head(u))
+
+    def trig(table):
+        def fn(u: list[Coeffs]) -> list[Coeffs]:
+            heads = [c[0] for c in u]
+            tables = map(table, map(math.sin, heads), map(math.cos, heads))
+            return compose([t[:n] for t in tables], u)
+
+        return fn
+
+    def absolute(u: list[Coeffs]) -> list[Coeffs]:
+        heads = [c[0] for c in u]
+        if column_head(heads) > 0.0:
+            return u
+        if max(heads) < 0.0:
+            return straight["neg"](u)
+        raise Fallback
+
+    return {
+        **straight,
+        "const": lambda v: _const(v, n),
+        "head": lambda u: column_head([c[0] for c in u]),
+        "^": power,
+        "hyp": hyp,
+        "exp": exp,
+        "log": log,
+        "sqrt": lambda u: power(u, 0.5),
+        "abs": absolute,
+        "sin": trig(lambda s, c: (s, c, -s, -c, s)),
+        "cos": trig(lambda s, c: (c, -s, -c, s, c)),
+    }
+
+
+# The order-2 and order-4 jet column arithmetics.  Constants are lifted at the
+# column's own length: an order-2 jet is the first three coefficients of the
+# order-4 jet, so lifting a constant short gives the bits of cutting it later.
+JET2_COLUMNS = _column_arithmetic(
+    3, {"+": _add3, "-": _sub3, "*": _mul3, "/": _div3, "neg": _neg3},
+    _compose3, _pow_tables3, _over_head3,
+)
+JET4_COLUMNS = _column_arithmetic(
+    5, {"+": _add5, "-": _sub5, "*": _mul5, "/": _div5, "neg": _neg5},
+    _compose5, _pow_tables5, _over_head5,
+)
+_COLUMNS = {2: JET2_COLUMNS, 4: JET4_COLUMNS}
+
+
+def jet_column(f: Node | str, xs: list[float], order: int = 4) -> list[Coeffs] | None:
+    """`eval_jet(f, x, order).coefficients` at every x of xs in one walk, or None.
+
+    It answers only where every point takes the same kernel branch and
+    every coefficient is finite, and then each tuple is the scalar jet's
+    bit for bit.  On None the caller runs `eval_jet` point by point, which
+    stays the reference and the only source of errors.
+    """
+    seed = _SEEDS.get(order)
+    if seed is None:
+        raise ValueError(f"jet order must be 2 or 4, got {order!r}")
+    cs = evaluate_columns(as_node(f), [(x,) + seed for x in xs], _COLUMNS[order])
+    return cs if cs is not None and _finite(cs) else None

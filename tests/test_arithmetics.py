@@ -19,7 +19,7 @@ import pytest
 
 from hhbounds import DomainError, eval_jet, eval_value, expr, parse
 from hhbounds.expr import to_source
-from hhbounds.jets import JETS
+from hhbounds.jets import JET2_COLUMNS, JET4_COLUMNS, JETS
 from hhbounds.verify import _random_expr
 
 JET_ONLY = ("abs is not differentiable at 0", "base vanishing from below")
@@ -96,6 +96,6 @@ def test_hyp_overflow_on_the_jet_path_names_the_softness(order):
 def test_every_arithmetic_defines_the_same_names():
     # an operator added to the language must be added to every arithmetic
     names = set(expr.FLOATS)
-    for arithmetic in (JETS, expr.SOURCE, expr.NAMES):
+    for arithmetic in (JETS, expr.SOURCE, expr.NAMES, expr.FLOAT_COLUMNS, JET2_COLUMNS, JET4_COLUMNS):
         assert set(arithmetic) == names
     assert {"const", "head", "^", "hyp", *expr._BIN_OPS, *expr._UNARY_FNS} == names

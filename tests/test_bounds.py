@@ -736,9 +736,9 @@ SIMPSON_ROW_JETS_AT_1E9 = {
 
 
 def _counting_evaluations(monkeypatch) -> dict:
-    """Count the values and jets adaptive_enclosure asks bounds for."""
+    """Count the values and jets bounds asks for; a jet column counts one jet per point."""
     counts = {"values": 0, "jets": 0}
-    value, jet = bounds.eval_value, bounds.eval_jet
+    value, jet, column = bounds.eval_value, bounds.eval_jet, bounds.jet_column
 
     def counted_value(*args, **kwargs):
         counts["values"] += 1
@@ -748,8 +748,13 @@ def _counting_evaluations(monkeypatch) -> dict:
         counts["jets"] += 1
         return jet(*args, **kwargs)
 
+    def counted_column(f, xs, *args, **kwargs):
+        counts["jets"] += len(xs)
+        return column(f, xs, *args, **kwargs)
+
     monkeypatch.setattr(bounds, "eval_value", counted_value)
     monkeypatch.setattr(bounds, "eval_jet", counted_jet)
+    monkeypatch.setattr(bounds, "jet_column", counted_column)
     return counts
 
 

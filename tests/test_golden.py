@@ -61,11 +61,13 @@ BASE_CASES: dict[str, tuple[str, ...]] = {
     # ratio, search-alpha
     "ratio": ("ratio", "--f=exp(x)", "--a=0", "--b=1"),
     "ratio-degenerate": ("ratio", "--f=x", "--a=0", "--b=1"),
+    "error-ratio-oracle": ("ratio", "--f=1/(x-0.3)", "--a=0", "--b=1"),
     "search-power": ("search-alpha", "--family=power", "--budget=120", "--seed=4"),
     "search-power-combo": ("search-alpha", "--family=power-combo", "--budget=100", "--seed=1"),
     "search-smoothed-tent": ("search-alpha", "--family=smoothed-tent", "--budget=100", "--seed=1"),
     # verify
     "verify-all": ("verify", "--suite=all", "--samples=40"),
+    "verify-all-200": ("verify", "--suite=all", "--samples=200"),
     "verify-inequalities": ("verify", "--suite=inequalities", "--samples=25", "--seed=6"),
     "verify-means-printed": (
         "verify", "--suite=means", "--samples=20", "--seed=4", "--printed-constant",
