@@ -11,9 +11,13 @@ values (`_panel`).  Two exact integral identities, the rows of
 variable; the residual checks here confirm them numerically via the
 independent integrator, and the two checks of one (f, iv, tol) share one
 oracle mean and one f'' pair per kernel node.  The pairs a kernel panel
-adds come from one order-2 column walk, and `simpson_estimate` samples
-f'''' in one order-4 walk (`jets.jet_column`); where a walk declines,
-they call `eval_jet` point by point as before.
+adds come from one order-2 column walk, `simpson_estimate` samples
+f'''' in one order-4 walk (`jets.jet_column`), and the adaptive
+refinement evaluates each generation of panels' new points in one walk,
+order-2 jets under a shape and values (`expr.eval_column`) without one,
+then splits in the order it would split one point at a time, so every
+panel, bracket and error is the same bit for bit.  Where a walk
+declines, they evaluate point by point as before.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
-from .expr import Node, as_node, eval_value, used_names
+from .expr import Node, as_node, eval_column, eval_value, used_names
 from .jets import eval_jet, jet_column
 from .quadrature import integrate_mean, integrate_mean_fn
 
@@ -148,7 +152,12 @@ def _panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple, shape: str | Non
     sq = 0.25 * length * length
     jensen = sq * d2m
     chords = sq * (d2a + 4.0 * d2m + d2b) / 6.0
-    lo, hi = {"convex": (jensen, chords), "concave": (chords, jensen)}.get(shape, (0.0, math.inf))
+    if shape == "convex":
+        lo, hi = jensen, chords
+    elif shape == "concave":
+        lo, hi = chords, jensen
+    else:
+        lo, hi = 0.0, math.inf
     slack = _ROUNDING * (
         abs(fa) + 2.0 * abs(fm) + abs(fb) + sq * (abs(d2a) + 4.0 * abs(d2m) + abs(d2b))
     )
@@ -535,6 +544,14 @@ def adaptive_enclosure(
     twice that is refused at the first pass that shows it, before any split
     unless the summed magnitude grows as the panels refine.  prof=None
     profiles f.
+
+    The new points come a generation of panels at a time: when the widest
+    panel's quarter points are not known yet, those of the widest panels
+    whose widths cover the excess over the target, as many as the budget
+    lets split, are evaluated in one column walk.  The splits read them in
+    the same heap order, so every panel, the bracket, each error and the
+    `BudgetError` are those of one evaluation per split, bit for bit.  A
+    walk that declines leaves the rest of the call to `_point`.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -548,8 +565,13 @@ def adaptive_enclosure(
 
 def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosure:
     """The heap loop of `adaptive_enclosure`; its row follows from the shape:
-    simpson where f'' has one, n14 (shape None) where it has none."""
+    simpson where f'' has one, n14 (shape None) where it has none.
+
+    A split reads its quarter points from `known`, which `fetch` fills one
+    generation of panels at a time, or, once a walk has declined, from `_point`.
+    """
     row, total = RULES["n14" if shape is None else "simpson"], iv.length
+    known: dict[float, tuple] = {}
 
     # A panel is (-w*(hi - lo), a, b, `_point`s at a, mid and b, w*hi), w its weight.
     def panel(a: float, b: float, pa: tuple, pm: tuple, pb: tuple) -> tuple:
@@ -557,8 +579,34 @@ def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosur
         w = (b - a) / total
         return (w * (lo - hi), a, b, pa, pm, pb, w * hi)
 
+    def fetch(need: float) -> bool:
+        """The `_point`s at the quarter points of the widest panels, as many as
+        the budget lets split, until their widths sum to need: into `known`
+        from one column walk, or False where the walk declines."""
+        xs = []
+        for neg_gap, a, b, *_ in sorted(heap)[: _MAX_PANELS - len(heap)]:
+            if need <= 0.0:
+                break
+            need += neg_gap
+            m = 0.5 * (a + b)
+            ql, qr = 0.5 * (a + m), 0.5 * (m + b)
+            if not (ql in known and qr in known):
+                xs += (ql, qr)
+        if shape is None:
+            vs = eval_column(node, xs)
+            if vs is None:
+                return False
+            known.update(zip(xs, [(v, 0.0) for v in vs]))
+        else:
+            cs = jet_column(node, xs, order=2)
+            if cs is None:
+                return False
+            known.update(zip(xs, [(c[0], c[2] * 2.0) for c in cs]))
+        return True
+
     heap = [panel(iv.a, iv.b, *(_point(node, x, shape) for x in (iv.a, iv.mid, iv.b)))]
     width = -heap[0][0]
+    batched = True
     while True:
         # Adding a panel's -w*(hi - lo) to its upper term gives its lower term.
         highs = [p[6] for p in heap]
@@ -583,8 +631,12 @@ def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosur
                 raise BudgetError(f"subdivision budget of {_MAX_PANELS} panels exhausted")
             neg_gap, a, b, pa, pm, pb, _ = heap[0]
             m = 0.5 * (a + b)
-            left = panel(a, m, pa, _point(node, 0.5 * (a + m), shape), pm)
-            right = panel(m, b, pm, _point(node, 0.5 * (m + b), shape), pb)
+            ql, qr = 0.5 * (a + m), 0.5 * (m + b)
+            if batched and not (ql in known and qr in known):
+                batched = fetch(width - target)
+            # a `_point` is a non-empty tuple, so `or` falls back only on a miss
+            left = panel(a, m, pa, known.pop(ql, None) or _point(node, ql, shape), pm)
+            right = panel(m, b, pm, known.pop(qr, None) or _point(node, qr, shape), pb)
             heapq.heapreplace(heap, left)
             heapq.heappush(heap, right)
             width += neg_gap - left[0] - right[0]

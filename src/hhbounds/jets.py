@@ -337,8 +337,10 @@ def _pow(u: Coeffs, r: float) -> Coeffs:
     return _pow_zero_base(u, r)
 
 
-# Below this h, `_hyp` scales u so that the 1/h^3 in its table cannot overflow.
-_HYP_TINY = 1e-100
+# Below this h, 12/h^3, a bound on the last entry of `_hyp`'s table and on its
+# partial quotients, leaves the float range, so `_hyp` scales u first.  Above it
+# the table is finite unscaled, and scaling would only push u's powers past the range.
+_HYP_TINY = 4.1e-103
 
 
 def _hyp(u: Coeffs, softness: float) -> Coeffs:
@@ -347,10 +349,10 @@ def _hyp(u: Coeffs, softness: float) -> Coeffs:
     g's derivatives are written in ratios to h = hypot(u0, eps): with
     c = u0/h and s = eps/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
     g'''' = 3 s^2 (4c^2 - s^2)/h^3.  No square of u0 or eps is formed, and
-    g'' is a product, so it cannot cancel below 0.  Below `_HYP_TINY`, u
-    and eps are divided by the power of two just above h, which brings h
-    into [1/2, 1), and the result is multiplied back; a power of two
-    rounds nothing inside the float range.
+    g'' is a product, so it cannot cancel below 0.  Below `_HYP_TINY`,
+    where 1/h^3 would overflow, u and eps are divided by the power of two
+    just above h, which brings h into [1/2, 1), and the result is
+    multiplied back; a power of two rounds nothing inside the float range.
     Raises OverflowError only where the value h leaves the float range.
     """
     h = math.hypot(u[0], softness)

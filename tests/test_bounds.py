@@ -37,8 +37,9 @@ from hhbounds import (
     weighted_value,
 )
 
-from hhbounds.expr import BinOp, Const, Pow, Var
+from hhbounds.expr import BinOp, Const, Pow, Var, to_source
 from hhbounds.jets import eval_jet
+from hhbounds.verify import _random_expr
 
 UNIT = Interval(0.0, 1.0)
 EXP = parse("exp(x)")
@@ -724,7 +725,19 @@ def test_an_unshaped_panel_with_a_non_finite_value_is_a_plain_refusal():
     assert type(info.value) is ValueError
 
 
-# Order-2 jets of adaptive_enclosure at tol 1e-9 on the six cases below.
+# The six integrands of the benchmark's adaptive-tight workload.
+ADAPTIVE_TIGHT = [
+    ("exp(x)", 0.0, 1.0),
+    ("1/x", 1.0, 2.0),
+    ("x*log(x)", 0.5, 2.0),
+    ("-log(x)", 0.5, 3.0),
+    ("x^2.5", 0.1, 2.0),
+    ("exp(x) + x^2", -1.0, 1.0),
+]
+
+# Order-2 jets of adaptive_enclosure at tol 1e-9 on ADAPTIVE_TIGHT.  Column points
+# count, so these pin the total work: at this tol the batched refinement evaluates
+# no point that no split reads.
 SIMPSON_ROW_JETS_AT_1E9 = {
     "exp(x)": 75,
     "1/x": 93,
@@ -736,9 +749,10 @@ SIMPSON_ROW_JETS_AT_1E9 = {
 
 
 def _counting_evaluations(monkeypatch) -> dict:
-    """Count the values and jets bounds asks for; a jet column counts one jet per point."""
+    """Count the values and jets bounds asks for; a column counts one per point."""
     counts = {"values": 0, "jets": 0}
-    value, jet, column = bounds.eval_value, bounds.eval_jet, bounds.jet_column
+    value, jet = bounds.eval_value, bounds.eval_jet
+    value_column, jet_column = bounds.eval_column, bounds.jet_column
 
     def counted_value(*args, **kwargs):
         counts["values"] += 1
@@ -748,13 +762,18 @@ def _counting_evaluations(monkeypatch) -> dict:
         counts["jets"] += 1
         return jet(*args, **kwargs)
 
-    def counted_column(f, xs, *args, **kwargs):
+    def counted_value_column(f, xs, *args, **kwargs):
+        counts["values"] += len(xs)
+        return value_column(f, xs, *args, **kwargs)
+
+    def counted_jet_column(f, xs, *args, **kwargs):
         counts["jets"] += len(xs)
-        return column(f, xs, *args, **kwargs)
+        return jet_column(f, xs, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "eval_value", counted_value)
     monkeypatch.setattr(bounds, "eval_jet", counted_jet)
-    monkeypatch.setattr(bounds, "jet_column", counted_column)
+    monkeypatch.setattr(bounds, "eval_column", counted_value_column)
+    monkeypatch.setattr(bounds, "jet_column", counted_jet_column)
     return counts
 
 
@@ -781,17 +800,7 @@ def test_adaptive_tight_tol_contains_the_mpmath_mean_without_slack(src, a, b, an
         assert encl.lower <= mean <= encl.upper
 
 
-@pytest.mark.parametrize(
-    "src, a, b",
-    [
-        ("exp(x)", 0.0, 1.0),
-        ("1/x", 1.0, 2.0),
-        ("x*log(x)", 0.5, 2.0),
-        ("-log(x)", 0.5, 3.0),
-        ("x^2.5", 0.1, 2.0),
-        ("exp(x) + x^2", -1.0, 1.0),
-    ],
-)
+@pytest.mark.parametrize("src, a, b", ADAPTIVE_TIGHT)
 def test_adaptive_shaped_path_needs_a_hundredth_of_the_evaluations(monkeypatch, src, a, b):
     iv = Interval(a, b)
     node = parse(src)
@@ -869,6 +878,95 @@ def test_adaptive_tol_below_the_rounding_floor_fails_at_once(monkeypatch):
     with pytest.raises(ValueError, match=r"^tol 1e-16 is below the rounding floor 6.2e-15 "):
         adaptive_enclosure(EXP, UNIT, 1e-16, prof)
     assert counts == {"values": 0, "jets": 3}
+
+
+def _adaptive_outcome(node, iv: Interval, tol: float):
+    """repr of adaptive_enclosure's answer, or the type and message of its error."""
+    try:
+        return repr(adaptive_enclosure(node, iv, tol))
+    except (ArithmeticError, ValueError, BudgetError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _declining_columns(monkeypatch) -> dict:
+    """Make bounds' column walks always decline; count the attempts."""
+    attempts = {"values": 0, "jets": 0}
+
+    def declining(kind):
+        def column(*args, **kwargs):
+            attempts[kind] += 1
+            return None
+
+        return column
+
+    monkeypatch.setattr(bounds, "eval_column", declining("values"))
+    monkeypatch.setattr(bounds, "jet_column", declining("jets"))
+    return attempts
+
+
+def test_batched_refinement_equals_the_per_point_refinement(monkeypatch):
+    # With every walk declining, each split evaluates its two points with `_point`,
+    # in heap order: the refinement as it ran before it batched its points.
+    cases = [
+        (parse(src), Interval(a, b), tol)
+        for src, a, b in ADAPTIVE_TIGHT
+        for tol in (1e-9, 5e-10, 1e-12)
+    ]
+    cases += [
+        (parse("x^1.5"), UNIT, 1e-8),  # f'' is inf at 0: the n14 restart
+        (parse("hyp(x - 0.5, 0.1)"), UNIT, 1e-13),  # the panel budget
+        (EXP, UNIT, 1e-16),  # the rounding floor
+    ]
+    rng = random.Random(7)
+    for _ in range(300):
+        a = rng.uniform(-2.0, 2.0)
+        node = _random_expr(rng, 3)
+        cases.append((node, Interval(a, a + rng.uniform(0.1, 2.0)), rng.choice((1e-6, 1e-9))))
+    batched = [_adaptive_outcome(*case) for case in cases]
+    restart, budget, floor = batched[-303:-300]
+    assert restart.startswith("Enclosure(")
+    assert budget == ("BudgetError", "subdivision budget of 100000 panels exhausted")
+    assert floor == ("ValueError", "tol 1e-16 is below the rounding floor 6.2e-15 of this bracket")
+    assert sum(isinstance(out, str) for out in batched) > 200
+    attempts = _declining_columns(monkeypatch)
+    for (node, iv, tol), want in zip(cases, batched):
+        attempts.update(values=0, jets=0)
+        assert _adaptive_outcome(node, iv, tol) == want, (to_source(node), iv, tol)
+        # a walk that declines is not tried again in the same refinement
+        assert attempts["values"] <= 1 and attempts["jets"] <= 1, (to_source(node), iv, tol)
+
+
+def test_a_walk_that_declines_mid_call_leaves_the_rest_to_the_per_point_path(monkeypatch):
+    node, iv = parse("-log(x)"), Interval(0.5, 3.0)
+    want = repr(adaptive_enclosure(node, iv, 1e-12))
+    walks, column = [], bounds.jet_column
+
+    def answering_twice(f, xs, order=4):
+        walks.append(len(xs))
+        return column(f, xs, order) if len(walks) <= 2 else None
+
+    monkeypatch.setattr(bounds, "jet_column", answering_twice)
+    counts = _counting_evaluations(monkeypatch)
+    assert repr(adaptive_enclosure(node, iv, 1e-12)) == want
+    assert len(walks) == 3
+    # the initial panel's three points and every point after the declined walk
+    assert counts["jets"] - sum(walks) > 3
+
+
+def test_the_panel_budget_is_reached_in_one_walk_per_generation(monkeypatch):
+    # each walk sorts the heap, so a walk per split would take quadratic time here
+    walks, column = [], bounds.eval_column
+
+    def counted(node, xs):
+        walks.append(len(xs))
+        assert len(walks) <= 40, "more walks than generations of panels"
+        return column(node, xs)
+
+    monkeypatch.setattr(bounds, "eval_column", counted)
+    with pytest.raises(BudgetError, match="^subdivision budget of 100000 panels exhausted$"):
+        adaptive_enclosure("hyp(x - 0.5, 0.1)", UNIT, 1e-13)
+    # two points for each of the 99,999 splits, and none that no split reads
+    assert (len(walks), sum(walks)) == (18, 2 * 99_999)
 
 
 def test_adaptive_deterministic():

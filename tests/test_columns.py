@@ -61,8 +61,8 @@ ACROSS = [0.1 * k - 0.75 for k in range(15)]
 NEGATIVE = [-0.1 - 0.2 * k for k in range(15)]
 # up to 4.5, where (4.5 - x)^2.5 has a base vanishing from below
 UP_TO = [round(3.1 + 0.1 * k, 1) for k in range(15)]
-# around 0 at the scale where hyp(x, 5e-101) scales its table
-TINY = [k * 1e-102 for k in range(-7, 8)]
+# around 0 at the scale where hyp(x, 5e-104) scales its table
+TINY = [k * 1e-105 for k in range(-7, 8)]
 POINT_SETS = {
     "positive": POSITIVE, "straddle": STRADDLE, "across": ACROSS,
     "negative": NEGATIVE, "up-to": UP_TO, "tiny": TINY,
@@ -122,9 +122,9 @@ def test_each_key_answers_where_every_point_takes_one_branch(key):
 
 
 def test_hyp_columns_rescale_a_tiny_table():
-    # below 1e-100 `_hyp` divides by a power of two; f'''' there is past the float
+    # below 4.1e-103 `_hyp` divides by a power of two; f'''' there is past the float
     # range, so the order-4 column declines and the per-point jet reads -inf
-    answered = _compare(parse("hyp(x, 5e-101)"), TINY)
+    answered = _compare(parse("hyp(x, 5e-104)"), TINY)
     assert answered == {"values": True, "jets-2": True, "jets-4": False}
 
 

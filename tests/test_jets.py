@@ -301,6 +301,16 @@ def test_hyp_jet_below_the_scaling_threshold_is_the_scaled_jet():
     assert tiny == pytest.approx([1e-200 * d for d in unit], rel=1e-14, abs=0.0)
 
 
+def test_hyp_jet_above_the_scaling_threshold_keeps_a_finite_fourth_coefficient():
+    # f''''(0)/24 = -3/eps^3/24 is about -1e300 here, finite, so the table must not
+    # be scaled: scaling would push u's fourth power past the float range (-inf)
+    mpmath = pytest.importorskip("mpmath")
+    c4 = eval_jet("hyp(x, 5e-101)", 0.0).coefficients[4]
+    with mpmath.workdps(30):
+        want = -1 / (8 * mpmath.mpf(5e-101) ** 3)
+    assert c4 == pytest.approx(float(want), rel=1e-15)
+
+
 def test_hyp_of_a_tiny_softness_has_a_positive_sampled_f2():
     # f'' = e^2/hyp^3 >= 1e-18 on [0.5, 1]; it must not cancel below 0
     prof = convexity_profile("hyp(x, 1e-9)", Interval(0.5, 1.0))
