@@ -12,23 +12,14 @@ at order 4 and cut down by the first operation that meets a shorter jet.
 Composition uses truncated polynomial arithmetic in w = u - u(x0), which
 is exact through degree d because w has no constant term.
 
-Products, quotients and compositions are truncated Taylor arithmetic
-(Griewank and Walther, Evaluating Derivatives, 2008).  Loops spend most
-of their time on interpreter overhead, so four kernels spell out the two
-lengths that occur, 3 and 5 coefficients, as straight-line code, each
-beside its reference loop: `_mul` (`_mul_loop`), `_div` (`_div_loop`),
-`_compose` (`_compose_loop`) and `_pow_table` (`_pow_table_loop`), the
-derivative table of a non-integer power.  Each performs its loop's
-operations in the loop's order, so every bit matches the loop, the sign
-of zero included: a product coefficient starts from 0.0 and adds its
-terms; a quotient coefficient starts from a[k], subtracts b[j]*out[k-j]
-for j = 1..k and divides by b[0]; a table entry is the falling factorial
-1.0*r*(r-1)*... times u0**(r-k).  The product and composition loops skip
-a term whose left factor is zero; that changes a result only when the
-right operand holds an inf or a NaN (0*inf is NaN), so those straight-line
-sums run only when that operand's coefficients sum to a finite value, and
-the loops take the rest.  The quotient and table loops skip nothing, so
-their straight-line forms run unguarded.  A caller that needs one
+Products, quotients, compositions and the derivative table of a
+non-integer power are truncated Taylor arithmetic (Griewank and Walther,
+Evaluating Derivatives, 2008), each written once as a reference loop,
+`_mul_loop`, `_div_loop`, `_compose_loop` and `_pow_table_loop`.  At the
+lengths in `_SEEDS`, `_mul`, `_div`, `_compose` and `_pow_table` run
+straight-line code generated at import in the loops' index order, so
+every bit matches the loop, the sign of zero included;
+`print(jets.KERNEL_SOURCE)` shows it.  A caller that needs one
 derivative reads `Jet4.coefficients` and scales that entry by k!, the
 product `Jet4.derivatives` forms for all of them.
 
@@ -46,17 +37,15 @@ base that vanishes at the point needs the base to be non-negative beside
 it.  An integer power raises OverflowError where the float power does.
 
 `JET2_COLUMNS` and `JET4_COLUMNS` are the same arithmetic over a column
-of points, one coefficient tuple per point (`jet_column`).  Their
-kernels are the straight-line kernels above, written out down the
-column in the same order, so each tuple equals `eval_jet` at its point
-bit for bit.  A column answers only where every point takes the
-straight-line branch and every coefficient is finite; otherwise
-`jet_column` returns None and the caller runs `eval_jet` per point.
+of points, one coefficient tuple per point (`jet_column`), on the column
+forms of the same kernels (`_mul3`, `_compose5`, ...), so each tuple
+equals `eval_jet` at its point bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import linecache
 import math
 import operator
 from dataclasses import dataclass
@@ -70,6 +59,8 @@ Coeffs = tuple[float, ...]
 
 # Seed of the variable x at each supported order: x0 + 1*h.
 _SEEDS = {2: (1.0, 0.0), 4: (1.0, 0.0, 0.0, 0.0)}
+# The length of the longest jet, at which constants are lifted.
+_LENGTH = max(_SEEDS) + 1
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ class _NeedsOrder4(Exception):
     """A shorter jet reached a power that reads coefficients past its order."""
 
 
-def _const(v: float, n: int = len(_FACT)) -> Coeffs:
+def _const(v: float, n: int = _LENGTH) -> Coeffs:
     return (v,) + (0.0,) * (n - 1)
 
 
@@ -113,25 +104,6 @@ def _neg(a: Coeffs) -> Coeffs:
     return tuple(map(operator.neg, a))
 
 
-def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = min(len(a), len(b))
-    if n == 5 and math.isfinite(sum(b)):
-        a0, a1, a2, a3, a4 = a
-        b0, b1, b2, b3, b4 = b
-        return (
-            0.0 + a0 * b0,
-            0.0 + a0 * b1 + a1 * b0,
-            0.0 + a0 * b2 + a1 * b1 + a2 * b0,
-            0.0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-            0.0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
-        )
-    if n == 3 and math.isfinite(sum(b)):
-        a0, a1, a2 = a[0], a[1], a[2]
-        b0, b1, b2 = b[0], b[1], b[2]
-        return (0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0, 0.0 + a0 * b2 + a1 * b1 + a2 * b0)
-    return _mul_loop(a, b)
-
-
 def _mul_loop(a: Coeffs, b: Coeffs) -> Coeffs:
     """`_mul` at any length, skipping the terms whose a[i] is zero."""
     n = min(len(a), len(b))
@@ -143,25 +115,6 @@ def _mul_loop(a: Coeffs, b: Coeffs) -> Coeffs:
         for j in range(n - i):
             out[i + j] += ai * b[j]
     return tuple(out)
-
-
-def _div(a: Coeffs, b: Coeffs) -> Coeffs:
-    # b[0] != 0: `evaluate` tests every divisor, `_pow_int` every reciprocal
-    n = min(len(a), len(b))
-    if n == 5:
-        a0, a1, a2, a3, a4 = a
-        b0, b1, b2, b3, b4 = b
-        q0 = a0 / b0
-        q1 = (a1 - b1 * q0) / b0
-        q2 = (a2 - b1 * q1 - b2 * q0) / b0
-        q3 = (a3 - b1 * q2 - b2 * q1 - b3 * q0) / b0
-        return (q0, q1, q2, q3, (a4 - b1 * q3 - b2 * q2 - b3 * q1 - b4 * q0) / b0)
-    if n == 3:
-        b0, b1, b2 = b[0], b[1], b[2]
-        q0 = a[0] / b0
-        q1 = (a[1] - b1 * q0) / b0
-        return (q0, q1, (a[2] - b1 * q1 - b2 * q0) / b0)
-    return _div_loop(a, b)
 
 
 def _div_loop(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -176,46 +129,15 @@ def _div_loop(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-def _compose(derivs: Coeffs, u: Coeffs) -> Coeffs:
-    """Taylor coefficients of g(u(x)) from g's derivatives at u[0].
+def _compose_loop(derivs: Coeffs, u: Coeffs) -> Coeffs:
+    """Taylor coefficients of g(u(x)) from g's derivatives at u[0], at any length.
 
     derivs holds g, g', ... to at least the order of u.  Horner's rule in
     w = u - u[0], with `_mul` and `_add` fused: the terms of each product
-    are summed in `_mul`'s order.  The product with w[0] = 0 is left out,
-    so u[0] is never read and an infinite coefficient never meets it.
+    are summed in `_mul`'s order, skipping those whose acc[i] is zero.
+    The product with w[0] = 0 is left out, so u[0] is never read and an
+    infinite coefficient never meets it.
     """
-    n = len(u)
-    # a, b, c, d: the accumulator once derivs[4], [3], [2], [1] are in;
-    # coefficients that no later step reads are not formed
-    if n == 5 and math.isfinite(sum(u)):
-        _, u1, u2, u3, u4 = u
-        a0 = derivs[4] / 24.0
-        b0 = 0.0 + derivs[3] / 6.0
-        b1 = 0.0 + a0 * u1
-        c0 = 0.0 + derivs[2] / 2.0
-        c1 = 0.0 + b0 * u1
-        c2 = 0.0 + b0 * u2 + b1 * u1
-        d0 = 0.0 + derivs[1]
-        d1 = 0.0 + c0 * u1
-        d2 = 0.0 + c0 * u2 + c1 * u1
-        d3 = 0.0 + c0 * u3 + c1 * u2 + c2 * u1
-        return (
-            0.0 + derivs[0],
-            0.0 + d0 * u1,
-            0.0 + d0 * u2 + d1 * u1,
-            0.0 + d0 * u3 + d1 * u2 + d2 * u1,
-            0.0 + d0 * u4 + d1 * u3 + d2 * u2 + d3 * u1,
-        )
-    if n == 3 and math.isfinite(sum(u)):
-        _, u1, u2 = u
-        d0 = 0.0 + derivs[1]
-        d1 = 0.0 + derivs[2] / 2.0 * u1
-        return (0.0 + derivs[0], 0.0 + d0 * u1, 0.0 + d0 * u2 + d1 * u1)
-    return _compose_loop(derivs, u)
-
-
-def _compose_loop(derivs: Coeffs, u: Coeffs) -> Coeffs:
-    """`_compose` at any length, skipping the terms whose acc[i] is zero."""
     n = len(u)
     acc = [0.0] * n
     acc[0] = derivs[n - 1] / _FACT[n - 1]
@@ -239,29 +161,133 @@ def _falling(r: float, k: int) -> float:
     return out
 
 
-def _pow_table(u0: float, r: float, n: int) -> Coeffs:
-    """The first n derivatives of t^r at u0: falling(r, k) * u0^(r - k)."""
-    if n == 5:
-        f1 = 1.0 * r
-        f2 = f1 * (r - 1)
-        f3 = f2 * (r - 2)
-        f4 = f3 * (r - 3)
-        return (
-            1.0 * u0 ** r,
-            f1 * u0 ** (r - 1),
-            f2 * u0 ** (r - 2),
-            f3 * u0 ** (r - 3),
-            f4 * u0 ** (r - 4),
-        )
-    if n == 3:
-        f1 = 1.0 * r
-        return (1.0 * u0 ** r, f1 * u0 ** (r - 1), f1 * (r - 1) * u0 ** (r - 2))
-    return _pow_table_loop(u0, r, n)
-
-
 def _pow_table_loop(u0: float, r: float, n: int) -> Coeffs:
-    """`_pow_table` at any length."""
+    """The first n derivatives of t^r at u0: falling(r, k) * u0^(r - k)."""
     return tuple(_falling(r, k) * u0 ** (r - k) for k in range(n))
+
+
+# --- straight-line kernels -----------------------------------------------------
+#
+# A description gives a kernel at length n as its loop's operations in the loop's
+# index order: (statements once per call, statements per point, the result's
+# coefficients), in which a0, b1, ... name operand coefficients.  Coefficients no
+# later step reads are not formed, and a division by 0! or 1! (exact) is left out.
+
+
+def _product(n: int) -> tuple[list[str], list[str], list[str]]:
+    """`_mul_loop`: c_k = 0.0 + a0*b_k + a1*b_(k-1) + ... + a_k*b0."""
+    rows = ["0.0 + " + " + ".join(f"a{i} * b{k - i}" for i in range(k + 1)) for k in range(n)]
+    return [], [], rows
+
+
+def _quotient(n: int) -> tuple[list[str], list[str], list[str]]:
+    """`_div_loop`: q_k = (a_k - b1*q_(k-1) - ... - b_k*q0) / b0, the last one inlined.
+
+    b0 != 0: `evaluate` tests every divisor, `_pow` every reciprocal.
+    """
+    rows = ["a0 / b0"]
+    for k in range(1, n):
+        rows.append(f"(a{k}" + "".join(f" - b{j} * q{k - j}" for j in range(1, k + 1)) + ") / b0")
+    lines = [f"q{k} = {row}" for k, row in enumerate(rows[:-1])]
+    return [], lines, [f"q{k}" for k in range(n - 1)] + rows[-1:]
+
+
+def _composition(n: int) -> tuple[list[str], list[str], list[str]]:
+    """`_compose_loop`: Horner's rule in w = u - u0, from g_(n-1) down to g0.
+
+    h<k>_<m> is coefficient m of the accumulator once g_k is in; the step
+    that adds g_k forms coefficients 0..n-1-k, the ones later steps read.
+    """
+    heads = [f"g{k}" if k < 2 else f"g{k} / {math.factorial(k)}.0" for k in range(n)]
+
+    def row(k: int, m: int) -> str:
+        return "0.0 + " + (" + ".join(f"h{k + 1}_{i} * u{m - i}" for i in range(m)) or heads[k])
+
+    lines = [f"h{n - 1}_0 = {heads[-1]}"]
+    lines += [f"h{k}_{m} = {row(k, m)}" for k in range(n - 2, 0, -1) for m in range(n - k)]
+    return [], lines, [row(0, m) for m in range(n)]
+
+
+def _power_table(n: int) -> tuple[list[str], list[str], list[str]]:
+    """`_pow_table_loop`: entry k is the falling factorial f_k = 1.0*r*(r-1)*... times u0**(r-k)."""
+    falling = ["f1 = 1.0 * r"] + [f"f{k} = f{k - 1} * (r - {k - 1})" for k in range(2, n)]
+    return falling, [], ["1.0 * u0 ** r"] + [f"f{k} * u0 ** (r - {k})" for k in range(1, n)]
+
+
+def _termwise(row: str):
+    return lambda n: ([], [], [row.format(k=k) for k in range(n)])
+
+
+# name: (description, the letters of the tuple operands, the column form's parameters,
+# the operand whose sum must be finite, as the loop skips a zero left factor and 0*inf
+# is NaN, and for the four loops the scalar form's parameters and length).
+_KERNELS = {
+    "add": (_termwise("a{k} + b{k}"), "ab", "a, b", None, None),
+    "sub": (_termwise("a{k} - b{k}"), "ab", "a, b", None, None),
+    "neg": (_termwise("-a{k}"), "a", "a", None, None),
+    "over_head": (_termwise("a{k} / a0"), "a", "a", None, None),
+    "mul": (_product, "ab", "a, b", "b", ("a, b", "min(len(a), len(b))")),
+    "div": (_quotient, "ab", "a, b", None, ("a, b", "min(len(a), len(b))")),
+    "compose": (_composition, "gu", "tables, u", "u", ("derivs, u", "len(u)")),
+    "pow_table": (_power_table, "", "heads, r", None, ("u0, r, n", None)),
+}
+
+
+def _names(letter: str, n: int) -> str:
+    return ", ".join(f"{letter}{k}" for k in range(n))
+
+
+def _tuple(rows: list[str]) -> str:
+    return "(\n" + "".join(f"            {row},\n" for row in rows) + "        )"
+
+
+def _kernel_source(lengths: tuple[int, ...]) -> str:
+    """Python source of the column kernels `_<name><n>` at each of lengths and the
+    scalar ones `_<name>`, which try the lengths longest first, then `_<name>_loop`.
+    The longest unpacks whole tuples; below it, an operand may be longer than the jet
+    it meets, so it is indexed, unless the scalar's length is its own."""
+    out = []
+    for name, (describe, letters, columns, guard, scalar) in _KERNELS.items():
+        forms = [(n, *describe(n)) for n in sorted(lengths, reverse=True)]
+        if scalar:
+            params, length = scalar
+            out.append(f"def _{name}({params}):")
+            if length:
+                out.append(f"    n = {length}")
+            for n, once, each, rows in forms:
+                finite = f" and math.isfinite(sum({guard}))" if guard else ""
+                out.append(f"    if n == {n}{finite}:")
+                for param, letter in zip(params.split(", "), letters):
+                    indexed = n < max(lengths) and length != f"len({param})"
+                    whole = ", ".join(f"{param}[{k}]" for k in range(n)) if indexed else param
+                    out.append(f"        {_names(letter, n)} = {whole}")
+                out += [f"        {line}" for line in once + each] + [f"        return {_tuple(rows)}"]
+            out.append(f"    return _{name}_loop({params})\n")
+        for n, once, each, rows in forms:
+            target = ", ".join(f"({_names(letter, n)})" for letter in letters) or "u0"
+            source = columns.split(", ")[0] if len(letters) < 2 else f"zip({columns})"
+            out.append(f"def _{name}{n}({columns}):")
+            if guard:
+                out += [f"    if not _finite({guard}):", "        raise Fallback"]
+            out += [f"    {line}" for line in once]
+            if each:
+                out += ["    out = []", f"    for {target} in {source}:"] + [f"        {line}" for line in each]
+                out += [f"        out.append({_tuple(rows)})", "    return out\n"]
+            else:
+                out += [f"    return [\n        {_tuple(rows)}\n        for {target} in {source}\n    ]\n"]
+    return "\n".join(out)
+
+
+def _finite(column: list[Coeffs]) -> bool:
+    # a plain `sum()`, which is no result arithmetic: a finite sum means every term is finite
+    return math.isfinite(sum(itertools.chain.from_iterable(column)))
+
+
+# The kernels at the lengths of `_SEEDS`, compiled once; tracebacks read them from linecache.
+KERNEL_SOURCE = _kernel_source(tuple(order + 1 for order in _SEEDS))
+_KERNEL_FILE = "<hhbounds.jets kernels>"
+linecache.cache[_KERNEL_FILE] = (len(KERNEL_SOURCE), None, KERNEL_SOURCE.splitlines(True), _KERNEL_FILE)
+exec(compile(KERNEL_SOURCE, _KERNEL_FILE, "exec"))
 
 
 def _pow_regular(u: Coeffs, r: float) -> Coeffs:
@@ -269,29 +295,17 @@ def _pow_regular(u: Coeffs, r: float) -> Coeffs:
     return _compose(_pow_table(u[0], r, len(u)), u)
 
 
-def _pow_int(u: Coeffs, e: int) -> Coeffs:
-    """u^e by repeated squaring, and a reciprocal when e < 0.
-
-    The first product is at the lowest set bit of |e| and the last square
-    at the highest, so u^4 costs two products.  Raises OverflowError where the float power
-    would: when the value leaves the float range, or when a negative power
-    takes the reciprocal of a power that underflowed to zero.
-    """
-    n = abs(e)
-    acc = _const(1.0, len(u)) if n == 0 else None
-    base = u
-    while n:
-        if n & 1:
-            acc = base if acc is None else _mul(acc, base)
-        n >>= 1
-        if n:
-            base = _mul(base, base)
-    if e < 0:
-        if acc[0] == 0.0:
-            raise OverflowError(f"power {-e} underflows to 0")
-        acc = _div(_const(1.0, len(u)), acc)
-    if not math.isfinite(acc[0]) and math.isfinite(u[0]):
-        raise OverflowError(f"power {e} leaves the float range")
+def _squarings(u, k: int, mul):
+    """u^k for k >= 1 under the product mul, by repeated squaring: the first
+    product is at the lowest set bit of k and the last square at the highest,
+    so u^4 costs two products."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = u if acc is None else mul(acc, u)
+        k >>= 1
+        if k:
+            u = mul(u, u)
     return acc
 
 
@@ -307,7 +321,7 @@ def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
     order-2 jet asks `eval_jet` for order 4.
     """
     n = len(u)
-    if n < len(_FACT) and u[1] == 0.0:
+    if n < _LENGTH and u[1] == 0.0:
         raise _NeedsOrder4
     m = next((k for k in range(1, n) if u[k] != 0.0), None)
     if m is None:
@@ -330,52 +344,73 @@ def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
 
 
 def _pow(u: Coeffs, r: float) -> Coeffs:
-    if r == int(r):
-        return _pow_int(u, int(r))
-    if u[0] > 0.0:
-        return _pow_regular(u, r)
-    return _pow_zero_base(u, r)
+    """u^r; an integer r by `_squarings`, and a reciprocal when r < 0.
+
+    An integer power raises OverflowError where the float power would: when
+    the value leaves the float range, or when a negative power takes the
+    reciprocal of a power that underflowed to zero.
+    """
+    if r != int(r):
+        return _pow_regular(u, r) if u[0] > 0.0 else _pow_zero_base(u, r)
+    e = int(r)
+    acc = _squarings(u, abs(e), _mul) if e else _const(1.0, len(u))
+    if e < 0:
+        if acc[0] == 0.0:
+            raise OverflowError(f"power {-e} underflows to 0")
+        acc = _div(_const(1.0, len(u)), acc)
+    if not math.isfinite(acc[0]) and math.isfinite(u[0]):
+        raise OverflowError(f"power {e} leaves the float range")
+    return acc
 
 
-# Below this h, 12/h^3, a bound on the last entry of `_hyp`'s table and on its
-# partial quotients, leaves the float range, so `_hyp` scales u first.  Above it
+# Below this h, 12/h^3, a bound on the last entry of `_hyp_table` and on its
+# partial quotients, leaves the float range, so the table is of u scaled.  Above it
 # the table is finite unscaled, and scaling would only push u's powers past the range.
 _HYP_TINY = 4.1e-103
 
 
-def _hyp(u: Coeffs, softness: float) -> Coeffs:
-    """hyp(u, eps) composed from g(t) = sqrt(t^2 + eps^2) at t = u0.
+def _hyp_table(u0: float, softness: float, n: int) -> tuple[float, Coeffs]:
+    """(unit, table): hyp(u, eps) = unit * g(u/unit), and the first n entries
+    of g's table at u0/unit, for g(t) = sqrt(t^2 + e^2) and e = eps/unit.
 
-    g's derivatives are written in ratios to h = hypot(u0, eps): with
-    c = u0/h and s = eps/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
+    g's derivatives are written in ratios to h = hypot(u0, eps)/unit: with
+    c = u0/unit/h and s = e/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
     g'''' = 3 s^2 (4c^2 - s^2)/h^3.  No square of u0 or eps is formed, and
-    g'' is a product, so it cannot cancel below 0.  Below `_HYP_TINY`,
-    where 1/h^3 would overflow, u and eps are divided by the power of two
-    just above h, which brings h into [1/2, 1), and the result is
-    multiplied back; a power of two rounds nothing inside the float range.
-    Raises OverflowError only where the value h leaves the float range.
-    """
-    h = math.hypot(u[0], softness)
-    if h == math.inf and math.isfinite(u[0]):
+    g'' is a product, so it cannot cancel below 0.  unit is 1.0 or, below
+    `_HYP_TINY`, the power of two just above hypot(u0, eps), which brings h
+    into [1/2, 1) and rounds nothing inside the float range.  Raises
+    OverflowError only where the value leaves the float range."""
+    h = math.hypot(u0, softness)
+    if h == math.inf and math.isfinite(u0):
         raise OverflowError("hyp leaves the float range")
-    unit = math.ldexp(1.0, math.frexp(h)[1]) if h < _HYP_TINY else 1.0
-    u = tuple(v / unit for v in u)
-    h /= unit
-    c = u[0] / h
-    s2 = (softness / unit / h) ** 2
-    table = (h, c, s2 / h, -3.0 * s2 * c / h / h, 3.0 * s2 * (4.0 * c * c - s2) / h / h / h)
-    return tuple(v * unit for v in _compose(table, u))
+    unit = 1.0
+    if h < _HYP_TINY:
+        unit = math.ldexp(1.0, math.frexp(h)[1])
+        u0, softness, h = u0 / unit, softness / unit, h / unit
+    c = u0 / h
+    s2 = (softness / h) ** 2
+    if n > 3:
+        return unit, (h, c, s2 / h, -3.0 * s2 * c / h / h, 3.0 * s2 * (4.0 * c * c - s2) / h / h / h)
+    return unit, (h, c, s2 / h)
+
+
+def _hyp(u: Coeffs, softness: float) -> Coeffs:
+    unit, table = _hyp_table(u[0], softness, len(u))
+    return tuple(v * unit for v in _compose(table, tuple(v / unit for v in u)))
 
 
 def _exp(u: Coeffs) -> Coeffs:
     return _compose((math.exp(u[0]),) * len(u), u)
 
 
+# log(u) = log(u0) + log(1 + t) with t = u/u0 - 1: past its value the table is
+# that of log(1 + t) at 0, so no power of 1/u0 can overflow.
+_LOG_TAIL = (1.0, -1.0, 2.0, -6.0)
+
+
 def _log(u: Coeffs) -> Coeffs:
-    # log(u) = log(u0) + log(1 + t) with t = u/u0 - 1: the table is that
-    # of log(1 + t) at 0, so no power of 1/u0 can overflow.
     u0 = u[0]
-    return _compose((math.log(u0), 1.0, -1.0, 2.0, -6.0), tuple(c / u0 for c in u))
+    return _compose((math.log(u0),) + _LOG_TAIL, tuple(c / u0 for c in u))
 
 
 def _abs(u: Coeffs) -> Coeffs:
@@ -386,14 +421,12 @@ def _abs(u: Coeffs) -> Coeffs:
     raise DomainError("abs is not differentiable at 0")
 
 
-def _sin(u: Coeffs) -> Coeffs:
-    s, c = math.sin(u[0]), math.cos(u[0])
-    return _compose((s, c, -s, -c, s), u)
+# The derivative tables of sin and cos at u0, from s = sin(u0) and c = cos(u0).
+_TRIG_TABLES = {"sin": lambda s, c: (s, c, -s, -c, s), "cos": lambda s, c: (c, -s, -c, s, c)}
 
 
-def _cos(u: Coeffs) -> Coeffs:
-    s, c = math.sin(u[0]), math.cos(u[0])
-    return _compose((c, -s, -c, s, c), u)
+def _trig(table):
+    return lambda u: _compose(table(math.sin(u[0]), math.cos(u[0])), u)
 
 
 # The jet arithmetic for expr.evaluate; expr.FLOATS documents the keys.
@@ -411,16 +444,17 @@ JETS = {
     "log": _log,
     "sqrt": lambda u: _pow(u, 0.5),
     "abs": _abs,
-    "sin": _sin,
-    "cos": _cos,
+    **{name: _trig(table) for name, table in _TRIG_TABLES.items()},
 }
+
+
+def _no_seed(order: int):
+    raise ValueError(f"jet order must be 2 or 4, got {order!r}")
 
 
 def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
     """Taylor coefficients c0..c_order of f at x; order is 2 or 4."""
-    seed = _SEEDS.get(order)
-    if seed is None:
-        raise ValueError(f"jet order must be 2 or 4, got {order!r}")
+    seed = _SEEDS.get(order) or _no_seed(order)
     node = as_node(f)
     try:
         coeffs = evaluate(node, (x, *seed), JETS)
@@ -431,214 +465,41 @@ def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
 
 
 # --- columns -----------------------------------------------------------------
-#
-# A jet column holds one coefficient tuple per point, all of one length, 3 or
-# 5, and each operation runs its straight-line kernel down the column with the
-# scalar kernel's operations in the scalar kernel's order.  It answers only where
-# every point would take the scalar kernel's straight-line branch: the right
-# operand of a product and the inner jet of a composition are finite everywhere,
-# every base of a non-integer power is positive, abs sees one sign.  Otherwise,
-# and where an integer power or hyp would overflow, it raises `Fallback`.  The
-# guards read a plain `sum()`, which is no result arithmetic: a finite sum
-# means every term is finite.
 
 
-def _finite(column: list[Coeffs]) -> bool:
-    return math.isfinite(sum(itertools.chain.from_iterable(column)))
+def _column_arithmetic(n: int) -> dict:
+    """The arithmetic of columns of n-coefficient jets, on the kernels `_add<n>`, ...
 
-
-def _add3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    return [(a0 + b0, a1 + b1, a2 + b2) for (a0, a1, a2), (b0, b1, b2) in zip(a, b)]
-
-
-def _add5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    return [
-        (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
-        for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b)
-    ]
-
-
-def _sub3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    return [(a0 - b0, a1 - b1, a2 - b2) for (a0, a1, a2), (b0, b1, b2) in zip(a, b)]
-
-
-def _sub5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    return [
-        (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4)
-        for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b)
-    ]
-
-
-def _neg3(a: list[Coeffs]) -> list[Coeffs]:
-    return [(-a0, -a1, -a2) for a0, a1, a2 in a]
-
-
-def _neg5(a: list[Coeffs]) -> list[Coeffs]:
-    return [(-a0, -a1, -a2, -a3, -a4) for a0, a1, a2, a3, a4 in a]
-
-
-def _over_head3(a: list[Coeffs]) -> list[Coeffs]:
-    """Each jet divided by its own c0, as `_log` scales its argument."""
-    return [(a0 / a0, a1 / a0, a2 / a0) for a0, a1, a2 in a]
-
-
-def _over_head5(a: list[Coeffs]) -> list[Coeffs]:
-    return [(a0 / a0, a1 / a0, a2 / a0, a3 / a0, a4 / a0) for a0, a1, a2, a3, a4 in a]
-
-
-def _mul3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    if not _finite(b):
-        raise Fallback
-    return [
-        (0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0, 0.0 + a0 * b2 + a1 * b1 + a2 * b0)
-        for (a0, a1, a2), (b0, b1, b2) in zip(a, b)
-    ]
-
-
-def _mul5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    if not _finite(b):
-        raise Fallback
-    return [
-        (
-            0.0 + a0 * b0,
-            0.0 + a0 * b1 + a1 * b0,
-            0.0 + a0 * b2 + a1 * b1 + a2 * b0,
-            0.0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-            0.0 + a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0,
-        )
-        for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b)
-    ]
-
-
-def _div3(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    out = []
-    for (a0, a1, a2), (b0, b1, b2) in zip(a, b):
-        q0 = a0 / b0
-        q1 = (a1 - b1 * q0) / b0
-        out.append((q0, q1, (a2 - b1 * q1 - b2 * q0) / b0))
-    return out
-
-
-def _div5(a: list[Coeffs], b: list[Coeffs]) -> list[Coeffs]:
-    out = []
-    for (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) in zip(a, b):
-        q0 = a0 / b0
-        q1 = (a1 - b1 * q0) / b0
-        q2 = (a2 - b1 * q1 - b2 * q0) / b0
-        q3 = (a3 - b1 * q2 - b2 * q1 - b3 * q0) / b0
-        out.append((q0, q1, q2, q3, (a4 - b1 * q3 - b2 * q2 - b3 * q1 - b4 * q0) / b0))
-    return out
-
-
-def _compose3(tables: list[Coeffs], u: list[Coeffs]) -> list[Coeffs]:
-    """`_compose` down a column, each point with its own derivative table."""
-    if not _finite(u):
-        raise Fallback
-    out = []
-    for (g0, g1, g2), (_, u1, u2) in zip(tables, u):
-        d0 = 0.0 + g1
-        d1 = 0.0 + g2 / 2.0 * u1
-        out.append((0.0 + g0, 0.0 + d0 * u1, 0.0 + d0 * u2 + d1 * u1))
-    return out
-
-
-def _compose5(tables: list[Coeffs], u: list[Coeffs]) -> list[Coeffs]:
-    if not _finite(u):
-        raise Fallback
-    out = []
-    for (g0, g1, g2, g3, g4), (_, u1, u2, u3, u4) in zip(tables, u):
-        a0 = g4 / 24.0
-        b0 = 0.0 + g3 / 6.0
-        b1 = 0.0 + a0 * u1
-        c0 = 0.0 + g2 / 2.0
-        c1 = 0.0 + b0 * u1
-        c2 = 0.0 + b0 * u2 + b1 * u1
-        d0 = 0.0 + g1
-        d1 = 0.0 + c0 * u1
-        d2 = 0.0 + c0 * u2 + c1 * u1
-        d3 = 0.0 + c0 * u3 + c1 * u2 + c2 * u1
-        out.append((
-            0.0 + g0,
-            0.0 + d0 * u1,
-            0.0 + d0 * u2 + d1 * u1,
-            0.0 + d0 * u3 + d1 * u2 + d2 * u1,
-            0.0 + d0 * u4 + d1 * u3 + d2 * u2 + d3 * u1,
-        ))
-    return out
-
-
-def _pow_tables3(heads: list[float], r: float) -> list[Coeffs]:
-    f1 = 1.0 * r
-    f2 = f1 * (r - 1)
-    return [(1.0 * u0 ** r, f1 * u0 ** (r - 1), f2 * u0 ** (r - 2)) for u0 in heads]
-
-
-def _pow_tables5(heads: list[float], r: float) -> list[Coeffs]:
-    f1 = 1.0 * r
-    f2 = f1 * (r - 1)
-    f3 = f2 * (r - 2)
-    f4 = f3 * (r - 3)
-    return [
-        (
-            1.0 * u0 ** r,
-            f1 * u0 ** (r - 1),
-            f2 * u0 ** (r - 2),
-            f3 * u0 ** (r - 3),
-            f4 * u0 ** (r - 4),
-        )
-        for u0 in heads
-    ]
-
-
-def _column_arithmetic(n: int, straight: dict, compose, pow_tables, over_head) -> dict:
-    """The column arithmetic of n-coefficient jets from its straight-line kernels:
-    straight holds +, -, *, / and neg; the rest are built on compose."""
-    mul, div = straight["*"], straight["/"]
+    It raises `Fallback`, or the error, unless every point would take the scalar
+    kernels' straight-line branches (a product's right operand and a composition's
+    inner jet finite, a non-integer power's base positive, abs on one sign) and no
+    integer power or hyp overflows."""
+    kernel = {name: globals()[f"_{name}{n}"] for name in _KERNELS}
+    mul, div, compose = kernel["mul"], kernel["div"], kernel["compose"]
     one = _const(1.0, n)
 
-    def pow_int(u: list[Coeffs], e: int) -> list[Coeffs]:
-        # `_pow_int`; where it would raise OverflowError, the column falls back
-        k = abs(e)
-        acc = [one] * len(u) if k == 0 else None
-        base = u
-        while k:
-            if k & 1:
-                acc = base if acc is None else mul(acc, base)
-            k >>= 1
-            if k:
-                base = mul(base, base)
+    def power(u: list[Coeffs], r: float) -> list[Coeffs]:
+        # `_pow`; where it would raise OverflowError, the column falls back
+        if r != int(r):
+            heads = [c[0] for c in u]
+            if column_head(heads) > 0.0:
+                return compose(kernel["pow_table"](heads, r), u)
+            raise Fallback
+        e = int(r)
+        acc = _squarings(u, abs(e), mul) if e else [one] * len(u)
         if e < 0:  # a power that underflowed to 0 divides by zero
             acc = div([one] * len(u), acc)
         if not math.isfinite(sum([c[0] for c in acc])):
             raise Fallback
         return acc
 
-    def power(u: list[Coeffs], r: float) -> list[Coeffs]:
-        if r == int(r):
-            return pow_int(u, int(r))
-        heads = [c[0] for c in u]
-        if column_head(heads) > 0.0:
-            return compose(pow_tables(heads, r), u)
-        raise Fallback
-
     def hyp(u: list[Coeffs], softness: float) -> list[Coeffs]:
-        # `_hyp` point by point; compose reads the first n entries of each table
+        # `_hyp` point by point; dividing or multiplying by a unit of 1.0 changes no bit
         tables, scaled, units = [], [], []
         for c in u:
-            h = math.hypot(c[0], softness)
-            if h == math.inf:
-                raise Fallback
-            unit = math.ldexp(1.0, math.frexp(h)[1]) if h < _HYP_TINY else 1.0
-            if unit != 1.0:  # dividing or multiplying by 1.0 changes no bit
-                c = tuple(v / unit for v in c)
-                h /= unit
-            cos = c[0] / h
-            s2 = (softness / unit / h) ** 2
-            table = (h, cos, s2 / h)
-            if n == 5:
-                table += (-3.0 * s2 * cos / h / h, 3.0 * s2 * (4.0 * cos * cos - s2) / h / h / h)
+            unit, table = _hyp_table(c[0], softness, n)
             tables.append(table)
-            scaled.append(c)
+            scaled.append(c if unit == 1.0 else tuple(v / unit for v in c))
             units.append(unit)
         out = compose(tables, scaled)
         return [c if unit == 1.0 else tuple(v * unit for v in c) for c, unit in zip(out, units)]
@@ -646,66 +507,53 @@ def _column_arithmetic(n: int, straight: dict, compose, pow_tables, over_head) -
     def exp(u: list[Coeffs]) -> list[Coeffs]:
         return compose([(e,) * n for e in map(math.exp, [c[0] for c in u])], u)
 
-    log_tail = (1.0, -1.0, 2.0, -6.0)[: n - 1]
+    log_tail = _LOG_TAIL[: n - 1]
 
     def log(u: list[Coeffs]) -> list[Coeffs]:
-        return compose([(math.log(c[0]),) + log_tail for c in u], over_head(u))
+        return compose([(math.log(c[0]),) + log_tail for c in u], kernel["over_head"](u))
 
     def trig(table):
-        def fn(u: list[Coeffs]) -> list[Coeffs]:
-            heads = [c[0] for c in u]
-            tables = map(table, map(math.sin, heads), map(math.cos, heads))
-            return compose([t[:n] for t in tables], u)
-
-        return fn
+        return lambda u: compose([table(math.sin(c[0]), math.cos(c[0]))[:n] for c in u], u)
 
     def absolute(u: list[Coeffs]) -> list[Coeffs]:
         heads = [c[0] for c in u]
         if column_head(heads) > 0.0:
             return u
         if max(heads) < 0.0:
-            return straight["neg"](u)
+            return kernel["neg"](u)
         raise Fallback
 
     return {
-        **straight,
         "const": lambda v: _const(v, n),
         "head": lambda u: column_head([c[0] for c in u]),
+        "+": kernel["add"],
+        "-": kernel["sub"],
+        "*": mul,
+        "/": div,
         "^": power,
         "hyp": hyp,
+        "neg": kernel["neg"],
         "exp": exp,
         "log": log,
         "sqrt": lambda u: power(u, 0.5),
         "abs": absolute,
-        "sin": trig(lambda s, c: (s, c, -s, -c, s)),
-        "cos": trig(lambda s, c: (c, -s, -c, s, c)),
+        **{name: trig(table) for name, table in _TRIG_TABLES.items()},
     }
 
 
 # The order-2 and order-4 jet column arithmetics.  Constants are lifted at the
 # column's own length: an order-2 jet is the first three coefficients of the
 # order-4 jet, so lifting a constant short gives the bits of cutting it later.
-JET2_COLUMNS = _column_arithmetic(
-    3, {"+": _add3, "-": _sub3, "*": _mul3, "/": _div3, "neg": _neg3},
-    _compose3, _pow_tables3, _over_head3,
-)
-JET4_COLUMNS = _column_arithmetic(
-    5, {"+": _add5, "-": _sub5, "*": _mul5, "/": _div5, "neg": _neg5},
-    _compose5, _pow_tables5, _over_head5,
-)
-_COLUMNS = {2: JET2_COLUMNS, 4: JET4_COLUMNS}
+_COLUMNS = {order: _column_arithmetic(order + 1) for order in _SEEDS}
+JET2_COLUMNS, JET4_COLUMNS = _COLUMNS[2], _COLUMNS[4]
 
 
 def jet_column(f: Node | str, xs: list[float], order: int = 4) -> list[Coeffs] | None:
     """`eval_jet(f, x, order).coefficients` at every x of xs in one walk, or None.
 
-    It answers only where every point takes the same kernel branch and
-    every coefficient is finite, and then each tuple is the scalar jet's
-    bit for bit.  On None the caller runs `eval_jet` point by point, which
-    stays the reference and the only source of errors.
-    """
-    seed = _SEEDS.get(order)
-    if seed is None:
-        raise ValueError(f"jet order must be 2 or 4, got {order!r}")
+    It answers, bit for bit, only where every point takes the same kernel branch
+    and every coefficient is finite.  On None the caller runs `eval_jet` point by
+    point, which stays the reference and the only source of errors."""
+    seed = _SEEDS.get(order) or _no_seed(order)
     cs = evaluate_columns(as_node(f), [(x,) + seed for x in xs], _COLUMNS[order])
     return cs if cs is not None and _finite(cs) else None

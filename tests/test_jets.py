@@ -1,10 +1,12 @@
 import math
 import random
+import traceback
+import types
 
 import pytest
 
 from hhbounds import DomainError, Interval, convexity_profile, eval_jet, eval_value, jets, parse
-from hhbounds.expr import BinOp, Const, Pow, Var, to_source
+from hhbounds.expr import BinOp, Const, Fallback, Pow, Var, to_source
 from hhbounds.verify import _random_expr
 
 
@@ -326,30 +328,43 @@ _KERNEL_POOL = (
 )
 
 
-def _draw(rng: random.Random, n: int) -> tuple[float, ...]:
-    return tuple(rng.choice(_KERNEL_POOL) for _ in range(n))
+def _draw(rng: random.Random, n: int, pool: tuple[float, ...] = _KERNEL_POOL) -> tuple[float, ...]:
+    return tuple(rng.choice(pool) for _ in range(n))
 
 
-@pytest.mark.parametrize("la, lb", [(3, 3), (5, 5), (5, 3), (3, 5)])
-def test_straight_line_product_matches_the_loop_bit_for_bit(la, lb):
+def _scalar_kernels(n: int, monkeypatch):
+    """The module's kernels where n is a jet length; elsewhere the kernels
+    generated for n alone, beside loops whose factorials reach n - 1."""
+    if n - 1 in jets._SEEDS:
+        return jets
+    monkeypatch.setattr(jets, "_FACT", tuple(float(math.factorial(k)) for k in range(n)))
+    namespace = dict(vars(jets))
+    exec(jets._kernel_source((n,)), namespace)
+    return types.SimpleNamespace(**namespace)
+
+
+@pytest.mark.parametrize("la, lb", [(3, 3), (5, 5), (5, 3), (3, 5), (7, 7)])
+def test_straight_line_product_matches_the_loop_bit_for_bit(la, lb, monkeypatch):
+    kernels = _scalar_kernels(max(la, lb), monkeypatch)
     rng = random.Random(1000 * la + lb)
     finite = 0
     for _ in range(10_000):
         a, b = _draw(rng, la), _draw(rng, lb)
         finite += math.isfinite(sum(b))
-        assert repr(jets._mul(a, b)) == repr(jets._mul_loop(a, b)), (a, b)
+        assert repr(kernels._mul(a, b)) == repr(jets._mul_loop(a, b)), (a, b)
     assert finite > 2_000  # the straight-line sums ran, not only the loop
 
 
-@pytest.mark.parametrize("ld, lu", [(3, 3), (5, 5), (5, 3)])
-def test_straight_line_composition_matches_the_loop_bit_for_bit(ld, lu):
+@pytest.mark.parametrize("ld, lu", [(3, 3), (5, 5), (5, 3), (7, 7)])
+def test_straight_line_composition_matches_the_loop_bit_for_bit(ld, lu, monkeypatch):
     # the table must reach the order of u, so (3, 5) is not a valid pair
+    kernels = _scalar_kernels(lu, monkeypatch)
     rng = random.Random(1000 * ld + lu)
     finite = 0
     for _ in range(10_000):
         derivs, u = _draw(rng, ld), _draw(rng, lu)
         finite += math.isfinite(sum(u))
-        assert repr(jets._compose(derivs, u)) == repr(jets._compose_loop(derivs, u)), (derivs, u)
+        assert repr(kernels._compose(derivs, u)) == repr(jets._compose_loop(derivs, u)), (derivs, u)
     assert finite > 2_000
 
 
@@ -361,29 +376,98 @@ def _outcome(fn, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("la, lb", [(5, 5), (3, 3), (5, 3)])
-def test_straight_line_quotient_matches_the_loop_bit_for_bit(la, lb):
+@pytest.mark.parametrize("la, lb", [(5, 5), (3, 3), (5, 3), (7, 7)])
+def test_straight_line_quotient_matches_the_loop_bit_for_bit(la, lb, monkeypatch):
     # a zero divisor raises ZeroDivisionError at the first coefficient in both forms
+    kernels = _scalar_kernels(max(la, lb), monkeypatch)
     rng = random.Random(2000 * la + lb)
     divided = 0
     for _ in range(10_000):
         a, b = _draw(rng, la), _draw(rng, lb)
         divided += b[0] != 0.0
-        assert _outcome(jets._div, a, b) == _outcome(jets._div_loop, a, b), (a, b)
+        assert _outcome(kernels._div, a, b) == _outcome(jets._div_loop, a, b), (a, b)
     assert divided > 2_000  # the straight-line form ran to its end, not only raised
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_straight_line_power_table_matches_the_loop_bit_for_bit(n):
+def _exponent(rng: random.Random) -> float:
+    return rng.choice(_KERNEL_POOL + (rng.uniform(-4.0, 4.0), round(rng.uniform(-4.0, 4.0), 1)))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_straight_line_power_table_matches_the_loop_bit_for_bit(n, monkeypatch):
     # exponents from the pool and ordinary non-integers; bases from the pool, so
     # 0 to a negative power and results past the float range raise in both forms
+    kernels = _scalar_kernels(n, monkeypatch)
     rng = random.Random(3000 + n)
     returned = 0
     for _ in range(10_000):
         u0 = rng.choice(_KERNEL_POOL)
-        r = rng.choice(_KERNEL_POOL + (rng.uniform(-4.0, 4.0), round(rng.uniform(-4.0, 4.0), 1)))
-        got = _outcome(jets._pow_table, u0, r, n)
+        r = _exponent(rng)
+        got = _outcome(kernels._pow_table, u0, r, n)
         assert got == _outcome(jets._pow_table_loop, u0, r, n), (u0, r)
         returned += got.startswith("(")
     assert returned > 2_000
 
+
+# The scalar form that each column kernel runs down its column.
+_SCALAR_FORMS = {
+    "add": jets._add,
+    "sub": jets._sub,
+    "neg": jets._neg,
+    "over_head": lambda a: tuple(c / a[0] for c in a),  # as `_log` scales its argument
+    "mul": jets._mul,
+    "div": jets._div,
+    "compose": jets._compose,
+    "pow_table": jets._pow_table,
+}
+# The operand whose coefficients must all be finite for the straight-line form,
+# as the loops skip a zero left factor: a product's right one, a composition's u.
+_GUARDED = {"mul": 1, "compose": 1}
+_FINITE_POOL = tuple(v for v in _KERNEL_POOL if math.isfinite(v))
+
+
+@pytest.mark.parametrize("name", list(jets._KERNELS))
+@pytest.mark.parametrize("n", [3, 5])
+def test_column_kernels_match_the_scalar_kernels_point_by_point(name, n):
+    """A generated column kernel either raises `Fallback`, exactly where its
+    guarded operand holds a coefficient that is not finite, or gives the
+    scalar kernel's outcome at each point in turn: the same `repr`, or the
+    first point's error."""
+    letters = jets._KERNELS[name][1]
+    kernel = getattr(jets, f"_{name}{n}")
+    rng = random.Random(f"{name}{n}")
+    answered = 0
+    for _ in range(2_000):
+        pool = rng.choice((_KERNEL_POOL, _FINITE_POOL))
+        if letters:
+            args = [[_draw(rng, n, pool) for _ in range(3)] for _ in letters]
+            points = list(zip(*args))
+        else:
+            args = [[rng.choice(pool) for _ in range(3)], _exponent(rng)]
+            points = [(u0, args[1], n) for u0 in args[0]]
+        try:
+            got = repr(kernel(*args))
+        except Fallback:
+            got = None
+        except ArithmeticError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        declines = name in _GUARDED and not jets._finite(args[_GUARDED[name]])
+        assert (got is None) == declines, (args, got)
+        if got is not None:
+            assert got == _outcome(lambda: [_SCALAR_FORMS[name](*p) for p in points]), args
+            answered += 1
+    assert answered > 500
+
+
+def test_the_kernels_sum_only_inside_their_finiteness_guards():
+    # sum() of floats is compensated from Python 3.12 on, so a kernel that summed
+    # its result with it would give other bits on other interpreters
+    source = jets.KERNEL_SOURCE
+    assert source.count("sum(") == source.count("math.isfinite(sum(") > 0
+
+
+def test_a_kernel_traceback_shows_the_generated_line():
+    # the generated kernels have no file; linecache holds their text for tracebacks and pdb
+    with pytest.raises(ZeroDivisionError) as info:
+        jets._div((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert "q0 = a0 / b0" in "".join(traceback.format_tb(info.tb))
