@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
 from .expr import Node, as_node, eval_column, eval_value, used_names
-from .jets import eval_jet, jet_column
+from .jets import jet_coefficients, jet_column
 from .quadrature import integrate_mean, integrate_mean_fn
 
 __all__ = [
@@ -178,7 +178,7 @@ def _point(node: Node, x: float, shape: str | None) -> tuple[float, float]:
     """f(x) and f''(x): one order-2 jet under a shape, one value and 0.0 without."""
     if shape is None:
         return eval_value(node, x), 0.0
-    c = eval_jet(node, x, order=2).coefficients
+    c = jet_coefficients(node, x, 2)
     return c[0], c[2] * 2.0
 
 
@@ -277,7 +277,7 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
         raise ValueError(f"need at least 33 sample points, got {n}")
     node = as_node(f)
     xs = _chebyshev_nodes(iv, n)
-    cs = [eval_jet(node, x).coefficients for x in xs]
+    cs = [jet_coefficients(node, x) for x in xs]
     d2s = [c[2] * 2.0 for c in cs]
 
     def classify(vals: list[float], pos: str, neg: str) -> str:
@@ -441,8 +441,7 @@ def _identity_check(row: str, f: Node | str, iv: Interval, tol: float) -> Identi
         if pair is None:
             x, y = _symmetric_pair(iv, t)
             pair = pairs[t] = (
-                eval_jet(node, x, order=2).coefficients[2] * 2.0
-                + eval_jet(node, y, order=2).coefficients[2] * 2.0
+                jet_coefficients(node, x, 2)[2] * 2.0 + jet_coefficients(node, y, 2)[2] * 2.0
             )
         return weight(t) * pair
 
@@ -476,8 +475,8 @@ def bisected_trapezoid_identity_residual(
     It shares its oracle mean and its f'' pairs with
     `simpson_identity_residual` on the same (f, iv, tol).  The pairs a
     kernel panel adds come from one order-2 column walk over their x_t
-    and y_t, or from `eval_jet` per point where the walk declines; the
-    bits are the same either way.
+    and y_t, or from `jet_coefficients` per point where the walk
+    declines; the bits are the same either way.
     """
     return _identity_check("bisected-trapezoid", f, iv, tol)
 
@@ -505,14 +504,14 @@ def simpson_estimate(f: Node | str, iv: Interval) -> SimpsonEstimate:
     err_bound = (1/90) h^5 max|f''''| / (b-a) with h = (b-a)/2, the
     max sampled at the 33 Chebyshev points of `_SIMPSON_N` plus both
     endpoints, in one order-4 column walk or, where it declines, with one
-    `eval_jet` per point.  A sample that is not finite, such as the
+    `jet_coefficients` per point.  A sample that is not finite, such as the
     infinite or NaN f'''' of x^1.5 or sqrt(x)*x at 0, gives err_bound
     inf.  The bound is certified only insofar as the sampled max
     dominates |f''''|.
     """
     node = as_node(f)
     xs = _chebyshev_nodes(iv, _SIMPSON_N) + [iv.a, iv.b]
-    cs = jet_column(node, xs) or [eval_jet(node, x).coefficients for x in xs]
+    cs = jet_column(node, xs) or [jet_coefficients(node, x) for x in xs]
     d4s = [c[4] * 24.0 for c in cs]
     err_bound = math.inf
     if all(map(math.isfinite, d4s)):

@@ -15,13 +15,17 @@ is exact through degree d because w has no constant term.
 Products, quotients, compositions and the derivative table of a
 non-integer power are truncated Taylor arithmetic (Griewank and Walther,
 Evaluating Derivatives, 2008), each written once as a reference loop,
-`_mul_loop`, `_div_loop`, `_compose_loop` and `_pow_table_loop`.  At the
-lengths in `_SEEDS`, `_mul`, `_div`, `_compose` and `_pow_table` run
-straight-line code generated at import in the loops' index order, so
-every bit matches the loop, the sign of zero included;
-`print(jets.KERNEL_SOURCE)` shows it.  A caller that needs one
-derivative reads `Jet4.coefficients` and scales that entry by k!, the
-product `Jet4.derivatives` forms for all of them.
+`_mul_loop`, `_div_loop`, `_compose_loop` and `_pow_table_loop`, beside
+`_over_head_loop`, which divides a jet by its head for `_log`.  At the
+lengths in `_SEEDS`, `_mul`, `_div`, `_compose`, `_pow_table` and
+`_over_head` run straight-line code generated at import in the loops'
+index order, so every bit matches the loop, the sign of zero included;
+`print(jets.KERNEL_SOURCE)` shows it.
+
+`jet_coefficients` returns the bare coefficient tuple; the library's
+point loops call it and scale the entry they need by k!.  `eval_jet`
+wraps the same tuple in a `Jet4`, one value object per result handed to
+a caller, whose `derivatives` forms every k!*c_k.
 
 One case reads past the order it returns: a non-integer power of a base
 that vanishes at the point with a vanishing first coefficient, whose
@@ -102,6 +106,12 @@ def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
 
 def _neg(a: Coeffs) -> Coeffs:
     return tuple(map(operator.neg, a))
+
+
+def _over_head_loop(a: Coeffs) -> Coeffs:
+    """`_over_head` at any length: a divided by its head, as `_log` scales its argument."""
+    a0 = a[0]
+    return tuple(c / a0 for c in a)
 
 
 def _mul_loop(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -220,12 +230,12 @@ def _termwise(row: str):
 
 # name: (description, the letters of the tuple operands, the column form's parameters,
 # the operand whose sum must be finite, as the loop skips a zero left factor and 0*inf
-# is NaN, and for the four loops the scalar form's parameters and length).
+# is NaN, and for the loops the scalar form's parameters and length).
 _KERNELS = {
     "add": (_termwise("a{k} + b{k}"), "ab", "a, b", None, None),
     "sub": (_termwise("a{k} - b{k}"), "ab", "a, b", None, None),
     "neg": (_termwise("-a{k}"), "a", "a", None, None),
-    "over_head": (_termwise("a{k} / a0"), "a", "a", None, None),
+    "over_head": (_termwise("a{k} / a0"), "a", "a", None, ("a", "len(a)")),
     "mul": (_product, "ab", "a, b", "b", ("a, b", "min(len(a), len(b))")),
     "div": (_quotient, "ab", "a, b", None, ("a, b", "min(len(a), len(b))")),
     "compose": (_composition, "gu", "tables, u", "u", ("derivs, u", "len(u)")),
@@ -318,7 +328,7 @@ def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
     zero, the rest are infinite with the sign of the falling factorial,
     unless m*r lands on an integer grid in which case v^r shifts up.
     With m > 1 the answer depends on coefficients past order 2, so an
-    order-2 jet asks `eval_jet` for order 4.
+    order-2 jet asks `jet_coefficients` for order 4.
     """
     n = len(u)
     if n < _LENGTH and u[1] == 0.0:
@@ -369,34 +379,54 @@ def _pow(u: Coeffs, r: float) -> Coeffs:
 _HYP_TINY = 4.1e-103
 
 
-def _hyp_table(u0: float, softness: float, n: int) -> tuple[float, Coeffs]:
-    """(unit, table): hyp(u, eps) = unit * g(u/unit), and the first n entries
-    of g's table at u0/unit, for g(t) = sqrt(t^2 + e^2) and e = eps/unit.
+def _hyp_table(u: Coeffs, softness: float) -> tuple[tuple[int, ...], Coeffs]:
+    """(exps, table): coefficient k of hyp(u, eps) is 2^exps[k] times that of
+    g(U), where table is g's derivatives at U's head.
 
-    g's derivatives are written in ratios to h = hypot(u0, eps)/unit: with
-    c = u0/unit/h and s = e/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
+    g(s) = sqrt(s^2 + e^2) with e = eps/2^p, U(t) = u(x0 + t/2^d)/2^p and
+    exps[k] = p + k*d.  exps is empty (p = d = 0) unless h = hypot(u0, eps)
+    is below `_HYP_TINY`.  Then 2^p is the power of two just above h, which
+    brings h/2^p into [1/2, 1); and where |u1| exceeds 2^p, 2^(p+d) is the
+    one just above |u1|, which brings U's first coefficient into [1/2, 1), so
+    no power of it leaves the float range before the coefficient it feeds
+    does.  Scaling by a power of two rounds nothing inside the float range.
+
+    g's derivatives are written in ratios to its h: with c = U0/h and
+    s = e/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
     g'''' = 3 s^2 (4c^2 - s^2)/h^3.  No square of u0 or eps is formed, and
-    g'' is a product, so it cannot cancel below 0.  unit is 1.0 or, below
-    `_HYP_TINY`, the power of two just above hypot(u0, eps), which brings h
-    into [1/2, 1) and rounds nothing inside the float range.  Raises
-    OverflowError only where the value leaves the float range."""
+    g'' is a product, so it cannot cancel below 0.  Raises OverflowError
+    only where the value leaves the float range."""
+    u0, n = u[0], len(u)
     h = math.hypot(u0, softness)
     if h == math.inf and math.isfinite(u0):
         raise OverflowError("hyp leaves the float range")
-    unit = 1.0
+    exps = ()
     if h < _HYP_TINY:
-        unit = math.ldexp(1.0, math.frexp(h)[1])
-        u0, softness, h = u0 / unit, softness / unit, h / unit
+        p = math.frexp(h)[1]
+        d = max(0, math.frexp(u[1])[1] - p) if u[1] else 0
+        exps = tuple(p + k * d for k in range(n))
+        u0, softness, h = math.ldexp(u0, -p), math.ldexp(softness, -p), math.ldexp(h, -p)
     c = u0 / h
     s2 = (softness / h) ** 2
     if n > 3:
-        return unit, (h, c, s2 / h, -3.0 * s2 * c / h / h, 3.0 * s2 * (4.0 * c * c - s2) / h / h / h)
-    return unit, (h, c, s2 / h)
+        return exps, (h, c, s2 / h, -3.0 * s2 * c / h / h, 3.0 * s2 * (4.0 * c * c - s2) / h / h / h)
+    return exps, (h, c, s2 / h)
+
+
+def _ldexp(v: float, e: int) -> float:
+    """v * 2^e rounded once, and +-inf past the float range as a product is."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def _hyp(u: Coeffs, softness: float) -> Coeffs:
-    unit, table = _hyp_table(u[0], softness, len(u))
-    return tuple(v * unit for v in _compose(table, tuple(v / unit for v in u)))
+    exps, table = _hyp_table(u, softness)
+    if not exps:
+        return _compose(table, u)
+    out = _compose(table, tuple(_ldexp(v, -e) for v, e in zip(u, exps)))
+    return tuple(map(_ldexp, out, exps))
 
 
 def _exp(u: Coeffs) -> Coeffs:
@@ -409,8 +439,7 @@ _LOG_TAIL = (1.0, -1.0, 2.0, -6.0)
 
 
 def _log(u: Coeffs) -> Coeffs:
-    u0 = u[0]
-    return _compose((math.log(u0),) + _LOG_TAIL, tuple(c / u0 for c in u))
+    return _compose((math.log(u[0]),) + _LOG_TAIL, _over_head(u))
 
 
 def _abs(u: Coeffs) -> Coeffs:
@@ -452,8 +481,10 @@ def _no_seed(order: int):
     raise ValueError(f"jet order must be 2 or 4, got {order!r}")
 
 
-def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
-    """Taylor coefficients c0..c_order of f at x; order is 2 or 4."""
+def jet_coefficients(f: Node | str, x: float, order: int = 4) -> Coeffs:
+    """Taylor coefficients c0..c_order of f at x; order is 2 or 4.
+
+    The point function of the library's loops; `eval_jet` wraps its tuple."""
     seed = _SEEDS.get(order) or _no_seed(order)
     node = as_node(f)
     try:
@@ -461,7 +492,12 @@ def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
     except _NeedsOrder4:
         coeffs = evaluate(node, (x, *_SEEDS[4]), JETS)
     # a tree without x stays at the order constants are lifted at
-    return Jet4(x, coeffs[: order + 1])
+    return coeffs[: order + 1]
+
+
+def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
+    """The `Jet4` of f at x: `jet_coefficients(f, x, order)`; order is 2 or 4."""
+    return Jet4(x, jet_coefficients(f, x, order))
 
 
 # --- columns -----------------------------------------------------------------
@@ -494,15 +530,15 @@ def _column_arithmetic(n: int) -> dict:
         return acc
 
     def hyp(u: list[Coeffs], softness: float) -> list[Coeffs]:
-        # `_hyp` point by point; dividing or multiplying by a unit of 1.0 changes no bit
-        tables, scaled, units = [], [], []
+        # `_hyp` point by point
+        tables, scaled, scales = [], [], []
         for c in u:
-            unit, table = _hyp_table(c[0], softness, n)
+            exps, table = _hyp_table(c, softness)
             tables.append(table)
-            scaled.append(c if unit == 1.0 else tuple(v / unit for v in c))
-            units.append(unit)
+            scaled.append(tuple(_ldexp(v, -e) for v, e in zip(c, exps)) if exps else c)
+            scales.append(exps)
         out = compose(tables, scaled)
-        return [c if unit == 1.0 else tuple(v * unit for v in c) for c, unit in zip(out, units)]
+        return [tuple(map(_ldexp, c, exps)) if exps else c for c, exps in zip(out, scales)]
 
     def exp(u: list[Coeffs]) -> list[Coeffs]:
         return compose([(e,) * n for e in map(math.exp, [c[0] for c in u])], u)
@@ -549,11 +585,11 @@ JET2_COLUMNS, JET4_COLUMNS = _COLUMNS[2], _COLUMNS[4]
 
 
 def jet_column(f: Node | str, xs: list[float], order: int = 4) -> list[Coeffs] | None:
-    """`eval_jet(f, x, order).coefficients` at every x of xs in one walk, or None.
+    """`jet_coefficients(f, x, order)` at every x of xs in one walk, or None.
 
     It answers, bit for bit, only where every point takes the same kernel branch
-    and every coefficient is finite.  On None the caller runs `eval_jet` point by
-    point, which stays the reference and the only source of errors."""
+    and every coefficient is finite.  On None the caller runs `jet_coefficients`
+    point by point, which stays the reference and the only source of errors."""
     seed = _SEEDS.get(order) or _no_seed(order)
     cs = evaluate_columns(as_node(f), [(x,) + seed for x in xs], _COLUMNS[order])
     return cs if cs is not None and _finite(cs) else None

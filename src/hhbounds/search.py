@@ -220,11 +220,11 @@ def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
     windows.  Candidates outside the family's exact convex region (or
     whose ratio is degenerate) score -inf, so every witness is convex.
     The reduction is a plain max with ties broken toward the
-    lexicographically smallest parameter vector, so results depend only
-    on (family, budget, seed).
-    `score` alone enforces the budget: once the ledger holds `budget`
-    entries it returns -inf without evaluating, so any refinement steps
-    left after that change nothing.
+    lexicographically smallest parameter vector, kept as each candidate
+    is scored, so results depend only on (family, budget, seed).
+    `score` alone enforces the budget: once it has scored `budget`
+    candidates it returns -inf without evaluating, so any refinement
+    steps left after that change nothing.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
@@ -233,14 +233,19 @@ def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
     spec = FAMILIES[family]
     box: list[tuple[float, float]] = spec["box"]
     rng = random.Random(seed)
-    ledger: list[tuple[float, tuple[float, ...]]] = []  # one entry per evaluation
-    rank = lambda e: (-e[0], e[1])  # the larger ratio first, ties to the smaller params
+    evaluations = 0
+    # The incumbent (ratio, params): the first evaluation ranked lowest by
+    # (-ratio, params), the larger ratio first, ties to the smaller params.
+    best = (-math.inf, ())
 
     def score(params: tuple[float, ...]) -> float:
-        if len(ledger) >= budget:
+        nonlocal evaluations, best
+        if evaluations >= budget:
             return -math.inf
         r = _candidate_ratio(spec, params)
-        ledger.append((r, params))
+        if not evaluations or (-r, params) < (-best[0], best[1]):
+            best = (r, params)
+        evaluations += 1
         return r
 
     dims = len(box)
@@ -279,7 +284,7 @@ def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
     # Phase 2: coordinate refinement around the incumbent.
     windows = [span / per_dim for span in spans]
     for _ in range(10):
-        ratio, center = min(ledger, key=rank)
+        ratio, center = best
         if ratio == -math.inf:
             break
         for dim in range(dims):
@@ -288,7 +293,7 @@ def best_constant_search(family: str, budget: int, seed: int) -> SearchResult:
         if max(windows) < 1e-7 * max(spans):
             break
 
-    ratio, params = min(ledger, key=rank)
+    ratio, params = best
     if ratio == -math.inf:
         raise SearchError(f"no feasible candidate in family {family!r} within budget {budget}")
-    return SearchResult(family, ratio, params, len(ledger), seed)
+    return SearchResult(family, ratio, params, evaluations, seed)

@@ -435,16 +435,17 @@ def _prop_means_cross_module(rng, ctx):
     # Every trial interval lies in [0.2, 5] (in its logarithm for e^t),
     # where 1/t, e^t and -log t all have f'''' > 0, so one profile of each
     # integrand over that range gives every trial its f'' shape.
-    recip_prof = bounds.convexity_profile("1/x", Interval(0.2, 5.0))
-    exp_prof = bounds.convexity_profile("exp(x)", Interval(math.log(0.2), math.log(5.0)))
-    neglog_prof = bounds.convexity_profile("-log(x)", Interval(0.2, 5.0))
+    f_recip, f_exp, f_neglog = parse("1/x"), parse("exp(x)"), parse("-log(x)")
+    recip_prof = bounds.convexity_profile(f_recip, Interval(0.2, 5.0))
+    exp_prof = bounds.convexity_profile(f_exp, Interval(math.log(0.2), math.log(5.0)))
+    neglog_prof = bounds.convexity_profile(f_neglog, Interval(0.2, 5.0))
     for _ in range(min(ctx.bracket_trials, 40)):
         a = rng.uniform(0.2, 4.0)
         b = rng.uniform(a * 1.05, 5.0)
         iv = Interval(a, b)
         # defect bracket for 1/t is the reciprocal-log-mean bracket
         lhs = reciprocal_log_mean_defect(a, b)
-        rhs = bounds.bisected_trapezoid_defect("1/x", iv, recip_prof)
+        rhs = bounds.bisected_trapezoid_defect(f_recip, iv, recip_prof)
         if abs(lhs.lower - rhs.lower) > 1e-10 * (1.0 + abs(rhs.lower)) or abs(
             lhs.upper - rhs.upper
         ) > 1e-10 * (1.0 + abs(rhs.upper)):
@@ -452,14 +453,14 @@ def _prop_means_cross_module(rng, ctx):
         # log-mean correction is the Simpson defect bound for e^t on log axes
         log_iv = Interval(math.log(a), math.log(b))
         correction = log_mean_enclosure(a, b)
-        simpson = bounds.simpson_defect_bound("exp(x)", log_iv, exp_prof)
+        simpson = bounds.simpson_defect_bound(f_exp, log_iv, exp_prof)
         width = correction.upper - correction.lower
         if abs(width - simpson.upper) > 1e-10 * (1.0 + simpson.upper):
             return False, f"log-mean correction mismatch at ({a:.6g}, {b:.6g})"
         # identric exponent is the Simpson defect bound for -log t
         encl = identric_enclosure(a, b)
         exponent = math.log(encl.upper / encl.lower)
-        neglog = bounds.simpson_defect_bound("-log(x)", iv, neglog_prof)
+        neglog = bounds.simpson_defect_bound(f_neglog, iv, neglog_prof)
         if abs(exponent - neglog.upper) > 1e-10 * (1.0 + neglog.upper):
             return False, f"identric exponent mismatch at ({a:.6g}, {b:.6g})"
     return _ok(min(ctx.bracket_trials, 40))

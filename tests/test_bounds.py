@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hhbounds import bounds
+from hhbounds import bounds, jets
 from hhbounds import (
     BudgetError,
     DomainError,
@@ -751,7 +751,7 @@ SIMPSON_ROW_JETS_AT_1E9 = {
 def _counting_evaluations(monkeypatch) -> dict:
     """Count the values and jets bounds asks for; a column counts one per point."""
     counts = {"values": 0, "jets": 0}
-    value, jet = bounds.eval_value, bounds.eval_jet
+    value, jet = bounds.eval_value, bounds.jet_coefficients
     value_column, jet_column = bounds.eval_column, bounds.jet_column
 
     def counted_value(*args, **kwargs):
@@ -771,7 +771,7 @@ def _counting_evaluations(monkeypatch) -> dict:
         return jet_column(f, xs, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "eval_value", counted_value)
-    monkeypatch.setattr(bounds, "eval_jet", counted_jet)
+    monkeypatch.setattr(bounds, "jet_coefficients", counted_jet)
     monkeypatch.setattr(bounds, "eval_column", counted_value_column)
     monkeypatch.setattr(bounds, "jet_column", counted_jet_column)
     return counts
@@ -1008,3 +1008,31 @@ def test_substitution_covariance():
     mean_f = integrate_mean(f, iv_f, 1e-11).value
     mean_g = integrate_mean(g, iv_g, 1e-11).value
     assert mean_g == pytest.approx(mean_f, rel=1e-11)
+
+
+def test_the_bounds_loops_build_no_jet_value_objects(monkeypatch):
+    # a Jet4 is made only for callers outside the library: with it raising and
+    # every column walk declining, each per-point loop in bounds still answers,
+    # with the bits it gives unpatched
+    iv = Interval(0.5, 2.0)
+    calls = [
+        lambda: convexity_profile("x*log(x)", iv),
+        lambda: adaptive_enclosure("x*log(x)", iv, 1e-9),
+        lambda: bisected_trapezoid_identity_residual("x*log(x)", iv),
+        lambda: simpson_identity_residual("x*log(x)", iv),
+        lambda: simpson_estimate("x*log(x)", iv),
+    ]
+    bounds._identity_data.cache_clear()
+    want = [repr(call()) for call in calls]
+
+    class NoJet4:
+        def __init__(self, *args):
+            raise AssertionError("a Jet4 was built")
+
+    monkeypatch.setattr(jets, "Jet4", NoJet4)
+    monkeypatch.setattr(bounds, "jet_column", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bounds, "eval_column", lambda *args, **kwargs: None)
+    with pytest.raises(AssertionError, match="a Jet4 was built"):
+        eval_jet("x", 1.0)
+    bounds._identity_data.cache_clear()
+    assert [repr(call()) for call in calls] == want

@@ -128,6 +128,13 @@ def test_hyp_columns_rescale_a_tiny_table():
     assert answered == {"values": True, "jets-2": True, "jets-4": False}
 
 
+def test_hyp_columns_scale_u_with_a_tiny_table():
+    # just below 4.1e-103 the table is scaled, and u's first coefficient with it,
+    # so the fourth coefficient stays finite: every table answers, point by point
+    answered = _compare(parse("hyp(x, 3e-103)"), [k * 1e-104 for k in range(-7, 8)])
+    assert answered == {"values": True, "jets-2": True, "jets-4": True}
+
+
 def test_signed_zeros_survive_the_columns():
     # x*0 at a negative x: the float product is -0.0, the jet coefficient 0.0 + -0.0
     node = parse("x * 0")
@@ -229,7 +236,7 @@ def test_budget_error_mid_panel_on_the_column_path(monkeypatch):
 
 def test_exp_takes_the_column_path(monkeypatch):
     counts = {"values": 0, "jets": 0}
-    value, jet = quadrature.eval_value, bounds.eval_jet
+    value, jet = quadrature.eval_value, bounds.jet_coefficients
 
     def counted_value(*args):
         counts["values"] += 1
@@ -240,7 +247,7 @@ def test_exp_takes_the_column_path(monkeypatch):
         return jet(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "eval_value", counted_value)
-    monkeypatch.setattr(bounds, "eval_jet", counted_jet)
+    monkeypatch.setattr(bounds, "jet_coefficients", counted_jet)
     bounds._identity_data.cache_clear()
     iv = Interval(0.0, 5.0)
     assert integrate_mean("exp(x)", iv, 1e-12).evaluations == 45

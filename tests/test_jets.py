@@ -313,6 +313,28 @@ def test_hyp_jet_above_the_scaling_threshold_keeps_a_finite_fourth_coefficient()
     assert c4 == pytest.approx(float(want), rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "softness, shift", [(3e-103, 0.0), (2.5e-103, 0.0), (2e-103, 0.0), (1e-120, 1e-120)]
+)
+def test_hyp_jet_below_the_scaling_threshold_keeps_every_finite_coefficient(softness, shift):
+    # the table is scaled here, and u's first coefficient with it, so no power of
+    # u1 leaves the float range before the coefficient it feeds.  At x = 0 the first
+    # three have a fourth coefficient of -1/(8 eps^3), -4.6e306 to -1.6e307; the
+    # last has a finite third one, 8.8e238, and a fourth past the float range
+    mpmath = pytest.importorskip("mpmath")
+    got = eval_jet(f"hyp(x - {shift!r}, {softness!r})", 0.0).coefficients
+    with mpmath.workdps(40):
+        # the closed forms of test_hyp_jet_matches_its_closed_form_derivatives, over k!
+        t, e = -mpmath.mpf(shift), mpmath.mpf(softness)
+        f = mpmath.sqrt(t**2 + e**2)
+        want = [f, t / f, e**2 / f**3 / 2, -3 * e**2 * t / f**5 / 6, 3 * e**2 * (4 * t**2 - e**2) / f**7 / 24]
+    for k, (g, w) in enumerate(zip(got, want)):
+        if abs(w) > 1.7976931348623157e308:
+            assert g == math.copysign(math.inf, w), (k, got)
+        else:
+            assert g == pytest.approx(float(w), rel=1e-14, abs=1e-300), (k, got)
+
+
 def test_hyp_of_a_tiny_softness_has_a_positive_sampled_f2():
     # f'' = e^2/hyp^3 >= 1e-18 on [0.5, 1]; it must not cancel below 0
     prof = convexity_profile("hyp(x, 1e-9)", Interval(0.5, 1.0))
@@ -372,7 +394,7 @@ def _outcome(fn, *args) -> str:
     """repr of fn(*args), or the type and text of what it raised."""
     try:
         return repr(fn(*args))
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -409,12 +431,26 @@ def test_straight_line_power_table_matches_the_loop_bit_for_bit(n, monkeypatch):
     assert returned > 2_000
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_straight_line_over_head_matches_the_loop_bit_for_bit(n, monkeypatch):
+    # a zero head raises ZeroDivisionError at the first coefficient in both forms
+    kernels = _scalar_kernels(n, monkeypatch)
+    rng = random.Random(4000 + n)
+    divided = 0
+    for _ in range(10_000):
+        a = _draw(rng, n)
+        got = _outcome(kernels._over_head, a)
+        assert got == _outcome(jets._over_head_loop, a), a
+        divided += got.startswith("(")
+    assert divided > 2_000
+
+
 # The scalar form that each column kernel runs down its column.
 _SCALAR_FORMS = {
     "add": jets._add,
     "sub": jets._sub,
     "neg": jets._neg,
-    "over_head": lambda a: tuple(c / a[0] for c in a),  # as `_log` scales its argument
+    "over_head": jets._over_head,
     "mul": jets._mul,
     "div": jets._div,
     "compose": jets._compose,
@@ -471,3 +507,25 @@ def test_a_kernel_traceback_shows_the_generated_line():
     with pytest.raises(ZeroDivisionError) as info:
         jets._div((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     assert "q0 = a0 / b0" in "".join(traceback.format_tb(info.tb))
+
+
+def test_jet_coefficients_is_the_tuple_eval_jet_wraps(monkeypatch):
+    # orders 2 and 4 on seeded trees, errors included; (x^3)^0.5 at 0 makes an
+    # order-2 jet evaluate again at order 4, and order 3 has no seed
+    rng = random.Random(27)
+    cases = [(parse("(x^3)^0.5"), 0.0, 2), (parse("x"), 1.0, 3)]
+    for _ in range(400):
+        node = _random_expr(rng, 3)
+        x = rng.uniform(-3.0, 3.0)
+        cases += [(node, x, 2), (node, x, 4)]
+    outcomes = set()
+    for node, x, order in cases:
+        got = _outcome(jets.jet_coefficients, node, x, order)
+        assert got == _outcome(lambda: eval_jet(node, x, order).coefficients), (node, x, order)
+        outcomes.add("tuple" if got.startswith("(") else got.split(":")[0])
+    assert {"tuple", "DomainError", "ValueError"} <= outcomes
+    walks = []
+    evaluate = jets.evaluate
+    monkeypatch.setattr(jets, "evaluate", lambda *args: walks.append(args[1]) or evaluate(*args))
+    assert jets.jet_coefficients(parse("(x^3)^0.5"), 0.0, 2) == (0.0, 0.0, math.inf)
+    assert [len(seed) for seed in walks] == [3, 5]

@@ -513,3 +513,25 @@ def test_means_and_brackets_sweep_against_mpmath():
                 assert encl.lower - slack <= want <= encl.upper + slack, (kind, a, b)
                 assert abs(target - want) <= slack, (kind, a, b)
     assert checked > 2500
+
+
+def test_chain_constructor_names_the_first_failure_in_chain_order():
+    # every mean is tested for finiteness, in field order, before any pair of
+    # neighbours is compared; then the first pair that breaks the chain is named
+    with pytest.raises(ValueError, match=r"^logarithmic mean is not finite \(nan\)$"):
+        MeanSet(2.0, 1.0, math.nan, math.inf, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^gini mean is not finite \(-inf\)$"):
+        MeanSet(3.0, 2.0, 1.0, 1.0, 1.0, -math.inf)
+    with pytest.raises(ValueError, match=r"^mean chain violated: 3\.0 > 2\.0$"):
+        MeanSet(1.0, 3.0, 2.0, 5.0, 4.0, 6.0)
+    for k in range(5):  # each pair of neighbours is compared
+        chain = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        chain[k], chain[k + 1] = chain[k + 1], chain[k]
+        with pytest.raises(ValueError, match=f"^mean chain violated: {k + 2.0} > {k + 1.0}$"):
+            MeanSet(*chain)
+    # the slack is 1e-12 of the largest mean, here 2e-12
+    MeanSet(1.0 + 1.5e-12, 1.0, 1.0, 1.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match=f"^mean chain violated: {1.0 + 3e-12!r} > 1\\.0$"):
+        MeanSet(1.0 + 3e-12, 1.0, 1.0, 1.0, 1.0, 2.0)
+    # finite means whose sum leaves the float range are finite
+    MeanSet(*[1e308] * 6)

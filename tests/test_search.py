@@ -109,7 +109,8 @@ def test_witness_ratio_samples_no_jets(monkeypatch):
     def no_jet(*args, **kwargs):
         raise AssertionError("witness_ratio evaluated a jet")
 
-    monkeypatch.setattr(bounds, "eval_jet", no_jet)
+    monkeypatch.setattr(bounds, "jet_coefficients", no_jet)
+    monkeypatch.setattr(bounds, "jet_column", no_jet)
     assert witness_ratio() > SIXTH
 
 
@@ -345,3 +346,26 @@ def test_witness_certificate_error_type():
     # a degenerate ratio or an empty search; the shipped witnesses never trip
     # it, so just confirm the type exists
     assert issubclass(SearchError, RuntimeError)
+
+
+@pytest.mark.parametrize("family", sorted(search.FAMILIES))
+@pytest.mark.parametrize("ties", [False, True])
+def test_the_incumbent_is_the_first_best_scored_candidate(monkeypatch, family, ties):
+    # the search keeps its incumbent as it scores; it must be the candidate a scan
+    # of every score ranks first: the larger ratio, ties to the smaller params.
+    # Rounded scores tie often, so the tie rule steers the refinement too.
+    scored = []
+    ratio = search._candidate_ratio
+
+    def recorded(spec, params):
+        r = ratio(spec, params)
+        r = round(r, 2) if ties and math.isfinite(r) else r
+        scored.append((r, params))
+        return r
+
+    monkeypatch.setattr(search, "_candidate_ratio", recorded)
+    for seed in range(1, 8):
+        scored.clear()
+        res = best_constant_search(family, 400, seed)
+        r, params = min(scored, key=lambda entry: (-entry[0], entry[1]))
+        assert (res.best_ratio, res.witness, res.evaluations) == (r, params, len(scored))
