@@ -377,40 +377,44 @@ def _pow(u: Coeffs, r: float) -> Coeffs:
 # partial quotients, leaves the float range, so the table is of u scaled.  Above it
 # the table is finite unscaled, and scaling would only push u's powers past the range.
 _HYP_TINY = 4.1e-103
+# `_hyp_shift` keeps |U_k| below 2^(k*_HYP_REACH), so each coefficient of g(U), at
+# most 14 * 2^(4*_HYP_REACH) with g's derivatives over k! at most 4, stays finite.
+_HYP_REACH = 250
 
 
-def _hyp_table(u: Coeffs, softness: float) -> tuple[tuple[int, ...], Coeffs]:
-    """(exps, table): coefficient k of hyp(u, eps) is 2^exps[k] times that of
-    g(U), where table is g's derivatives at U's head.
+def _hyp_table(u0: float, softness: float, n: int) -> tuple[float, Coeffs]:
+    """(unit, table): hyp(u, eps) = unit * g(u/unit), and the first n entries
+    of g's table at u0/unit, for g(t) = sqrt(t^2 + e^2) and e = eps/unit.
 
-    g(s) = sqrt(s^2 + e^2) with e = eps/2^p, U(t) = u(x0 + t/2^d)/2^p and
-    exps[k] = p + k*d.  exps is empty (p = d = 0) unless h = hypot(u0, eps)
-    is below `_HYP_TINY`.  Then 2^p is the power of two just above h, which
-    brings h/2^p into [1/2, 1); and where |u1| exceeds 2^p, 2^(p+d) is the
-    one just above |u1|, which brings U's first coefficient into [1/2, 1), so
-    no power of it leaves the float range before the coefficient it feeds
-    does.  Scaling by a power of two rounds nothing inside the float range.
-
-    g's derivatives are written in ratios to its h: with c = U0/h and
-    s = e/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
+    g's derivatives are written in ratios to h = hypot(u0, eps)/unit: with
+    c = u0/unit/h and s = e/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
     g'''' = 3 s^2 (4c^2 - s^2)/h^3.  No square of u0 or eps is formed, and
-    g'' is a product, so it cannot cancel below 0.  Raises OverflowError
-    only where the value leaves the float range."""
-    u0, n = u[0], len(u)
+    g'' is a product, so it cannot cancel below 0.  unit is 1.0 or, below
+    `_HYP_TINY`, the power of two just above hypot(u0, eps), which brings h
+    into [1/2, 1); dividing by it rounds nothing short of an overflow.
+    Raises OverflowError only where the value leaves the float range."""
     h = math.hypot(u0, softness)
     if h == math.inf and math.isfinite(u0):
         raise OverflowError("hyp leaves the float range")
-    exps = ()
+    unit = 1.0
     if h < _HYP_TINY:
-        p = math.frexp(h)[1]
-        d = max(0, math.frexp(u[1])[1] - p) if u[1] else 0
-        exps = tuple(p + k * d for k in range(n))
-        u0, softness, h = math.ldexp(u0, -p), math.ldexp(softness, -p), math.ldexp(h, -p)
+        unit = math.ldexp(1.0, math.frexp(h)[1])
+        u0, softness, h = u0 / unit, softness / unit, h / unit
     c = u0 / h
     s2 = (softness / h) ** 2
     if n > 3:
-        return exps, (h, c, s2 / h, -3.0 * s2 * c / h / h, 3.0 * s2 * (4.0 * c * c - s2) / h / h / h)
-    return exps, (h, c, s2 / h)
+        return unit, (h, c, s2 / h, -3.0 * s2 * c / h / h, 3.0 * s2 * (4.0 * c * c - s2) / h / h / h)
+    return unit, (h, c, s2 / h)
+
+
+def _hyp_shift(u: Coeffs, unit: float) -> list[int]:
+    """exps with coefficient k of g(u/unit) equal to 2^exps[k] times that of
+    g(U), U(t) = u(x0 + t/2^d)/unit: exps[k] = p + k*d for unit = 2^p, and d
+    the least d >= 0 that keeps every |U_k| below 2^(k*_HYP_REACH)."""
+    p = math.frexp(unit)[1] - 1
+    # |u_k| < 2^e_k, so |U_k| < 2^(e_k - p - k*d)
+    d = max([0] + [-((p - math.frexp(v)[1]) // k) - _HYP_REACH for k, v in enumerate(u) if k and v])
+    return [p + k * d for k in range(len(u))]
 
 
 def _ldexp(v: float, e: int) -> float:
@@ -422,11 +426,16 @@ def _ldexp(v: float, e: int) -> float:
 
 
 def _hyp(u: Coeffs, softness: float) -> Coeffs:
-    exps, table = _hyp_table(u, softness)
-    if not exps:
-        return _compose(table, u)
-    out = _compose(table, tuple(_ldexp(v, -e) for v, e in zip(u, exps)))
-    return tuple(map(_ldexp, out, exps))
+    unit, table = _hyp_table(u[0], softness, len(u))
+    out = tuple(v * unit for v in _compose(table, tuple(v / unit for v in u)))
+    if unit == 1.0 or math.isfinite(sum(out)):
+        return out
+    # Horner's rule met a power of u/unit past the float range.  Shifting x as well
+    # keeps every power finite, where it may round a small u_k away; so it answers
+    # only the coefficients that were not finite.
+    exps = _hyp_shift(u, unit)
+    shifted = _compose(table, tuple(_ldexp(v, -e) for v, e in zip(u, exps)))
+    return tuple(a if math.isfinite(a) else _ldexp(b, e) for a, b, e in zip(out, shifted, exps))
 
 
 def _exp(u: Coeffs) -> Coeffs:
@@ -530,15 +539,16 @@ def _column_arithmetic(n: int) -> dict:
         return acc
 
     def hyp(u: list[Coeffs], softness: float) -> list[Coeffs]:
-        # `_hyp` point by point
-        tables, scaled, scales = [], [], []
+        # `_hyp` point by point; dividing or multiplying by a unit of 1.0 changes no bit.
+        # Where `_hyp` shifts x, a coefficient here is not finite, so the walk declines.
+        tables, scaled, units = [], [], []
         for c in u:
-            exps, table = _hyp_table(c, softness)
+            unit, table = _hyp_table(c[0], softness, n)
             tables.append(table)
-            scaled.append(tuple(_ldexp(v, -e) for v, e in zip(c, exps)) if exps else c)
-            scales.append(exps)
+            scaled.append(c if unit == 1.0 else tuple(v / unit for v in c))
+            units.append(unit)
         out = compose(tables, scaled)
-        return [tuple(map(_ldexp, c, exps)) if exps else c for c, exps in zip(out, scales)]
+        return [c if unit == 1.0 else tuple(v * unit for v in c) for c, unit in zip(out, units)]
 
     def exp(u: list[Coeffs]) -> list[Coeffs]:
         return compose([(e,) * n for e in map(math.exp, [c[0] for c in u])], u)

@@ -47,22 +47,21 @@ class MeanSet:
         """ValueError naming the first mean that is not finite or, if all are,
         the first neighbours whose lower one exceeds the upper by more than
         1e-12 of the largest mean."""
-        chain = h, g, lg, i, a, s = (
-            self.harmonic, self.geometric, self.logarithmic, self.identric, self.arithmetic, self.gini
-        )
-        # the sum is not finite where a mean is not, and where finite means overflow it
-        if not math.isfinite(h + g + lg + i + a + s):
-            for field, value in zip(fields(self), chain):
-                if not math.isfinite(value):
-                    raise ValueError(f"{field.name} mean is not finite ({value})")
+        chain = (self.harmonic, self.geometric, self.logarithmic, self.identric, self.arithmetic, self.gini)
+        for name, value in zip(_CHAIN_NAMES, chain):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} mean is not finite ({value})")
         slack = 1e-12 * max(chain)
-        if h > g + slack or g > lg + slack or lg > i + slack or i > a + slack or a > s + slack:
-            lo, hi = next(pair for pair in zip(chain, chain[1:]) if pair[0] > pair[1] + slack)
-            raise ValueError(f"mean chain violated: {lo} > {hi}")
+        for lo, hi in zip(chain, chain[1:]):
+            if lo > hi + slack:
+                raise ValueError(f"mean chain violated: {lo} > {hi}")
 
     def as_dict(self) -> dict[str, float]:
         """A new dict of the six means, keyed by field name in chain order."""
         return dict(vars(self))
+
+
+_CHAIN_NAMES = tuple(field.name for field in fields(MeanSet))
 
 
 def _check_positive(a: float, b: float) -> tuple[float, float]:

@@ -32,7 +32,7 @@ from hhbounds import (
 )
 from hhbounds.bounds import simpson_estimate
 from hhbounds.expr import eval_column
-from hhbounds.jets import jet_column
+from hhbounds.jets import jet_coefficients, jet_column
 from hhbounds.verify import _random_expr
 
 # Each key of a column arithmetic, with trees that reach it.
@@ -128,11 +128,14 @@ def test_hyp_columns_rescale_a_tiny_table():
     assert answered == {"values": True, "jets-2": True, "jets-4": False}
 
 
-def test_hyp_columns_scale_u_with_a_tiny_table():
-    # just below 4.1e-103 the table is scaled, and u's first coefficient with it,
-    # so the fourth coefficient stays finite: every table answers, point by point
-    answered = _compare(parse("hyp(x, 3e-103)"), [k * 1e-104 for k in range(-7, 8)])
-    assert answered == {"values": True, "jets-2": True, "jets-4": True}
+def test_hyp_columns_decline_where_the_point_shifts_x():
+    # just below 4.1e-103 the fourth coefficient of the scaled table is past the float
+    # range, and the per-point jet takes it, finite, from a composition in a shifted x:
+    # the order-4 column declines, and the per-point path answers alone
+    xs = [k * 1e-104 for k in range(-7, 8)]
+    answered = _compare(parse("hyp(x, 3e-103)"), xs)
+    assert answered == {"values": True, "jets-2": True, "jets-4": False}
+    assert all(math.isfinite(sum(jet_coefficients("hyp(x, 3e-103)", x))) for x in xs)
 
 
 def test_signed_zeros_survive_the_columns():

@@ -313,26 +313,64 @@ def test_hyp_jet_above_the_scaling_threshold_keeps_a_finite_fourth_coefficient()
     assert c4 == pytest.approx(float(want), rel=1e-15)
 
 
+def _hyp_series(u, softness, mpmath):
+    """Taylor coefficients of sqrt(u^2 + eps^2) for the jet u, composed exactly."""
+    u = [mpmath.mpf(c) for c in u]
+    w = [sum(u[i] * u[k - i] for i in range(k + 1)) for k in range(len(u))]
+    w[0] += mpmath.mpf(softness) ** 2
+    r = [mpmath.sqrt(w[0])]
+    for k in range(1, len(u)):
+        r.append((w[k] - sum(r[i] * r[k - i] for i in range(1, k))) / (2 * r[0]))
+    return r
+
+
 @pytest.mark.parametrize(
-    "softness, shift", [(3e-103, 0.0), (2.5e-103, 0.0), (2e-103, 0.0), (1e-120, 1e-120)]
+    "inner, softness, x",
+    [
+        ("x", 3e-103, 0.0),
+        ("x", 2.5e-103, 0.0),
+        ("x", 2e-103, 0.0),
+        ("x - 1e-120", 1e-120, 0.0),
+        ("x + x^4", 1e-300, 1e-110),
+        ("exp(x) - 1", 1e-300, 1e-110),
+        ("x^2", 1e-200, 0.0),
+    ],
 )
-def test_hyp_jet_below_the_scaling_threshold_keeps_every_finite_coefficient(softness, shift):
-    # the table is scaled here, and u's first coefficient with it, so no power of
-    # u1 leaves the float range before the coefficient it feeds.  At x = 0 the first
-    # three have a fourth coefficient of -1/(8 eps^3), -4.6e306 to -1.6e307; the
-    # last has a finite third one, 8.8e238, and a fourth past the float range
+def test_hyp_jet_below_the_scaling_threshold_keeps_every_finite_coefficient(inner, softness, x):
+    # the table is of u/2^p here.  For x at 0, u1/2^p reaches 2^340 and its fourth
+    # power leaves the float range, where -1/(8 eps^3), -4.6e306 to -1.6e307, does
+    # not; so does u2/2^p squared for x^2, where 1/(2 eps) = 5e199.  x - 1e-120 has
+    # a finite third coefficient, 8.8e238, and a fourth past the float range.  At
+    # 1e-110 with eps 1e-300, x + x^4 is |u| to the last bit, fourth coefficient 1,
+    # and exp(x) - 1 has u0 = 0 in floats, so its second and third are 5e299.
     mpmath = pytest.importorskip("mpmath")
-    got = eval_jet(f"hyp(x - {shift!r}, {softness!r})", 0.0).coefficients
-    with mpmath.workdps(40):
-        # the closed forms of test_hyp_jet_matches_its_closed_form_derivatives, over k!
-        t, e = -mpmath.mpf(shift), mpmath.mpf(softness)
-        f = mpmath.sqrt(t**2 + e**2)
-        want = [f, t / f, e**2 / f**3 / 2, -3 * e**2 * t / f**5 / 6, 3 * e**2 * (4 * t**2 - e**2) / f**7 / 24]
+    got = jets.jet_coefficients(f"hyp({inner}, {softness!r})", x)
+    with mpmath.workdps(800):  # past eps^2/u0^2 = 1e-380, which the series cancels
+        want = _hyp_series(jets.jet_coefficients(inner, x), softness, mpmath)
     for k, (g, w) in enumerate(zip(got, want)):
         if abs(w) > 1.7976931348623157e308:
             assert g == math.copysign(math.inf, w), (k, got)
         else:
             assert g == pytest.approx(float(w), rel=1e-14, abs=1e-300), (k, got)
+
+
+def test_hyp_shift_answers_only_the_coefficients_the_scaled_table_leaves_out():
+    # below _HYP_TINY every coefficient the composition of u/unit leaves finite keeps
+    # its bits; only the others come from the composition in a shifted x, which can
+    # lose a term: the last u's third coefficient, 1.09e-61 at 1.69e-133, reads 0 there
+    replaced = 0
+    for u in [(0.0, 1.0, 0.0, 0.0, 0.0), (1e-110, 1.0, 6e-220, 4e-110, 1.0), (0.0, 0.0, 1.0, 0.0, 0.0),
+              (0.0, 1.0, 0.5, 1 / 6, 1 / 24), (2e-104, -3.0, 1e50, 0.0, 7.0),
+              (0.0, 8.045915888211012e90, 2.2908616310729067e-285, 0.0, 0.0)]:
+        for softness in (3e-103, 5e-104, 1.689961881537825e-133, 1e-200, 1e-300):
+            unit, table = jets._hyp_table(u[0], softness, len(u))
+            plain = tuple(v * unit for v in jets._compose(table, tuple(v / unit for v in u)))
+            for a, b in zip(plain, jets._hyp(u, softness)):
+                if math.isfinite(a):
+                    assert repr(a) == repr(b), (u, softness, plain)
+                else:
+                    replaced += repr(a) != repr(b)
+    assert replaced > 0
 
 
 def test_hyp_of_a_tiny_softness_has_a_positive_sampled_f2():
