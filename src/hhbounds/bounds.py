@@ -281,9 +281,9 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
     d2s = [c[2] * 2.0 for c in cs]
 
     def classify(vals: list[float], pos: str, neg: str) -> str:
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             return "indeterminate"
-        tol = 1e-10 * (1.0 + max(abs(v) for v in vals))
+        tol = 1e-10 * (1.0 + max(map(abs, vals)))
         if min(vals) >= -tol:
             return pos
         if max(vals) <= tol:

@@ -26,14 +26,19 @@ arithmetic's OverflowError with a message naming the operation, and its
 Column arithmetics run one walk over a batch of points: `FLOAT_COLUMNS`
 here (`eval_column`) and the jet columns of `jets`.  A number is a list
 with one entry per point, and a column's head is its smallest entry, so
-the domain rules stay in `evaluate`.  `evaluate_columns` answers only
-where every point takes the same kernel branch; any error, or a branch
-that differs between points (`Fallback`), makes it return None, and the
-caller evaluates point by point, which stays the reference.
+the domain rules stay in `evaluate`.  `columns_of` lifts a point
+arithmetic to its column form by mapping each operation down the column;
+`FLOAT_COLUMNS` is that lift of `FLOATS`, and the jet columns override
+only the operations their walks meet most with column kernels.
+`evaluate_columns` answers only where every point takes the same kernel
+branch; any error, or a branch that differs between points (`Fallback`),
+makes it return None, and the caller evaluates point by point, which
+stays the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -430,26 +435,28 @@ def column_head(column: list[float]) -> float:
     return min(column)
 
 
-# In a column arithmetic a number is a list with one entry per point, and each
-# operation runs down the list.  Its "const" lifts a constant to one point's
-# entry; `evaluate_columns` repeats it down the column.
-FLOAT_COLUMNS = {
-    "const": float,
-    "head": column_head,
-    "+": lambda a, b: list(map(operator.add, a, b)),
-    "-": lambda a, b: list(map(operator.sub, a, b)),
-    "*": lambda a, b: list(map(operator.mul, a, b)),
-    "/": lambda a, b: list(map(operator.truediv, a, b)),
-    "^": lambda a, r: [v ** r for v in a],
-    "hyp": lambda a, softness: [math.hypot(v, softness) for v in a],
-    "neg": lambda a: list(map(operator.neg, a)),
-    "exp": lambda a: list(map(math.exp, a)),
-    "log": lambda a: list(map(math.log, a)),
-    "sqrt": lambda a: list(map(math.sqrt, a)),
-    "abs": lambda a: list(map(abs, a)),
-    "sin": lambda a: list(map(math.sin, a)),
-    "cos": lambda a: list(map(math.cos, a)),
-}
+def columns_of(arithmetic: dict, head) -> dict:
+    """The column form of a point arithmetic, with head as the column's head.
+
+    In a column arithmetic a number is a list with one entry per point, and
+    each operation here is the point operation mapped down the list, the
+    constant operand of `^` and `hyp` repeated, so every entry is the point
+    operation at its point, bit for bit.  Its "const" lifts a constant to
+    one point's entry; `evaluate_columns` repeats it down the column.
+    """
+
+    def down(key: str, op):
+        if key in _BIN_OPS:
+            return lambda a, b: list(map(op, a, b))
+        if key in ("^", "hyp"):
+            return lambda a, constant: list(map(op, a, itertools.repeat(constant)))
+        return lambda a: list(map(op, a))
+
+    table = {key: down(key, op) for key, op in arithmetic.items()}
+    return {**table, "const": arithmetic["const"], "head": head}
+
+
+FLOAT_COLUMNS = columns_of(FLOATS, column_head)
 
 
 def evaluate_columns(node: Node, column: list, columns: dict) -> list | None:

@@ -41,9 +41,11 @@ base that vanishes at the point needs the base to be non-negative beside
 it.  An integer power raises OverflowError where the float power does.
 
 `JET2_COLUMNS` and `JET4_COLUMNS` are the same arithmetic over a column
-of points, one coefficient tuple per point (`jet_column`), on the column
-forms of the same kernels (`_mul3`, `_compose5`, ...), so each tuple
-equals `eval_jet` at its point bit for bit.
+of points, one coefficient tuple per point (`jet_column`): `JETS` mapped
+down the column by `expr.columns_of`, with the constants, operators,
+powers, exp and log on the column forms of the same kernels (`_mul3`,
+`_compose5`, ...), so each tuple equals `eval_jet` at its point bit for
+bit.  hyp, abs, sin and cos are the point operations at each point.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import operator
 from dataclasses import dataclass
 
 from .core import DomainError
-from .expr import Fallback, Node, as_node, column_head, evaluate, evaluate_columns
+from .expr import Fallback, Node, as_node, column_head, columns_of, evaluate, evaluate_columns
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
 
@@ -389,9 +391,11 @@ def _hyp_table(u0: float, softness: float, n: int) -> tuple[float, Coeffs]:
     g's derivatives are written in ratios to h = hypot(u0, eps)/unit: with
     c = u0/unit/h and s = e/h, g' = c, g'' = s^2/h, g''' = -3 s^2 c/h^2 and
     g'''' = 3 s^2 (4c^2 - s^2)/h^3.  No square of u0 or eps is formed, and
-    g'' is a product, so it cannot cancel below 0.  unit is 1.0 or, below
-    `_HYP_TINY`, the power of two just above hypot(u0, eps), which brings h
-    into [1/2, 1); dividing by it rounds nothing short of an overflow.
+    g'' is a product, so it cannot cancel below 0.  unit is 1.0, which
+    `_hyp` leaves out, or, below `_HYP_TINY`, the power of two just above
+    hypot(u0, eps), which brings h into [1/2, 1); dividing by it rounds
+    nothing short of an overflow.  It is the one table of hyp: the column
+    arithmetic runs `_hyp` at each point.
     Raises OverflowError only where the value leaves the float range."""
     h = math.hypot(u0, softness)
     if h == math.inf and math.isfinite(u0):
@@ -427,8 +431,10 @@ def _ldexp(v: float, e: int) -> float:
 
 def _hyp(u: Coeffs, softness: float) -> Coeffs:
     unit, table = _hyp_table(u[0], softness, len(u))
+    if unit == 1.0:  # v/1.0 and v*1.0 are exact, so leaving them out changes no bit
+        return _compose(table, u)
     out = tuple(v * unit for v in _compose(table, tuple(v / unit for v in u)))
-    if unit == 1.0 or math.isfinite(sum(out)):
+    if math.isfinite(sum(out)):
         return out
     # Horner's rule met a power of u/unit past the float range.  Shifting x as well
     # keeps every power finite, where it may round a small u_k away; so it answers
@@ -513,12 +519,16 @@ def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
 
 
 def _column_arithmetic(n: int) -> dict:
-    """The arithmetic of columns of n-coefficient jets, on the kernels `_add<n>`, ...
+    """The arithmetic of columns of n-coefficient jets: `JETS` mapped down the
+    column (`expr.columns_of`), with the operations a column walk meets most on
+    the kernels `_add<n>`, ...: constants, the four operators, neg, powers, sqrt,
+    exp and log.
 
-    It raises `Fallback`, or the error, unless every point would take the scalar
+    Those raise `Fallback`, or the error, unless every point would take the scalar
     kernels' straight-line branches (a product's right operand and a composition's
-    inner jet finite, a non-integer power's base positive, abs on one sign) and no
-    integer power or hyp overflows."""
+    inner jet finite, a non-integer power's base positive) and no integer power
+    overflows.  The mapped operations (hyp, abs, sin and cos) are the point
+    operations themselves, so they raise only what a point raises."""
     kernel = {name: globals()[f"_{name}{n}"] for name in _KERNELS}
     mul, div, compose = kernel["mul"], kernel["div"], kernel["compose"]
     one = _const(1.0, n)
@@ -538,18 +548,6 @@ def _column_arithmetic(n: int) -> dict:
             raise Fallback
         return acc
 
-    def hyp(u: list[Coeffs], softness: float) -> list[Coeffs]:
-        # `_hyp` point by point; dividing or multiplying by a unit of 1.0 changes no bit.
-        # Where `_hyp` shifts x, a coefficient here is not finite, so the walk declines.
-        tables, scaled, units = [], [], []
-        for c in u:
-            unit, table = _hyp_table(c[0], softness, n)
-            tables.append(table)
-            scaled.append(c if unit == 1.0 else tuple(v / unit for v in c))
-            units.append(unit)
-        out = compose(tables, scaled)
-        return [c if unit == 1.0 else tuple(v * unit for v in c) for c, unit in zip(out, units)]
-
     def exp(u: list[Coeffs]) -> list[Coeffs]:
         return compose([(e,) * n for e in map(math.exp, [c[0] for c in u])], u)
 
@@ -558,32 +556,18 @@ def _column_arithmetic(n: int) -> dict:
     def log(u: list[Coeffs]) -> list[Coeffs]:
         return compose([(math.log(c[0]),) + log_tail for c in u], kernel["over_head"](u))
 
-    def trig(table):
-        return lambda u: compose([table(math.sin(c[0]), math.cos(c[0]))[:n] for c in u], u)
-
-    def absolute(u: list[Coeffs]) -> list[Coeffs]:
-        heads = [c[0] for c in u]
-        if column_head(heads) > 0.0:
-            return u
-        if max(heads) < 0.0:
-            return kernel["neg"](u)
-        raise Fallback
-
     return {
+        **columns_of(JETS, lambda u: column_head([c[0] for c in u])),
         "const": lambda v: _const(v, n),
-        "head": lambda u: column_head([c[0] for c in u]),
         "+": kernel["add"],
         "-": kernel["sub"],
         "*": mul,
         "/": div,
         "^": power,
-        "hyp": hyp,
         "neg": kernel["neg"],
         "exp": exp,
         "log": log,
         "sqrt": lambda u: power(u, 0.5),
-        "abs": absolute,
-        **{name: trig(table) for name, table in _TRIG_TABLES.items()},
     }
 
 

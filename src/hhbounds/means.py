@@ -143,15 +143,24 @@ def log_mean_enclosure(a: float, b: float) -> Enclosure:
 
     The correction term references the directly computed logarithmic
     mean, so this certifies the printed inequality rather than acting
-    as a self-contained estimator.
+    as a self-contained estimator.  Only where A + 2G or A + G overflows
+    is the same sum formed scaled by a power of two, a quarter or a half,
+    which rounds nothing there; the divisor 3/4 or a last doubling undoes
+    the scale.  Scaling everywhere would round subnormal pairs.
     """
     a, b = _check_distinct(a, b)
     ms = all_means(a, b)
     arith, geom, logm = ms.arithmetic, ms.geometric, ms.logarithmic
     upper = (arith + 2.0 * geom) / 3.0
+    if upper == math.inf:  # A + 2G overflows; a quarter of it does not
+        upper = (0.25 * arith + 0.5 * geom) / 0.75
     ratio = _arith_minus_geom(a, b) / logm
-    lower = upper - (2.0 / 81.0) * ratio * ratio * (arith + geom)
-    return Enclosure(lower, upper)
+    spread = (2.0 / 81.0) * ratio * ratio
+    if arith + geom == math.inf:  # and a half of A + G does not
+        spread = spread * (0.5 * arith + 0.5 * geom) * 2.0
+    else:
+        spread = spread * (arith + geom)
+    return Enclosure(upper - spread, upper)
 
 
 def reciprocal_log_mean_defect(a: float, b: float) -> Enclosure:

@@ -209,6 +209,14 @@ def test_means_log_mean_across_the_float_range_is_floored_at_the_geometric_mean(
     assert out["contained"] is True
 
 
+def test_means_log_mean_at_the_top_of_the_float_range_is_contained(capsys):
+    # A + 2G and A + G overflowed: "enclosure inverted: lower=nan > upper=inf"
+    assert cli.main(["--json", "means", "--a=1e308", "--b=1.7e308", "--enclose=L"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["lower"] < out["target"] < out["upper"] < out["arithmetic"]
+    assert out["contained"] is True
+
+
 def test_means_reciprocal_defect_below_the_normal_range_is_contained(capsys):
     # read target 5e-324 against the bracket [0, 0], status violated
     argv = ["--a=8.569823552236704e+294", "--b=8.569823552236822e+294", "--enclose=recipL"]

@@ -27,6 +27,7 @@ from hhbounds import (
     expr,
     integrate_mean,
     integrate_mean_fn,
+    jets,
     parse,
     quadrature,
 )
@@ -128,14 +129,64 @@ def test_hyp_columns_rescale_a_tiny_table():
     assert answered == {"values": True, "jets-2": True, "jets-4": False}
 
 
-def test_hyp_columns_decline_where_the_point_shifts_x():
+def test_hyp_columns_answer_where_the_point_shifts_x():
     # just below 4.1e-103 the fourth coefficient of the scaled table is past the float
-    # range, and the per-point jet takes it, finite, from a composition in a shifted x:
-    # the order-4 column declines, and the per-point path answers alone
+    # range, and the per-point jet takes it, finite, from a composition in a shifted x;
+    # the column's hyp is the point operation, so it answers with the same bits
     xs = [k * 1e-104 for k in range(-7, 8)]
     answered = _compare(parse("hyp(x, 3e-103)"), xs)
-    assert answered == {"values": True, "jets-2": True, "jets-4": False}
+    assert answered == {"values": True, "jets-2": True, "jets-4": True}
     assert all(math.isfinite(sum(jet_coefficients("hyp(x, 3e-103)", x))) for x in xs)
+
+
+def test_abs_columns_answer_on_both_signs():
+    # each point takes its own sign's branch of the point abs, so a column of both
+    # signs answers; only a point at 0 raises, and the column then declines
+    assert _compare(parse("abs(x)"), ACROSS) == {"values": True, "jets-2": True, "jets-4": True}
+    assert _compare(parse("abs(x)"), STRADDLE) == {"values": True, "jets-2": False, "jets-4": False}
+
+
+def _assert_mapped(column_op, point_op, columns, *tail):
+    """column_op on columns gives point_op at each point: its list, or its first error."""
+    want = _outcome(lambda: [point_op(*args, *tail) for args in zip(*columns)])
+    assert _outcome(lambda: column_op(*columns, *tail)) == want, (columns, tail)
+
+
+# Float operands, non-finite ones included, so that first errors are compared too
+FLOAT_OPERANDS = [
+    POSITIVE, STRADDLE, NEGATIVE, TINY,
+    [1.0, 2.0, math.inf, -3.0], [0.5, math.nan, 2.0], [700.0, 710.0, -1e308],
+]
+# The constant operand of `^` and `hyp`, each as the tail of an argument list
+CONSTANT_TAILS = {
+    "^": [(r,) for r in (2.0, 0.5, -1.0, 2.5, -3.0)],
+    "hyp": [(eps,) for eps in (0.5, 1e-3, 3e-103, 5e-104, 1e200)],
+}
+# The jet column entries that are the point operation mapped down a column, not a kernel
+LIFTED_JET_KEYS = ("hyp", "abs", "sin", "cos")
+
+
+def test_lifted_entries_are_the_point_operation_down_a_column():
+    for key, op in expr.FLOAT_COLUMNS.items():
+        if key in ("const", "head"):
+            continue
+        for a in FLOAT_OPERANDS:
+            if key in expr._BIN_OPS:
+                for b in (a[::-1], [2.0] * len(a), [0.0] * len(a)):
+                    _assert_mapped(op, expr.FLOATS[key], [a, b])
+            else:
+                for tail in CONSTANT_TAILS.get(key, [()]):
+                    _assert_mapped(op, expr.FLOATS[key], [a], *tail)
+    shifted = [k * 1e-104 for k in range(-7, 8)]
+    for order, table in ((2, jets.JET2_COLUMNS), (4, jets.JET4_COLUMNS)):
+        for key in LIFTED_JET_KEYS:
+            for xs in (*POINT_SETS.values(), shifted, [1e200, 1e300]):
+                for src in ("x", "x - 0.5", "x*x*x", "exp(x) - 1"):
+                    if src.startswith("exp") and max(xs) > 700.0:
+                        continue  # the operand itself overflows
+                    column = [jet_coefficients(src, x, order) for x in xs]
+                    for tail in CONSTANT_TAILS.get(key, [()]):
+                        _assert_mapped(table[key], jets.JETS[key], [column], *tail)
 
 
 def test_signed_zeros_survive_the_columns():

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hhbounds import (
+    Enclosure,
     MeanSet,
     all_means,
     identric_enclosure,
@@ -238,6 +239,45 @@ def test_log_mean_row_floors_its_lower_end_at_the_geometric_mean():
     assert paper.lower < 0.0
     assert (encl.lower, encl.upper) == (ms.geometric, paper.upper) == (100.0, 1733.5)
     assert encl.lower < target < encl.upper
+
+
+def test_log_mean_bracket_at_the_top_of_the_float_range_contains_l():
+    a, b = 1e308, 1.7e308
+    encl = log_mean_enclosure(a, b)
+    with mpmath.workdps(50):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        logm = (mb - ma) / (mpmath.log(mb) - mpmath.log(ma))
+        assert encl.lower < logm < encl.upper < math.inf
+
+
+def _plain_log_mean_enclosure(a, b):
+    """log_mean_enclosure with its sums formed unscaled, as they were before."""
+    ms = all_means(a, b)
+    arith, geom = ms.arithmetic, ms.geometric
+    upper = (arith + 2.0 * geom) / 3.0
+    ratio = 0.5 * (math.sqrt(max(a, b)) - math.sqrt(min(a, b))) ** 2 / ms.logarithmic
+    return Enclosure(upper - (2.0 / 81.0) * ratio * ratio * (arith + geom), upper)
+
+
+def test_log_mean_bracket_keeps_every_bit_where_the_plain_sums_answer():
+    # the scaled sums are formed only where a plain one overflows; subnormal pairs,
+    # where scaling by a power of two would round, and pairs near 1.7e308 included
+    rng = random.Random(28)
+    pairs = [(rng.uniform(1.0, 1e4), rng.uniform(1.0, 1e4)) for _ in range(300)]
+    pairs += [(10.0 ** rng.uniform(-300, 308), 10.0 ** rng.uniform(-300, 308)) for _ in range(300)]
+    pairs += [(10.0 ** rng.uniform(-323, -295), 10.0 ** rng.uniform(-323, -295)) for _ in range(300)]
+    pairs += [(rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308)) for _ in range(300)]
+    answered = 0
+    for a, b in pairs:
+        try:
+            want = _plain_log_mean_enclosure(a, b)
+        except ValueError:
+            continue
+        # an infinite end, which the CLI refuses, is no answer
+        if math.isfinite(want.lower) and math.isfinite(want.upper):
+            answered += 1
+            assert repr(log_mean_enclosure(a, b)) == repr(want), (a, b)
+    assert answered > 900
 
 
 def test_log_mean_bracket_rejects_equal():
