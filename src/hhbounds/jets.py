@@ -1,16 +1,17 @@
 """Taylor jets of order 2 or 4: exact derivatives f, f', f'' and f''', f''''.
 
 A jet is carried internally as Taylor coefficients (c0..cd) about the
-evaluation point and converted to raw derivatives at the boundary.  The
-arithmetic is length-generic: a jet's order is the length of its seed
-minus one, and every operation truncates at the shorter operand, so an
-order-2 jet never forms f''' or f'''' terms.  Truncated Taylor arithmetic
-never feeds coefficient k+1 into coefficient k, and the loops below sum
-in the same order at every length, so an order-2 jet equals the first
-three coefficients of the order-4 jet bit for bit.  Constants are lifted
-at order 4 and cut down by the first operation that meets a shorter jet.
-Composition uses truncated polynomial arithmetic in w = u - u(x0), which
-is exact through degree d because w has no constant term.
+evaluation point and converted to raw derivatives at the boundary.  A
+jet's order is the length of its seed minus one, and each order has its
+arithmetic (`_POINTS`), which lifts constants at that length and cuts the
+derivative tables of log, sin and cos to it, so every jet of a walk has
+the walk's length and an order-2 jet never forms f''' or f'''' terms.
+Truncated Taylor arithmetic never feeds coefficient k+1 into coefficient
+k, and the loops below sum in the same order at every length, so an
+order-2 jet equals the first three coefficients of the order-4 jet bit
+for bit.  Composition uses truncated polynomial arithmetic in
+w = u - u(x0), which is exact through degree d because w has no constant
+term.
 
 Products, quotients, compositions and the derivative table of a
 non-integer power are truncated Taylor arithmetic (Griewank and Walther,
@@ -20,6 +21,7 @@ Evaluating Derivatives, 2008), each written once as a reference loop,
 lengths in `_SEEDS`, `_mul`, `_div`, `_compose`, `_pow_table` and
 `_over_head` run straight-line code generated at import in the loops'
 index order, so every bit matches the loop, the sign of zero included;
+each takes its length from one operand and unpacks every operand whole.
 `print(jets.KERNEL_SOURCE)` shows it.
 
 `jet_coefficients` returns the bare coefficient tuple; the library's
@@ -32,8 +34,9 @@ that vanishes at the point with a vanishing first coefficient, whose
 leading behaviour sits in coefficients 2..4.  An order-2 jet that reaches
 it is evaluated again at order 4 and cut down to order 2.
 
-`JETS` is the jet arithmetic that `expr.evaluate` runs a tree under; the
-same walker computes plain values under `expr.FLOATS`.  The walker checks
+`JETS` is the order-4 jet arithmetic that `expr.evaluate` runs a tree
+under, and `jet_coefficients` runs the order-2 one beside it; the same
+walker computes plain values under `expr.FLOATS`.  The walker checks
 every domain rule of the language on c0, so the functions here assume
 their arguments lie inside the domain.  They check only rules about
 derivatives: abs is not differentiable at 0, a non-integer power of a
@@ -41,11 +44,12 @@ base that vanishes at the point needs the base to be non-negative beside
 it.  An integer power raises OverflowError where the float power does.
 
 `JET2_COLUMNS` and `JET4_COLUMNS` are the same arithmetic over a column
-of points, one coefficient tuple per point (`jet_column`): `JETS` mapped
-down the column by `expr.columns_of`, with the constants, operators,
-powers, exp and log on the column forms of the same kernels (`_mul3`,
-`_compose5`, ...), so each tuple equals `eval_jet` at its point bit for
-bit.  hyp, abs, sin and cos are the point operations at each point.
+of points, one coefficient tuple per point (`jet_column`): the point
+arithmetic of their order mapped down the column by `expr.columns_of`,
+with +, *, /, neg, powers, exp and log on the column forms of the same
+kernels (`_mul3`, `_compose5`, ...), so each tuple equals `eval_jet` at
+its point bit for bit.  Constants, -, hyp, abs, sin and cos are the point
+operations at each point.
 """
 
 from __future__ import annotations
@@ -65,8 +69,8 @@ Coeffs = tuple[float, ...]
 
 # Seed of the variable x at each supported order: x0 + 1*h.
 _SEEDS = {2: (1.0, 0.0), 4: (1.0, 0.0, 0.0, 0.0)}
-# The length of the longest jet, at which constants are lifted.
-_LENGTH = max(_SEEDS) + 1
+# The top order, at which a shorter jet that reads past its order is evaluated again.
+_TOP = max(_SEEDS)
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ class _NeedsOrder4(Exception):
     """A shorter jet reached a power that reads coefficients past its order."""
 
 
-def _const(v: float, n: int = _LENGTH) -> Coeffs:
+def _const(v: float, n: int) -> Coeffs:
     return (v,) + (0.0,) * (n - 1)
 
 
@@ -235,11 +239,10 @@ def _termwise(row: str):
 # is NaN, and for the loops the scalar form's parameters and length).
 _KERNELS = {
     "add": (_termwise("a{k} + b{k}"), "ab", "a, b", None, None),
-    "sub": (_termwise("a{k} - b{k}"), "ab", "a, b", None, None),
     "neg": (_termwise("-a{k}"), "a", "a", None, None),
     "over_head": (_termwise("a{k} / a0"), "a", "a", None, ("a", "len(a)")),
-    "mul": (_product, "ab", "a, b", "b", ("a, b", "min(len(a), len(b))")),
-    "div": (_quotient, "ab", "a, b", None, ("a, b", "min(len(a), len(b))")),
+    "mul": (_product, "ab", "a, b", "b", ("a, b", "len(a)")),
+    "div": (_quotient, "ab", "a, b", None, ("a, b", "len(a)")),
     "compose": (_composition, "gu", "tables, u", "u", ("derivs, u", "len(u)")),
     "pow_table": (_power_table, "", "heads, r", None, ("u0, r, n", None)),
 }
@@ -256,8 +259,8 @@ def _tuple(rows: list[str]) -> str:
 def _kernel_source(lengths: tuple[int, ...]) -> str:
     """Python source of the column kernels `_<name><n>` at each of lengths and the
     scalar ones `_<name>`, which try the lengths longest first, then `_<name>_loop`.
-    The longest unpacks whole tuples; below it, an operand may be longer than the jet
-    it meets, so it is indexed, unless the scalar's length is its own."""
+    A scalar kernel takes its length from one operand and unpacks every operand whole,
+    as every jet of a walk has the walk's length."""
     out = []
     for name, (describe, letters, columns, guard, scalar) in _KERNELS.items():
         forms = [(n, *describe(n)) for n in sorted(lengths, reverse=True)]
@@ -269,10 +272,7 @@ def _kernel_source(lengths: tuple[int, ...]) -> str:
             for n, once, each, rows in forms:
                 finite = f" and math.isfinite(sum({guard}))" if guard else ""
                 out.append(f"    if n == {n}{finite}:")
-                for param, letter in zip(params.split(", "), letters):
-                    indexed = n < max(lengths) and length != f"len({param})"
-                    whole = ", ".join(f"{param}[{k}]" for k in range(n)) if indexed else param
-                    out.append(f"        {_names(letter, n)} = {whole}")
+                out += [f"        {_names(c, n)} = {p}" for p, c in zip(params.split(", "), letters)]
                 out += [f"        {line}" for line in once + each] + [f"        return {_tuple(rows)}"]
             out.append(f"    return _{name}_loop({params})\n")
         for n, once, each, rows in forms:
@@ -333,7 +333,7 @@ def _pow_zero_base(u: Coeffs, r: float) -> Coeffs:
     order-2 jet asks `jet_coefficients` for order 4.
     """
     n = len(u)
-    if n < _LENGTH and u[1] == 0.0:
+    if n <= _TOP and u[1] == 0.0:
         raise _NeedsOrder4
     m = next((k for k in range(1, n) if u[k] != 0.0), None)
     if m is None:
@@ -454,7 +454,7 @@ _LOG_TAIL = (1.0, -1.0, 2.0, -6.0)
 
 
 def _log(u: Coeffs) -> Coeffs:
-    return _compose((math.log(u[0]),) + _LOG_TAIL, _over_head(u))
+    return _compose((math.log(u[0]),) + _LOG_TAIL[: len(u) - 1], _over_head(u))
 
 
 def _abs(u: Coeffs) -> Coeffs:
@@ -470,26 +470,34 @@ _TRIG_TABLES = {"sin": lambda s, c: (s, c, -s, -c, s), "cos": lambda s, c: (c, -
 
 
 def _trig(table):
-    return lambda u: _compose(table(math.sin(u[0]), math.cos(u[0])), u)
+    return lambda u: _compose(table(math.sin(u[0]), math.cos(u[0]))[: len(u)], u)
 
 
-# The jet arithmetic for expr.evaluate; expr.FLOATS documents the keys.
-JETS = {
-    "const": _const,
-    "head": operator.itemgetter(0),
-    "+": _add,
-    "-": _sub,
-    "*": _mul,
-    "/": _div,
-    "^": _pow,
-    "hyp": _hyp,
-    "neg": _neg,
-    "exp": _exp,
-    "log": _log,
-    "sqrt": lambda u: _pow(u, 0.5),
-    "abs": _abs,
-    **{name: _trig(table) for name, table in _TRIG_TABLES.items()},
-}
+def _point_arithmetic(n: int) -> dict:
+    """The arithmetic of n-coefficient jets for expr.evaluate; expr.FLOATS
+    documents the keys.  It lifts constants at length n, so every jet of a
+    walk seeded at length n has that length."""
+    return {
+        "const": lambda v: _const(v, n),
+        "head": operator.itemgetter(0),
+        "+": _add,
+        "-": _sub,
+        "*": _mul,
+        "/": _div,
+        "^": _pow,
+        "hyp": _hyp,
+        "neg": _neg,
+        "exp": _exp,
+        "log": _log,
+        "sqrt": lambda u: _pow(u, 0.5),
+        "abs": _abs,
+        **{name: _trig(table) for name, table in _TRIG_TABLES.items()},
+    }
+
+
+# The jet arithmetic of each order; `JETS` is the order-4 one.
+_POINTS = {order: _point_arithmetic(order + 1) for order in _SEEDS}
+JETS = _POINTS[4]
 
 
 def _no_seed(order: int):
@@ -503,11 +511,9 @@ def jet_coefficients(f: Node | str, x: float, order: int = 4) -> Coeffs:
     seed = _SEEDS.get(order) or _no_seed(order)
     node = as_node(f)
     try:
-        coeffs = evaluate(node, (x, *seed), JETS)
+        return evaluate(node, (x, *seed), _POINTS[order])
     except _NeedsOrder4:
-        coeffs = evaluate(node, (x, *_SEEDS[4]), JETS)
-    # a tree without x stays at the order constants are lifted at
-    return coeffs[: order + 1]
+        return evaluate(node, (x, *_SEEDS[_TOP]), _POINTS[_TOP])[: order + 1]
 
 
 def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
@@ -519,16 +525,16 @@ def eval_jet(f: Node | str, x: float, order: int = 4) -> Jet4:
 
 
 def _column_arithmetic(n: int) -> dict:
-    """The arithmetic of columns of n-coefficient jets: `JETS` mapped down the
-    column (`expr.columns_of`), with the operations a column walk meets most on
-    the kernels `_add<n>`, ...: constants, the four operators, neg, powers, sqrt,
-    exp and log.
+    """The arithmetic of columns of n-coefficient jets: the point arithmetic of
+    that length mapped down the column (`expr.columns_of`), with the operations
+    the workloads walk in columns on the kernels `_add<n>`, ...: +, *, /, neg,
+    powers, sqrt, exp and log.
 
     Those raise `Fallback`, or the error, unless every point would take the scalar
     kernels' straight-line branches (a product's right operand and a composition's
     inner jet finite, a non-integer power's base positive) and no integer power
-    overflows.  The mapped operations (hyp, abs, sin and cos) are the point
-    operations themselves, so they raise only what a point raises."""
+    overflows.  The mapped operations (constants, -, hyp, abs, sin and cos) are
+    the point operations themselves, so they raise only what a point raises."""
     kernel = {name: globals()[f"_{name}{n}"] for name in _KERNELS}
     mul, div, compose = kernel["mul"], kernel["div"], kernel["compose"]
     one = _const(1.0, n)
@@ -557,10 +563,8 @@ def _column_arithmetic(n: int) -> dict:
         return compose([(math.log(c[0]),) + log_tail for c in u], kernel["over_head"](u))
 
     return {
-        **columns_of(JETS, lambda u: column_head([c[0] for c in u])),
-        "const": lambda v: _const(v, n),
+        **columns_of(_POINTS[n - 1], lambda u: column_head([c[0] for c in u])),
         "+": kernel["add"],
-        "-": kernel["sub"],
         "*": mul,
         "/": div,
         "^": power,
@@ -571,9 +575,7 @@ def _column_arithmetic(n: int) -> dict:
     }
 
 
-# The order-2 and order-4 jet column arithmetics.  Constants are lifted at the
-# column's own length: an order-2 jet is the first three coefficients of the
-# order-4 jet, so lifting a constant short gives the bits of cutting it later.
+# The order-2 and order-4 jet column arithmetics.
 _COLUMNS = {order: _column_arithmetic(order + 1) for order in _SEEDS}
 JET2_COLUMNS, JET4_COLUMNS = _COLUMNS[2], _COLUMNS[4]
 

@@ -108,11 +108,14 @@ def all_means(a: float, b: float) -> MeanSet:
 def _arith_harm(a: float, b: float) -> tuple[float, float, float]:
     """A, H and (A - H)/A, the last in a form that does not cancel near a = b.
 
+    A is 0.5*(a + b), which rounds (a + b)/2 once, and 0.5*a + 0.5*b only
+    where a + b overflows: halving a subnormal rounds, and 0.5*5e-324 is 0.
     H = a * (b/A) and (A - H)/A = ((b - a)/A)^2 / 4 are built from ratios
     to A, which stay in the float range where a + b, a*b or (b - a)^2
     would leave it or underflow.
     """
-    arith = 0.5 * a + 0.5 * b
+    total = a + b
+    arith = 0.5 * total if math.isfinite(total) else 0.5 * a + 0.5 * b
     harm = a * (b / arith)
     r = (b - a) / arith
     return arith, harm, 0.25 * r * r

@@ -217,6 +217,15 @@ def test_means_log_mean_at_the_top_of_the_float_range_is_contained(capsys):
     assert out["contained"] is True
 
 
+@pytest.mark.parametrize("enclose", [[], ["--enclose=L"], ["--enclose=I"], ["--enclose=Isq"]])
+def test_means_of_the_two_smallest_subnormals_keep_the_chain(enclose, capsys):
+    # A was 0.5*a + 0.5*b, and 0.5 * 5e-324 rounds to 0: "mean chain violated: 1e-323 > 5e-324"
+    assert cli.main(["--json", "means", "--a=5e-324", "--b=1e-323", *enclose]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert (out["harmonic"], out["arithmetic"]) == (5e-324, 1e-323)
+    assert out.get("contained", True) is True
+
+
 def test_means_reciprocal_defect_below_the_normal_range_is_contained(capsys):
     # read target 5e-324 against the bracket [0, 0], status violated
     argv = ["--a=8.569823552236704e+294", "--b=8.569823552236822e+294", "--enclose=recipL"]

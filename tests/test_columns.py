@@ -163,7 +163,7 @@ CONSTANT_TAILS = {
     "hyp": [(eps,) for eps in (0.5, 1e-3, 3e-103, 5e-104, 1e200)],
 }
 # The jet column entries that are the point operation mapped down a column, not a kernel
-LIFTED_JET_KEYS = ("hyp", "abs", "sin", "cos")
+LIFTED_JET_KEYS = ("-", "hyp", "abs", "sin", "cos")
 
 
 def test_lifted_entries_are_the_point_operation_down_a_column():
@@ -185,8 +185,32 @@ def test_lifted_entries_are_the_point_operation_down_a_column():
                     if src.startswith("exp") and max(xs) > 700.0:
                         continue  # the operand itself overflows
                     column = [jet_coefficients(src, x, order) for x in xs]
+                    operands = [column, column[::-1]] if key in expr._BIN_OPS else [column]
                     for tail in CONSTANT_TAILS.get(key, [()]):
-                        _assert_mapped(table[key], jets.JETS[key], [column], *tail)
+                        _assert_mapped(table[key], jets._POINTS[order][key], operands, *tail)
+
+
+@pytest.mark.parametrize(
+    "src, values",
+    [
+        ("log(x*1e308*10)", [math.inf, math.inf]),
+        ("sqrt(x*1e308*10 - x*1e308*10)", [math.nan, math.nan]),
+        ("1/(x*1e308*10)", [0.0, 0.0]),
+    ],
+)
+def test_a_domain_rule_is_not_judged_on_a_column_that_is_not_finite(src, values):
+    # the head of the operand column is inf or NaN at every point, so `column_head`
+    # declines the value walk before a domain rule reads it (the jet walks decline at
+    # the product's guard), and the points decide alone
+    assert _compare(parse(src), [1.0, 2.0]) == {"values": False, "jets-2": False, "jets-4": False}
+    assert repr([eval_value(parse(src), x) for x in (1.0, 2.0)]) == repr(values)
+
+
+def test_the_column_head_declines_a_column_that_is_not_finite():
+    for column in ([1.0, math.inf], [math.nan, 2.0], [-math.inf, -1.0]):
+        with pytest.raises(expr.Fallback):
+            expr.column_head(column)
+    assert expr.column_head([2.0, -1.0, 0.5]) == -1.0
 
 
 def test_signed_zeros_survive_the_columns():

@@ -13,7 +13,7 @@ from hhbounds import (
     log_mean_enclosure,
     reciprocal_log_mean_defect,
 )
-from hhbounds.means import BRACKETS, _identric_exponent
+from hhbounds.means import BRACKETS, _arith_harm, _identric_exponent
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -278,6 +278,30 @@ def test_log_mean_bracket_keeps_every_bit_where_the_plain_sums_answer():
             answered += 1
             assert repr(log_mean_enclosure(a, b)) == repr(want), (a, b)
     assert answered > 900
+
+
+def test_the_two_smallest_subnormals_keep_the_mean_chain():
+    # 0.5 * 5e-324 rounds to 0, so 0.5*a + 0.5*b read A as 5e-324 and H = a*(b/A)
+    # as 1e-323, above G: "mean chain violated: 1e-323 > 5e-324"
+    ms = all_means(5e-324, 1e-323)
+    assert (ms.harmonic, ms.arithmetic) == (5e-324, 1e-323)
+
+
+def test_the_arithmetic_mean_keeps_every_bit_where_halving_is_exact():
+    # 0.5*(a + b) and 0.5*a + 0.5*b both round (a + b)/2 once wherever a >= 2^-1021;
+    # pairs near the top of the float range, where a + b overflows, included
+    rng = random.Random(29)
+    smallest = 2.0 ** -1021
+    pairs = [(10.0 ** rng.uniform(-307.5, 308), 10.0 ** rng.uniform(-307.5, 308)) for _ in range(2000)]
+    pairs += [(rng.uniform(0.5e308, 1.797e308), rng.uniform(0.5e308, 1.797e308)) for _ in range(1000)]
+    pairs += [(smallest, smallest * (1.0 + 2.0**-52)), (smallest, 3.0 * smallest), (1e308, sys.float_info.max)]
+    overflowed = 0
+    for a, b in pairs:
+        a, b = min(a, b), max(a, b)
+        if a >= smallest:
+            assert repr(_arith_harm(a, b)[0]) == repr(0.5 * a + 0.5 * b), (a, b)
+            overflowed += a + b == math.inf
+    assert overflowed > 100
 
 
 def test_log_mean_bracket_rejects_equal():
