@@ -30,10 +30,10 @@ the domain rules stay in `evaluate`.  `columns_of` lifts a point
 arithmetic to its column form by mapping each operation down the column;
 `FLOAT_COLUMNS` is that lift of `FLOATS`, and the jet columns override
 only the operations their walks meet most with column kernels.
-`evaluate_columns` answers only where every point takes the same kernel
-branch; any error, or a branch that differs between points (`Fallback`),
-makes it return None, and the caller evaluates point by point, which
-stays the reference.
+`evaluate_columns` answers wherever every point answers, with each
+point's result; an error that a point raises, or `Fallback`, makes it
+return None, and the caller evaluates point by point, which stays the
+reference.
 """
 
 from __future__ import annotations
@@ -418,7 +418,9 @@ def eval_value(node: Node, x: float) -> float:
 
 
 class Fallback(Exception):
-    """A column walk cannot answer for every point at once; evaluate point by point."""
+    """A column walk cannot answer at once, as a domain rule met a column head
+    that is not finite or a point needs another walk (an order-2 jet that must
+    be read at order 4); evaluate point by point."""
 
 
 def column_head(column: list[float]) -> float:
@@ -462,11 +464,10 @@ FLOAT_COLUMNS = columns_of(FLOATS, column_head)
 def evaluate_columns(node: Node, column: list, columns: dict) -> list | None:
     """`evaluate` once over a column of points under a column arithmetic.
 
-    None where the walk cannot answer for every point at once: an
-    arithmetic raised `Fallback` (its points would take different kernel
-    branches) or any error a point could raise, a domain rule included.
-    The caller then evaluates point by point, which stays the reference
-    and the only source of errors.
+    Each entry is the point result, bit for bit.  None where the walk ends in
+    an error that a point raises, a domain rule included, or in `Fallback`;
+    the caller then evaluates point by point, which stays the reference and
+    the only source of errors.
     """
     n, lift = len(column), columns["const"]
     try:

@@ -46,10 +46,11 @@ it.  An integer power raises OverflowError where the float power does.
 `JET2_COLUMNS` and `JET4_COLUMNS` are the same arithmetic over a column
 of points, one coefficient tuple per point (`jet_column`): the point
 arithmetic of their order mapped down the column by `expr.columns_of`,
-with +, *, /, neg, powers, exp and log on the column forms of the same
-kernels (`_mul3`, `_compose5`, ...), so each tuple equals `eval_jet` at
-its point bit for bit.  Constants, -, hyp, abs, sin and cos are the point
-operations at each point.
+with +, *, /, neg, exp, log and the two powers the workloads walk on the
+column forms of the same kernels (`_mul3`, `_compose5`, ...), so each
+tuple equals `eval_jet` at its point bit for bit.  A product or
+composition whose guarded operand is not finite maps its scalar kernel
+down the column.  The other operations are the point ones at each point.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class Jet4:
         return tuple(map(operator.mul, self.coefficients, _FACT))
 
 
-class _NeedsOrder4(Exception):
-    """A shorter jet reached a power that reads coefficients past its order."""
+class _NeedsOrder4(Fallback):
+    """A shorter jet reached a power that reads coefficients past its order:
+    `jet_coefficients` evaluates it again at order 4, and a column walk declines."""
 
 
 def _const(v: float, n: int) -> Coeffs:
@@ -235,8 +237,9 @@ def _termwise(row: str):
 
 
 # name: (description, the letters of the tuple operands, the column form's parameters,
-# the operand whose sum must be finite, as the loop skips a zero left factor and 0*inf
-# is NaN, and for the loops the scalar form's parameters and length).
+# the operand that must be finite for the straight-line form, as the loop skips a zero
+# left factor and 0*inf is NaN, and for the loops the scalar form's parameters and
+# length).  A column whose guarded operand is not finite maps the scalar form down it.
 _KERNELS = {
     "add": (_termwise("a{k} + b{k}"), "ab", "a, b", None, None),
     "neg": (_termwise("-a{k}"), "a", "a", None, None),
@@ -280,7 +283,7 @@ def _kernel_source(lengths: tuple[int, ...]) -> str:
             source = columns.split(", ")[0] if len(letters) < 2 else f"zip({columns})"
             out.append(f"def _{name}{n}({columns}):")
             if guard:
-                out += [f"    if not _finite({guard}):", "        raise Fallback"]
+                out += [f"    if not _finite({guard}):", f"        return list(map(_{name}, {columns}))"]
             out += [f"    {line}" for line in once]
             if each:
                 out += ["    out = []", f"    for {target} in {source}:"] + [f"        {line}" for line in each]
@@ -528,31 +531,27 @@ def _column_arithmetic(n: int) -> dict:
     """The arithmetic of columns of n-coefficient jets: the point arithmetic of
     that length mapped down the column (`expr.columns_of`), with the operations
     the workloads walk in columns on the kernels `_add<n>`, ...: +, *, /, neg,
-    powers, sqrt, exp and log.
+    exp, log, a non-integer power of positive heads and a positive integer
+    power whose heads stay finite.  Every other power is `_pow` at each point.
 
-    Those raise `Fallback`, or the error, unless every point would take the scalar
-    kernels' straight-line branches (a product's right operand and a composition's
-    inner jet finite, a non-integer power's base positive) and no integer power
-    overflows.  The mapped operations (constants, -, hyp, abs, sin and cos) are
-    the point operations themselves, so they raise only what a point raises."""
+    A kernel maps its scalar form down the column where its guarded operand is
+    not finite, so every operation gives at each point what the point
+    operation gives there, and raises only what some point raises."""
     kernel = {name: globals()[f"_{name}{n}"] for name in _KERNELS}
-    mul, div, compose = kernel["mul"], kernel["div"], kernel["compose"]
-    one = _const(1.0, n)
+    mul, compose = kernel["mul"], kernel["compose"]
+    lifted = columns_of(_POINTS[n - 1], lambda u: column_head([c[0] for c in u]))
 
     def power(u: list[Coeffs], r: float) -> list[Coeffs]:
-        # `_pow`; where it would raise OverflowError, the column falls back
+        # `evaluate` has taken the column's head, so every head is finite
         if r != int(r):
             heads = [c[0] for c in u]
-            if column_head(heads) > 0.0:
+            if min(heads) > 0.0:
                 return compose(kernel["pow_table"](heads, r), u)
-            raise Fallback
-        e = int(r)
-        acc = _squarings(u, abs(e), mul) if e else [one] * len(u)
-        if e < 0:  # a power that underflowed to 0 divides by zero
-            acc = div([one] * len(u), acc)
-        if not math.isfinite(sum([c[0] for c in acc])):
-            raise Fallback
-        return acc
+        elif r > 0.0:
+            acc = _squarings(u, int(r), mul)
+            if math.isfinite(sum([c[0] for c in acc])):
+                return acc
+        return lifted["^"](u, r)
 
     def exp(u: list[Coeffs]) -> list[Coeffs]:
         return compose([(e,) * n for e in map(math.exp, [c[0] for c in u])], u)
@@ -563,15 +562,14 @@ def _column_arithmetic(n: int) -> dict:
         return compose([(math.log(c[0]),) + log_tail for c in u], kernel["over_head"](u))
 
     return {
-        **columns_of(_POINTS[n - 1], lambda u: column_head([c[0] for c in u])),
+        **lifted,
         "+": kernel["add"],
         "*": mul,
-        "/": div,
+        "/": kernel["div"],
         "^": power,
         "neg": kernel["neg"],
         "exp": exp,
         "log": log,
-        "sqrt": lambda u: power(u, 0.5),
     }
 
 
@@ -583,9 +581,10 @@ JET2_COLUMNS, JET4_COLUMNS = _COLUMNS[2], _COLUMNS[4]
 def jet_column(f: Node | str, xs: list[float], order: int = 4) -> list[Coeffs] | None:
     """`jet_coefficients(f, x, order)` at every x of xs in one walk, or None.
 
-    It answers, bit for bit, only where every point takes the same kernel branch
-    and every coefficient is finite.  On None the caller runs `jet_coefficients`
-    point by point, which stays the reference and the only source of errors."""
+    Each entry equals it bit for bit, a coefficient that is not finite included.
+    The walk declines (`expr.evaluate_columns`) where some point raises, where a
+    domain rule meets a column head that is not finite, or where an order-2
+    power must be read at order 4; the caller then runs `jet_coefficients` point
+    by point, which stays the reference and the only source of errors."""
     seed = _SEEDS.get(order) or _no_seed(order)
-    cs = evaluate_columns(as_node(f), [(x,) + seed for x in xs], _COLUMNS[order])
-    return cs if cs is not None and _finite(cs) else None
+    return evaluate_columns(as_node(f), [(x,) + seed for x in xs], _COLUMNS[order])

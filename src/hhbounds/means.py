@@ -77,6 +77,19 @@ def _check_distinct(a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
+# Below this larger element, `all_means` and the L and I rows of `BRACKETS`
+# evaluate the pair scaled into [1, 4) (`_tiny_scale`): in the subnormal range
+# their terms lose digits and the chain breaks.  Every workload's pairs lie far
+# above it.
+_TINY = 2.0**-900
+
+
+def _tiny_scale(b: float) -> int:
+    """0, or for b below `_TINY` the even k with 2^k b in [1, 4); an even k
+    scales sqrt(a)*sqrt(b) exactly."""
+    return (2 - math.frexp(b)[1]) & ~1 if b < _TINY else 0
+
+
 def all_means(a: float, b: float) -> MeanSet:
     """All six means; symmetric in the arguments.
 
@@ -85,15 +98,22 @@ def all_means(a: float, b: float) -> MeanSet:
     formed as (b-a)/2 over A, because a + b overflows near the top of
     the float range.  The Gini and identric means are b times the exp of
     a small multiple of L = log(b/a), so their rounding does not grow
-    with |log a|: log(I/b) = a L/(b-a) - 1.
+    with |log a|: log(I/b) = a L/(b-a) - 1, and log(S/b) = -a/(a+b) L for
+    S = exp((a log a + b log b)/(a + b)).  A pair below `_TINY` is
+    evaluated at 2^k (a, b), and each mean scaled back by one `ldexp`:
+    every mean is of degree 1, and rounding is monotone, so the chain holds.
     """
     a, b = _check_positive(a, b)
     if a == b:
         return MeanSet(a, a, a, a, a, a)
+    k = _tiny_scale(b)
+    if k:
+        ms = all_means(math.ldexp(a, k), math.ldexp(b, k))
+        return MeanSet(*[math.ldexp(v, -k) for v in ms.as_dict().values()])
     arith, harm, _ = _arith_harm(a, b)
     geom = math.sqrt(a) * math.sqrt(b)
-    log_ratio, log_gini = _log_ratio_gini(a, b, arith)
-    gini = b * math.exp(log_gini)
+    log_ratio = _log_ratio(a, b)
+    gini = b * math.exp(-0.5 * a / arith * log_ratio)
     if (b - a) / a <= _SERIES_GAP:
         u = 0.5 * (b - a) / arith
         u2 = u * u
@@ -121,12 +141,10 @@ def _arith_harm(a: float, b: float) -> tuple[float, float, float]:
     return arith, harm, 0.25 * r * r
 
 
-def _log_ratio_gini(a: float, b: float, arith: float) -> tuple[float, float]:
-    """L = log(b/a) for a < b, by log1p while (b-a)/a is finite, and log(S/b) =
-    -a/(a+b) L for the Gini mean S = exp((a log a + b log b)/(a + b))."""
+def _log_ratio(a: float, b: float) -> float:
+    """L = log(b/a) for a < b, by log1p while (b-a)/a is finite."""
     gap = (b - a) / a
-    log_ratio = math.log1p(gap) if math.isfinite(gap) else math.log(b) - math.log(a)
-    return log_ratio, -0.5 * a / arith * log_ratio
+    return math.log1p(gap) if math.isfinite(gap) else math.log(b) - math.log(a)
 
 
 def _exp_or_inf(t: float) -> float:
@@ -206,7 +224,7 @@ def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -
     offsets log(A/b) = log1p(-(b-a)/(2b)) and log(G/b) = -L/2.
     """
     a, b = _check_distinct(a, b)
-    log_ratio = _log_ratio_gini(a, b, 0.5 * a + 0.5 * b)[0]
+    log_ratio = _log_ratio(a, b)
     lower = b * math.exp((2.0 * math.log1p(-0.5 * (b - a) / b) - 0.5 * log_ratio) / 3.0)
     exponent = _identric_exponent(a, b)
     if use_printed_constant:
@@ -223,7 +241,7 @@ def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
     """
     a, b = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
-    log_gini = _log_ratio_gini(a, b, arith)[1]
+    log_gini = -0.5 * a / arith * _log_ratio(a, b)
     half = (2.0 * math.log1p(-0.5 * (b - a) / b) + log_gini) / 3.0
     shrink = (2.0 / 81.0) * gap * (gap * (arith / harm))
     lower, upper = b * math.exp(half - shrink), b * math.exp(half)
@@ -267,6 +285,21 @@ def _reciprocal_defect(a: float, b: float, ms: MeanSet) -> float:
     return (0.5 * u * u - c * (ms.harmonic / arith)) / ms.harmonic
 
 
+def _scaled(row):
+    """A bracket row of degree 1 that evaluates a pair below `_TINY` where
+    `all_means` does, at 2^k (a, b), and scales its ends and target back."""
+
+    def scaled_row(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[Enclosure, float]:
+        k = _tiny_scale(max(a, b))
+        if not k:
+            return row(a, b, ms, printed)
+        a, b = math.ldexp(a, k), math.ldexp(b, k)
+        encl, target = row(a, b, all_means(a, b), printed)
+        return Enclosure(math.ldexp(encl.lower, -k), math.ldexp(encl.upper, -k)), math.ldexp(target, -k)
+
+    return scaled_row
+
+
 def _log_mean_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[Enclosure, float]:
     """The L row: log_mean_enclosure with its lower end floored at G, and L.
 
@@ -292,8 +325,8 @@ def _identric_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[E
 # the bracket functions up when called, so wrappers installed on this
 # module's names (bench/spans.py) see every call.
 BRACKETS = {
-    "L": ("log-mean-bracket", _log_mean_bracket),
-    "I": ("identric-bracket", _identric_bracket),
+    "L": ("log-mean-bracket", _scaled(_log_mean_bracket)),
+    "I": ("identric-bracket", _scaled(_identric_bracket)),
     "Isq": (
         "identric-square-bracket",
         lambda a, b, ms, printed: (

@@ -226,6 +226,15 @@ def test_means_of_the_two_smallest_subnormals_keep_the_chain(enclose, capsys):
     assert out.get("contained", True) is True
 
 
+@pytest.mark.parametrize("enclose", ["L", "I", "Isq"])
+def test_means_of_a_subnormal_pair_keep_the_chain_and_the_bracket(enclose, capsys):
+    # the means were formed from the subnormal pair: "mean chain violated: 2e-323 > 1.5e-323"
+    assert cli.main(["--json", "means", "--a=1.5e-323", "--b=2e-323", f"--enclose={enclose}"]) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert out["harmonic"] <= out["geometric"] <= out["identric"] <= out["arithmetic"]
+    assert out["contained"] is True
+
+
 def test_means_reciprocal_defect_below_the_normal_range_is_contained(capsys):
     # read target 5e-324 against the bracket [0, 0], status violated
     argv = ["--a=8.569823552236704e+294", "--b=8.569823552236822e+294", "--enclose=recipL"]

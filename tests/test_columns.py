@@ -124,9 +124,10 @@ def test_each_key_answers_where_every_point_takes_one_branch(key):
 
 def test_hyp_columns_rescale_a_tiny_table():
     # below 4.1e-103 `_hyp` divides by a power of two; f'''' there is past the float
-    # range, so the order-4 column declines and the per-point jet reads -inf
+    # range, and the order-4 column answers with the per-point jet's -inf
     answered = _compare(parse("hyp(x, 5e-104)"), TINY)
-    assert answered == {"values": True, "jets-2": True, "jets-4": False}
+    assert answered == {"values": True, "jets-2": True, "jets-4": True}
+    assert all(c[4] == -math.inf for c in jet_column("hyp(x, 5e-104)", TINY))
 
 
 def test_hyp_columns_answer_where_the_point_shifts_x():
@@ -163,7 +164,7 @@ CONSTANT_TAILS = {
     "hyp": [(eps,) for eps in (0.5, 1e-3, 3e-103, 5e-104, 1e200)],
 }
 # The jet column entries that are the point operation mapped down a column, not a kernel
-LIFTED_JET_KEYS = ("-", "hyp", "abs", "sin", "cos")
+LIFTED_JET_KEYS = ("-", "hyp", "sqrt", "abs", "sin", "cos")
 
 
 def test_lifted_entries_are_the_point_operation_down_a_column():
@@ -200,8 +201,7 @@ def test_lifted_entries_are_the_point_operation_down_a_column():
 )
 def test_a_domain_rule_is_not_judged_on_a_column_that_is_not_finite(src, values):
     # the head of the operand column is inf or NaN at every point, so `column_head`
-    # declines the value walk before a domain rule reads it (the jet walks decline at
-    # the product's guard), and the points decide alone
+    # declines each walk before a domain rule reads it, and the points decide alone
     assert _compare(parse(src), [1.0, 2.0]) == {"values": False, "jets-2": False, "jets-4": False}
     assert repr([eval_value(parse(src), x) for x in (1.0, 2.0)]) == repr(values)
 
@@ -211,6 +211,21 @@ def test_the_column_head_declines_a_column_that_is_not_finite():
         with pytest.raises(expr.Fallback):
             expr.column_head(column)
     assert expr.column_head([2.0, -1.0, 0.5]) == -1.0
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("src, xs", [("x*1e308", [1.0, 1.5]), ("x^1.5", [0.0, 0.5])])
+def test_a_column_answers_where_its_points_answer(src, xs, order):
+    # the constant column's heads sum past the float range, and x^1.5 has a vanishing
+    # base at 0.0: each kernel maps its scalar form there, and the walk answers
+    want = [jet_coefficients(src, x, order) for x in xs]
+    assert repr(jet_column(src, xs, order)) == repr(want)
+
+
+def test_an_order_2_power_read_at_order_4_declines():
+    # the point path evaluates (x^3)^0.5 at 0.0 again at order 4; a column walk declines
+    assert jet_column("(x^3)^0.5", [0.0, 0.5], 2) is None
+    assert jet_coefficients("(x^3)^0.5", 0.0, 2) == (0.0, 0.0, math.inf)
 
 
 def test_signed_zeros_survive_the_columns():
@@ -255,9 +270,10 @@ def _without_columns(monkeypatch):
 
 
 def _outcome(fn):
+    # a Fallback: at order 2 the point sqrt of x*x*x at 0.0 must be read at order 4
     try:
         return repr(fn())
-    except (ArithmeticError, ValueError, BudgetError) as exc:
+    except (ArithmeticError, ValueError, BudgetError, expr.Fallback) as exc:
         return type(exc).__name__, str(exc)
 
 

@@ -11,6 +11,7 @@ from hhbounds import (
     identric_enclosure,
     identric_of_squares_enclosure,
     log_mean_enclosure,
+    means,
     reciprocal_log_mean_defect,
 )
 from hhbounds.means import BRACKETS, _arith_harm, _identric_exponent
@@ -285,6 +286,51 @@ def test_the_two_smallest_subnormals_keep_the_mean_chain():
     # as 1e-323, above G: "mean chain violated: 1e-323 > 5e-324"
     ms = all_means(5e-324, 1e-323)
     assert (ms.harmonic, ms.arithmetic) == (5e-324, 1e-323)
+
+
+# Multiples of the smallest subnormal: i*2^-1074 < j*2^-1074 with j < 80
+SUBNORMAL_GRID = [(i * 2.0**-1074, j * 2.0**-1074) for j in range(2, 80) for i in range(1, j)]
+
+
+def test_subnormal_pairs_keep_the_chain_and_their_brackets():
+    # 872 of these pairs raised "mean chain violated" when the means were formed
+    # from the subnormal pair itself; now it is evaluated scaled into [1, 4)
+    assert len(SUBNORMAL_GRID) == 3081
+    for a, b in SUBNORMAL_GRID:
+        ms = all_means(a, b)
+        for kind in ("L", "I", "Isq"):
+            encl, target = BRACKETS[kind][1](a, b, ms, False)
+            assert encl.holds(target, abs(target)), (kind, a, b)
+
+
+def _means_and_rows(pairs):
+    out = []
+    for a, b in pairs:
+        ms = all_means(a, b)
+        out.append(repr(ms))
+        for _, row in BRACKETS.values():
+            try:
+                out.append(repr(row(a, b, ms, False)))
+            except (ArithmeticError, ValueError) as exc:
+                out.append(repr(exc))
+    return out
+
+
+def test_pairs_at_or_above_the_scaling_threshold_keep_every_bit(monkeypatch):
+    # the scaled evaluation starts just below 2^-900, far below every workload's pairs;
+    # at and above it, the means and the four rows are those of the pair itself
+    rng = random.Random(30)
+    tiny = 2.0**-900
+    assert means._tiny_scale(tiny) == 0 < means._tiny_scale(math.nextafter(tiny, 0.0))
+    pairs = [(tiny, math.nextafter(tiny, 1.0)), (tiny, 3.0 * tiny)]
+    pairs += [(tiny * rng.uniform(1.0, 4.0), tiny * rng.uniform(1.0, 4.0)) for _ in range(300)]
+    pairs += [(10.0 ** rng.uniform(-270, -1), 10.0 ** rng.uniform(-270, -1)) for _ in range(300)]
+    pairs += [(10.0 ** rng.uniform(-270, 300), 10.0 ** rng.uniform(-270, 300)) for _ in range(600)]
+    scaled = _means_and_rows(pairs)
+    monkeypatch.setattr(means, "_TINY", 0.0)  # no pair is scaled
+    assert _means_and_rows(pairs) == scaled
+    with pytest.raises(ValueError, match="mean chain violated"):
+        all_means(1.5e-323, 2e-323)
 
 
 def test_the_arithmetic_mean_keeps_every_bit_where_halving_is_exact():
