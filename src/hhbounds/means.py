@@ -70,46 +70,53 @@ def _check_positive(a: float, b: float) -> tuple[float, float]:
     return (a, b) if a <= b else (b, a)
 
 
-def _check_distinct(a: float, b: float) -> tuple[float, float]:
+def _check_distinct(a: float, b: float) -> tuple[float, float, int]:
+    """The ordered pair scaled by 2^k, and k (see `_scale`)."""
     a, b = _check_positive(a, b)
     if a == b:
         raise ValueError("bracket operations need two distinct arguments")
-    return a, b
+    k = _scale(a, b)
+    return math.ldexp(a, k), math.ldexp(b, k), k
 
 
-# Below this larger element, `all_means` and the L and I rows of `BRACKETS`
-# evaluate the pair scaled into [1, 4) (`_tiny_scale`): in the subnormal range
-# their terms lose digits and the chain breaks.  Every workload's pairs lie far
-# above it.
-_TINY = 2.0**-900
+def _scale(a: float, b: float) -> int:
+    """The even k that centres 2^k (a, b) on 1, for a <= b, or 0 past b/a = 2^1000.
+
+    Below that ratio both scaled ends lie in [2^-501, 2^501], so the terms
+    of every mean and bracket neither overflow nor go subnormal, and a
+    normal pair's results keep every bit; an even k scales sqrt(a)*sqrt(b)
+    exactly.  Past it the pair is used as it is: a is below an ulp of b,
+    so no sum overflows, and centring could round a.
+    """
+    ea, eb = math.frexp(a)[1], math.frexp(b)[1]
+    return 0 if eb - ea >= 1000 else -((ea + eb) >> 1) & ~1
 
 
-def _tiny_scale(b: float) -> int:
-    """0, or for b below `_TINY` the even k with 2^k b in [1, 4); an even k
-    scales sqrt(a)*sqrt(b) exactly."""
-    return (2 - math.frexp(b)[1]) & ~1 if b < _TINY else 0
+def _shift(x: float, k: int) -> float:
+    """ldexp(x, k), or +-inf where that overflows: an end stays certified."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def all_means(a: float, b: float) -> MeanSet:
     """All six means; symmetric in the arguments.
 
     Below a relative gap of 1e-6 the logarithmic and identric means
-    switch to series in u = (b-a)/(a+b) to dodge cancellation; u is
-    formed as (b-a)/2 over A, because a + b overflows near the top of
-    the float range.  The Gini and identric means are b times the exp of
-    a small multiple of L = log(b/a), so their rounding does not grow
-    with |log a|: log(I/b) = a L/(b-a) - 1, and log(S/b) = -a/(a+b) L for
-    S = exp((a log a + b log b)/(a + b)).  A pair below `_TINY` is
-    evaluated at 2^k (a, b), and each mean scaled back by one `ldexp`:
-    every mean is of degree 1, and rounding is monotone, so the chain holds.
+    switch to series in u = (b-a)/(a+b) to dodge cancellation.  The Gini
+    and identric means are b times the exp of a small multiple of
+    L = log(b/a), so their rounding does not grow with |log a|:
+    log(I/b) = a L/(b-a) - 1, and log(S/b) = -a/(a+b) L for
+    S = exp((a log a + b log b)/(a + b)).  The means are formed at
+    2^k (a, b) (`_scale`) and each is scaled back by one `ldexp`: every
+    mean is of degree 1, and rounding is monotone, so the chain holds.
     """
     a, b = _check_positive(a, b)
     if a == b:
         return MeanSet(a, a, a, a, a, a)
-    k = _tiny_scale(b)
-    if k:
-        ms = all_means(math.ldexp(a, k), math.ldexp(b, k))
-        return MeanSet(*[math.ldexp(v, -k) for v in ms.as_dict().values()])
+    k = _scale(a, b)
+    a, b = math.ldexp(a, k), math.ldexp(b, k)
     arith, harm, _ = _arith_harm(a, b)
     geom = math.sqrt(a) * math.sqrt(b)
     log_ratio = _log_ratio(a, b)
@@ -122,20 +129,17 @@ def all_means(a: float, b: float) -> MeanSet:
     else:
         logm = (b - a) / log_ratio
         idm = b * math.exp(a * log_ratio / (b - a) - 1.0)
-    return MeanSet(harm, geom, logm, idm, arith, gini)
+    return MeanSet(*[math.ldexp(v, -k) for v in (harm, geom, logm, idm, arith, gini)])
 
 
 def _arith_harm(a: float, b: float) -> tuple[float, float, float]:
     """A, H and (A - H)/A, the last in a form that does not cancel near a = b.
 
-    A is 0.5*(a + b), which rounds (a + b)/2 once, and 0.5*a + 0.5*b only
-    where a + b overflows: halving a subnormal rounds, and 0.5*5e-324 is 0.
-    H = a * (b/A) and (A - H)/A = ((b - a)/A)^2 / 4 are built from ratios
-    to A, which stay in the float range where a + b, a*b or (b - a)^2
-    would leave it or underflow.
+    A is 0.5*(a + b), which rounds (a + b)/2 once.  H = a * (b/A) and
+    (A - H)/A = ((b - a)/A)^2 / 4 are built from ratios to A, which stay
+    in the float range where a*b or (b - a)^2 would leave it.
     """
-    total = a + b
-    arith = 0.5 * total if math.isfinite(total) else 0.5 * a + 0.5 * b
+    arith = 0.5 * (a + b)
     harm = a * (b / arith)
     r = (b - a) / arith
     return arith, harm, 0.25 * r * r
@@ -156,7 +160,9 @@ def _exp_or_inf(t: float) -> float:
 
 
 def _arith_minus_geom(a: float, b: float) -> float:
-    return 0.5 * (math.sqrt(b) - math.sqrt(a)) ** 2
+    # d * d, not d ** 2: libm's pow misrounds some squares
+    d = math.sqrt(b) - math.sqrt(a)
+    return 0.5 * (d * d)
 
 
 def log_mean_enclosure(a: float, b: float) -> Enclosure:
@@ -164,40 +170,34 @@ def log_mean_enclosure(a: float, b: float) -> Enclosure:
 
     The correction term references the directly computed logarithmic
     mean, so this certifies the printed inequality rather than acting
-    as a self-contained estimator.  Only where A + 2G or A + G overflows
-    is the same sum formed scaled by a power of two, a quarter or a half,
-    which rounds nothing there; the divisor 3/4 or a last doubling undoes
-    the scale.  Scaling everywhere would round subnormal pairs.
+    as a self-contained estimator.  Both ends are formed at the scaled
+    pair (`_scale`) and scaled back by one `ldexp`; the lower end, which
+    falls past -1e308 for the widest pairs, saturates to -inf.
     """
-    a, b = _check_distinct(a, b)
+    a, b, k = _check_distinct(a, b)
     ms = all_means(a, b)
-    arith, geom, logm = ms.arithmetic, ms.geometric, ms.logarithmic
+    arith, geom = ms.arithmetic, ms.geometric
     upper = (arith + 2.0 * geom) / 3.0
-    if upper == math.inf:  # A + 2G overflows; a quarter of it does not
-        upper = (0.25 * arith + 0.5 * geom) / 0.75
-    ratio = _arith_minus_geom(a, b) / logm
-    spread = (2.0 / 81.0) * ratio * ratio
-    if arith + geom == math.inf:  # and a half of A + G does not
-        spread = spread * (0.5 * arith + 0.5 * geom) * 2.0
-    else:
-        spread = spread * (arith + geom)
-    return Enclosure(upper - spread, upper)
+    ratio = _arith_minus_geom(a, b) / ms.logarithmic
+    lower = upper - (2.0 / 81.0) * ratio * ratio * (arith + geom)
+    return Enclosure(_shift(lower, -k), math.ldexp(upper, -k))
 
 
 def reciprocal_log_mean_defect(a: float, b: float) -> Enclosure:
     """Bracket for the defect (1/A + 1/H)/2 - 1/L.
 
     Both ends are closed forms in A and H; this is the bisected
-    trapezoid defect sandwich specialized to f(t) = 1/t.  Each is divided
-    by the scale once, last, so that a small end keeps its digits until
-    it leaves the normal float range.
+    trapezoid defect sandwich specialized to f(t) = 1/t.  Their
+    scale-free parts are formed at the scaled pair (`_scale`); each is
+    divided by the unscaled A or H once, last, so that a small end keeps
+    its digits until it leaves the normal float range.
     """
-    a, b = _check_distinct(a, b)
+    a, b, k = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
     # (A-H)/(6A^2) and A(A-H)/(6H^2) * (4/H - 3/A), with gap = (A-H)/A
     ratio = arith / harm
-    lower = gap / 6.0 / arith
-    upper = gap * ratio * (4.0 * ratio - 3.0) / 6.0 / harm
+    lower = gap / 6.0 / math.ldexp(arith, -k)
+    upper = gap * ratio * (4.0 * ratio - 3.0) / 6.0 / math.ldexp(harm, -k)
     return Enclosure(lower, upper)
 
 
@@ -221,15 +221,16 @@ def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -
     exponent is divided by 4, a documented falsification target that
     drops the upper bound below the identric mean itself (see the
     means verification suite).  The lower end is b times the exp of the
-    offsets log(A/b) = log1p(-(b-a)/(2b)) and log(G/b) = -L/2.
+    offsets log(A/b) = log1p(-(b-a)/(2b)) and log(G/b) = -L/2.  Both
+    ends are formed at the scaled pair (`_scale`) and scaled back by one
+    `ldexp`; the upper end saturates to +inf.
     """
-    a, b = _check_distinct(a, b)
-    log_ratio = _log_ratio(a, b)
-    lower = b * math.exp((2.0 * math.log1p(-0.5 * (b - a) / b) - 0.5 * log_ratio) / 3.0)
+    a, b, k = _check_distinct(a, b)
+    lower = b * math.exp((2.0 * math.log1p(-0.5 * (b - a) / b) - 0.5 * _log_ratio(a, b)) / 3.0)
     exponent = _identric_exponent(a, b)
     if use_printed_constant:
         exponent /= 4.0
-    return Enclosure(lower, lower * _exp_or_inf(exponent))
+    return Enclosure(math.ldexp(lower, -k), _shift(lower * _exp_or_inf(exponent), -k))
 
 
 def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
@@ -237,13 +238,15 @@ def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:
 
     Upper bound A^(4/3)S^(2/3); lower bound shrinks it by exp(-(4/81)(A-H)^2/(A*H)).
     Each is (b exp(t/2))^2 for its log offset t from b^2, so neither rounds
-    with |log b| nor underflows before b^2 does.
+    with |log b| nor underflows before b^2 does.  The offsets are formed
+    at the scaled pair (`_scale`), and multiply the unscaled b.
     """
-    a, b = _check_distinct(a, b)
+    a, b, k = _check_distinct(a, b)
     arith, harm, gap = _arith_harm(a, b)
     log_gini = -0.5 * a / arith * _log_ratio(a, b)
     half = (2.0 * math.log1p(-0.5 * (b - a) / b) + log_gini) / 3.0
     shrink = (2.0 / 81.0) * gap * (gap * (arith / harm))
+    b = math.ldexp(b, -k)
     lower, upper = b * math.exp(half - shrink), b * math.exp(half)
     return Enclosure(lower * lower, upper * upper)
 
@@ -261,43 +264,30 @@ def _identric_of_squares(a: float, b: float) -> float:
     return hi * (hi * unit)
 
 
-def _reciprocal_defect(a: float, b: float, ms: MeanSet) -> float:
+def _reciprocal_defect(a: float, b: float) -> float:
     """(1/A + 1/H)/2 - 1/L, the value the recipL bracket must contain.
 
     With u = (b-a)/(a+b), H = A(1 - u^2) and A/L = artanh(u)/u, so the
     defect is (u^2/2 * A/H - c)/A with c = artanh(u)/u - 1; it is
     evaluated as (u^2/2 - c*(H/A))/H, whose terms stay about 3/2 apart
-    near a = b, so little cancels, and which divides by the scale once,
-    last: where the defect is subnormal, two subnormal terms would round
+    near a = b, so little cancels.  The numerator is formed at the
+    scaled pair (`_scale`) and divided by the unscaled H once, last:
+    where the defect is subnormal, two subnormal terms would round
     apart.  H/A <= 1, so nothing overflows.  c is summed from its series
     u^2/3 + u^4/5 + ... below u = 1/2, and is A/L - 1 above.
     """
-    arith = ms.arithmetic
-    u = 0.5 * abs(b - a) / arith
+    a, b, k = _check_distinct(a, b)
+    arith, harm, _ = _arith_harm(a, b)
+    u = 0.5 * (b - a) / arith
     if u < 0.5:
         # the first term left out, u^60/61, is under 2e-19 of c >= u^2/3;
         # a plain loop, because `sum()` of floats is compensated from 3.12 on
         c = 0.0
-        for k in range(29, 0, -1):
-            c += u ** (2 * k) / (2 * k + 1)
+        for n in range(29, 0, -1):
+            c += u ** (2 * n) / (2 * n + 1)
     else:
-        c = arith / ms.logarithmic - 1.0
-    return (0.5 * u * u - c * (ms.harmonic / arith)) / ms.harmonic
-
-
-def _scaled(row):
-    """A bracket row of degree 1 that evaluates a pair below `_TINY` where
-    `all_means` does, at 2^k (a, b), and scales its ends and target back."""
-
-    def scaled_row(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[Enclosure, float]:
-        k = _tiny_scale(max(a, b))
-        if not k:
-            return row(a, b, ms, printed)
-        a, b = math.ldexp(a, k), math.ldexp(b, k)
-        encl, target = row(a, b, all_means(a, b), printed)
-        return Enclosure(math.ldexp(encl.lower, -k), math.ldexp(encl.upper, -k)), math.ldexp(target, -k)
-
-    return scaled_row
+        c = arith / ((b - a) / _log_ratio(a, b)) - 1.0
+    return (0.5 * u * u - c * (harm / arith)) / math.ldexp(harm, -k)
 
 
 def _log_mean_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[Enclosure, float]:
@@ -325,8 +315,8 @@ def _identric_bracket(a: float, b: float, ms: MeanSet, printed: bool) -> tuple[E
 # the bracket functions up when called, so wrappers installed on this
 # module's names (bench/spans.py) see every call.
 BRACKETS = {
-    "L": ("log-mean-bracket", _scaled(_log_mean_bracket)),
-    "I": ("identric-bracket", _scaled(_identric_bracket)),
+    "L": ("log-mean-bracket", _log_mean_bracket),
+    "I": ("identric-bracket", _identric_bracket),
     "Isq": (
         "identric-square-bracket",
         lambda a, b, ms, printed: (
@@ -338,7 +328,7 @@ BRACKETS = {
         "reciprocal-defect",
         lambda a, b, ms, printed: (
             reciprocal_log_mean_defect(a, b),
-            _reciprocal_defect(a, b, ms),
+            _reciprocal_defect(a, b),
         ),
     ),
 }

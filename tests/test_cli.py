@@ -243,6 +243,15 @@ def test_means_reciprocal_defect_below_the_normal_range_is_contained(capsys):
     assert out["contained"] is True
 
 
+def test_means_reciprocal_defect_of_a_subnormal_pair_names_the_infinite_bound(capsys):
+    # H rounded above A: "enclosure inverted: lower=inf > upper=-inf"; the defect
+    # is past the float range (mpmath: above 1.7e316 on every subnormal pair)
+    assert cli.main(["--json", "means", "--a=1e-323", "--b=1.5e-323", "--enclose=recipL"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["outputs"] == {"error": "output 'lower' is not finite (inf)"}
+    assert err == ""
+
+
 def test_means_identric_of_squares_with_squares_near_the_float_range():
     rc, rep = run_json("means", "--a=1e100", "--b=3e100", "--enclose=Isq")
     assert rc == 0

@@ -14,7 +14,7 @@ from hhbounds import (
     means,
     reciprocal_log_mean_defect,
 )
-from hhbounds.means import BRACKETS, _arith_harm, _identric_exponent
+from hhbounds.means import BRACKETS, _identric_exponent
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -256,13 +256,15 @@ def _plain_log_mean_enclosure(a, b):
     ms = all_means(a, b)
     arith, geom = ms.arithmetic, ms.geometric
     upper = (arith + 2.0 * geom) / 3.0
-    ratio = 0.5 * (math.sqrt(max(a, b)) - math.sqrt(min(a, b))) ** 2 / ms.logarithmic
+    d = math.sqrt(max(a, b)) - math.sqrt(min(a, b))
+    ratio = 0.5 * (d * d) / ms.logarithmic
     return Enclosure(upper - (2.0 / 81.0) * ratio * ratio * (arith + geom), upper)
 
 
 def test_log_mean_bracket_keeps_every_bit_where_the_plain_sums_answer():
-    # the scaled sums are formed only where a plain one overflows; subnormal pairs,
-    # where scaling by a power of two would round, and pairs near 1.7e308 included
+    # pairs near 1.7e308, where the plain A + 2G overflows, go unanswered; pairs
+    # below 2^-1000 are compared with the plain sums at 2^k (a, b), scaled back,
+    # since the plain sums of a subnormal pair round
     rng = random.Random(28)
     pairs = [(rng.uniform(1.0, 1e4), rng.uniform(1.0, 1e4)) for _ in range(300)]
     pairs += [(10.0 ** rng.uniform(-300, 308), 10.0 ** rng.uniform(-300, 308)) for _ in range(300)]
@@ -270,10 +272,12 @@ def test_log_mean_bracket_keeps_every_bit_where_the_plain_sums_answer():
     pairs += [(rng.uniform(1e307, 1.7e308), rng.uniform(1e307, 1.7e308)) for _ in range(300)]
     answered = 0
     for a, b in pairs:
+        k = means._scale(min(a, b), max(a, b)) if max(a, b) < 2.0**-1000 else 0
         try:
-            want = _plain_log_mean_enclosure(a, b)
+            want = _plain_log_mean_enclosure(math.ldexp(a, k), math.ldexp(b, k))
         except ValueError:
             continue
+        want = Enclosure(math.ldexp(want.lower, -k), math.ldexp(want.upper, -k))
         # an infinite end, which the CLI refuses, is no answer
         if math.isfinite(want.lower) and math.isfinite(want.upper):
             answered += 1
@@ -294,13 +298,30 @@ SUBNORMAL_GRID = [(i * 2.0**-1074, j * 2.0**-1074) for j in range(2, 80) for i i
 
 def test_subnormal_pairs_keep_the_chain_and_their_brackets():
     # 872 of these pairs raised "mean chain violated" when the means were formed
-    # from the subnormal pair itself; now it is evaluated scaled into [1, 4)
+    # from the subnormal pair itself; now it is evaluated scaled by `_scale`
     assert len(SUBNORMAL_GRID) == 3081
     for a, b in SUBNORMAL_GRID:
         ms = all_means(a, b)
         for kind in ("L", "I", "Isq"):
             encl, target = BRACKETS[kind][1](a, b, ms, False)
             assert encl.holds(target, abs(target)), (kind, a, b)
+
+
+def test_subnormal_pairs_hold_the_public_brackets():
+    # unscaled, log_mean_enclosure missed its target on 394 of these pairs and
+    # identric_enclosure on 494
+    for a, b in SUBNORMAL_GRID:
+        ms = all_means(a, b)
+        assert log_mean_enclosure(a, b).holds(ms.logarithmic, ms.logarithmic), (a, b)
+        assert identric_enclosure(a, b).holds(ms.identric, ms.identric), (a, b)
+
+
+def test_subnormal_pairs_have_a_reciprocal_defect_past_the_float_range():
+    # the defect is of degree -1: on this grid it is above 1.7e316 (mpmath), so the
+    # ends and the target are inf; one pair raised, and (5e-324, 1e-323) read 0.0
+    for a, b in SUBNORMAL_GRID:
+        encl, target = BRACKETS["recipL"][1](a, b, all_means(a, b), False)
+        assert encl.lower == encl.upper == target == math.inf, (a, b)
 
 
 def _means_and_rows(pairs):
@@ -317,25 +338,25 @@ def _means_and_rows(pairs):
 
 
 def test_pairs_at_or_above_the_scaling_threshold_keep_every_bit(monkeypatch):
-    # the scaled evaluation starts just below 2^-900, far below every workload's pairs;
-    # at and above it, the means and the four rows are those of the pair itself
+    # every pair is evaluated at 2^k (a, b); at and above 2^-900 no term of the
+    # pair itself is subnormal either, so the means and the four rows keep every bit
     rng = random.Random(30)
     tiny = 2.0**-900
-    assert means._tiny_scale(tiny) == 0 < means._tiny_scale(math.nextafter(tiny, 0.0))
     pairs = [(tiny, math.nextafter(tiny, 1.0)), (tiny, 3.0 * tiny)]
     pairs += [(tiny * rng.uniform(1.0, 4.0), tiny * rng.uniform(1.0, 4.0)) for _ in range(300)]
     pairs += [(10.0 ** rng.uniform(-270, -1), 10.0 ** rng.uniform(-270, -1)) for _ in range(300)]
     pairs += [(10.0 ** rng.uniform(-270, 300), 10.0 ** rng.uniform(-270, 300)) for _ in range(600)]
     scaled = _means_and_rows(pairs)
-    monkeypatch.setattr(means, "_TINY", 0.0)  # no pair is scaled
+    monkeypatch.setattr(means, "_scale", lambda a, b: 0)  # no pair is scaled
     assert _means_and_rows(pairs) == scaled
     with pytest.raises(ValueError, match="mean chain violated"):
         all_means(1.5e-323, 2e-323)
 
 
 def test_the_arithmetic_mean_keeps_every_bit_where_halving_is_exact():
-    # 0.5*(a + b) and 0.5*a + 0.5*b both round (a + b)/2 once wherever a >= 2^-1021;
-    # pairs near the top of the float range, where a + b overflows, included
+    # A is 0.5*(a + b) at 2^k (a, b), which rounds (a + b)/2 once, as 0.5*a + 0.5*b
+    # does wherever a >= 2^-1021; pairs near the top of the float range, where the
+    # unscaled a + b overflows, included
     rng = random.Random(29)
     smallest = 2.0 ** -1021
     pairs = [(10.0 ** rng.uniform(-307.5, 308), 10.0 ** rng.uniform(-307.5, 308)) for _ in range(2000)]
@@ -345,7 +366,7 @@ def test_the_arithmetic_mean_keeps_every_bit_where_halving_is_exact():
     for a, b in pairs:
         a, b = min(a, b), max(a, b)
         if a >= smallest:
-            assert repr(_arith_harm(a, b)[0]) == repr(0.5 * a + 0.5 * b), (a, b)
+            assert repr(all_means(a, b).arithmetic) == repr(0.5 * a + 0.5 * b), (a, b)
             overflowed += a + b == math.inf
     assert overflowed > 100
 
