@@ -20,6 +20,7 @@ from .bounds import (
     bisected_trapezoid_identity_residual,
     classic_hh,
     convexity_profile,
+    identity_residuals,
     mean_enclosure_via_defect,
     simpson_defect_bound,
     simpson_estimate,
@@ -98,6 +99,7 @@ __all__ = [
     "f_ratio",
     "identric_enclosure",
     "identric_of_squares_enclosure",
+    "identity_residuals",
     "integrate_mean",
     "integrate_mean_fn",
     "left_counterexample",

@@ -9,8 +9,9 @@ the adaptive refinement all call the rows, after one check of the panel's
 values (`_panel`).  Two exact integral identities, the rows of
 `IDENTITIES`, express the defects against a kernel in a normalized
 variable; the residual checks here confirm them numerically via the
-independent integrator, and the two checks of one (f, iv, tol) share one
-oracle mean and one f'' pair per kernel node.  The pairs a kernel panel
+independent integrator.  `identity_residuals` checks every row against
+the oracle mean its caller passes, as the `DEFECTS` rows take theirs,
+and its rows share one f'' pair per kernel node.  The pairs a kernel panel
 adds come from one order-2 column walk, `simpson_estimate` samples
 f'''' in one order-4 walk (`jets.jet_column`), and the adaptive
 refinement evaluates each generation of panels' new points in one walk,
@@ -22,7 +23,6 @@ declines, they evaluate point by point as before.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -51,6 +51,7 @@ __all__ = [
     "symmetric_point_triple",
     "bisected_trapezoid_identity_residual",
     "simpson_identity_residual",
+    "identity_residuals",
     "simpson_estimate",
     "adaptive_enclosure",
     "convexity_profile",
@@ -418,23 +419,15 @@ IDENTITIES = {
 }
 
 
-@functools.lru_cache(maxsize=1)
-def _identity_data(node: Node, iv: Interval, tol: float) -> tuple[float, dict]:
-    """The oracle mean and {t: f''(x_t) + f''(y_t)} that both identities read.
+def _identity_check(
+    row: str, node: Node, iv: Interval, tol: float, mean: float, pairs: dict
+) -> IdentityCheck:
+    """IDENTITIES[row]: value - mean against its kernel integral.
 
-    Kept for the last (node, iv, tol), so the second identity of a pair makes
-    no new mean and evaluates only the kernel nodes the first did not.
+    pairs is the table {t: f''(x_t) + f''(y_t)} the kernel reads and fills.
     """
-    return integrate_mean(node, iv, tol).value, {}
-
-
-def _identity_check(row: str, f: Node | str, iv: Interval, tol: float) -> IdentityCheck:
-    """IDENTITIES[row]: value - mean against its kernel integral."""
-    node = as_node(f)
     value, weight, scale = IDENTITIES[row]
-    v = value(node, iv)
-    mean, pairs = _identity_data(node, iv, tol)
-    lhs = v - mean
+    lhs = value(node, iv) - mean
 
     def kernel(t: float) -> float:
         pair = pairs.get(t)
@@ -464,6 +457,20 @@ def _identity_check(row: str, f: Node | str, iv: Interval, tol: float) -> Identi
     return IdentityCheck(lhs, rhs, abs(lhs - rhs))
 
 
+def identity_residuals(
+    f: Node | str, iv: Interval, mean: float, tol: float = 1e-11
+) -> dict[str, IdentityCheck]:
+    """Every row of `IDENTITIES`, by name, checked against the caller's oracle mean.
+
+    The rows fill one table of f''(x_t) + f''(y_t) pairs, each pair a kernel
+    panel adds from one order-2 column walk over their x_t and y_t, or from
+    `jet_coefficients` per point where the walk declines.  Each check has
+    the bits of its single-row function given the same mean.
+    """
+    node, pairs = as_node(f), {}
+    return {row: _identity_check(row, node, iv, tol, mean, pairs) for row in IDENTITIES}
+
+
 def bisected_trapezoid_identity_residual(
     f: Node | str, iv: Interval, tol: float = 1e-11
 ) -> IdentityCheck:
@@ -472,13 +479,13 @@ def bisected_trapezoid_identity_residual(
     The kernel is t(1-t)*(f''(x_t)+f''(y_t)) over t in [0,1], with the
     symmetric substitution of symmetric_point_triple.  Both sides use
     the independent integrator; residual should vanish to tolerance.
-    It shares its oracle mean and its f'' pairs with
-    `simpson_identity_residual` on the same (f, iv, tol).  The pairs a
-    kernel panel adds come from one order-2 column walk over their x_t
-    and y_t, or from `jet_coefficients` per point where the walk
-    declines; the bits are the same either way.
+    It makes its own oracle mean and f'' pairs; `identity_residuals`
+    checks both identities on one mean the caller passes and one table
+    of pairs.
     """
-    return _identity_check("bisected-trapezoid", f, iv, tol)
+    node = as_node(f)
+    mean = integrate_mean(node, iv, tol).value
+    return _identity_check("bisected-trapezoid", node, iv, tol, mean, {})
 
 
 def simpson_identity_residual(f: Node | str, iv: Interval, tol: float = 1e-11) -> IdentityCheck:
@@ -486,10 +493,12 @@ def simpson_identity_residual(f: Node | str, iv: Interval, tol: float = 1e-11) -
 
     Same substitution with kernel t(2-3t)*(f''(x_t)+f''(y_t)); the
     kernel changes sign, which is what makes the Simpson defect
-    second-order small.  Shares its mean and f'' pairs, and makes them
-    in column walks, as the bisected-trapezoid identity does.
+    second-order small.  Makes its own mean and f'' pairs, as the
+    bisected-trapezoid identity does.
     """
-    return _identity_check("simpson", f, iv, tol)
+    node = as_node(f)
+    mean = integrate_mean(node, iv, tol).value
+    return _identity_check("simpson", node, iv, tol, mean, {})
 
 
 # --- Simpson estimate with fourth-derivative error bound ----------------------

@@ -1,4 +1,4 @@
-"""Shared value types and exceptions used across the package."""
+"""Shared value types, exceptions and float helpers used across the package."""
 
 from __future__ import annotations
 
@@ -100,3 +100,11 @@ class WeightPair:
     @property
     def upper_bound_valid(self) -> bool:
         return 0.25 - 1e-12 <= self.endpoint_weight <= 0.5 + 1e-12
+
+
+def ldexp_or_inf(x: float, e: int) -> float:
+    """x * 2^e rounded once, and +-inf past the float range as a product is."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)

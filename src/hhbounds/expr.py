@@ -430,9 +430,10 @@ def column_head(column: list[float]) -> float:
     point, or the column's own operation raises there: a divisor column
     that holds 0.0 beside a negative entry divides by zero, and so does a
     negative integer power of it.  A column with an entry that is not
-    finite raises `Fallback`, so no rule is judged on a NaN.
+    finite raises `Fallback`, so no rule is judged on a NaN.  A finite sum
+    shows every entry finite at once; one that overflows does not.
     """
-    if not math.isfinite(sum(column)):
+    if not (math.isfinite(sum(column)) or all(map(math.isfinite, column))):
         raise Fallback
     return min(column)
 

@@ -61,7 +61,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import DomainError
+from .core import DomainError, ldexp_or_inf
 from .expr import Fallback, Node, as_node, column_head, columns_of, evaluate, evaluate_columns
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0)
@@ -424,14 +424,6 @@ def _hyp_shift(u: Coeffs, unit: float) -> list[int]:
     return [p + k * d for k in range(len(u))]
 
 
-def _ldexp(v: float, e: int) -> float:
-    """v * 2^e rounded once, and +-inf past the float range as a product is."""
-    try:
-        return math.ldexp(v, e)
-    except OverflowError:
-        return math.copysign(math.inf, v)
-
-
 def _hyp(u: Coeffs, softness: float) -> Coeffs:
     unit, table = _hyp_table(u[0], softness, len(u))
     if unit == 1.0:  # v/1.0 and v*1.0 are exact, so leaving them out changes no bit
@@ -443,8 +435,10 @@ def _hyp(u: Coeffs, softness: float) -> Coeffs:
     # keeps every power finite, where it may round a small u_k away; so it answers
     # only the coefficients that were not finite.
     exps = _hyp_shift(u, unit)
-    shifted = _compose(table, tuple(_ldexp(v, -e) for v, e in zip(u, exps)))
-    return tuple(a if math.isfinite(a) else _ldexp(b, e) for a, b, e in zip(out, shifted, exps))
+    shifted = _compose(table, tuple(ldexp_or_inf(v, -e) for v, e in zip(u, exps)))
+    return tuple(
+        a if math.isfinite(a) else ldexp_or_inf(b, e) for a, b, e in zip(out, shifted, exps)
+    )
 
 
 def _exp(u: Coeffs) -> Coeffs:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .core import Enclosure
+from .core import Enclosure, ldexp_or_inf
 
 __all__ = [
     "BRACKETS",
@@ -90,14 +90,6 @@ def _scale(a: float, b: float) -> int:
     """
     ea, eb = math.frexp(a)[1], math.frexp(b)[1]
     return 0 if eb - ea >= 1000 else -((ea + eb) >> 1) & ~1
-
-
-def _shift(x: float, k: int) -> float:
-    """ldexp(x, k), or +-inf where that overflows: an end stays certified."""
-    try:
-        return math.ldexp(x, k)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def all_means(a: float, b: float) -> MeanSet:
@@ -180,7 +172,7 @@ def log_mean_enclosure(a: float, b: float) -> Enclosure:
     upper = (arith + 2.0 * geom) / 3.0
     ratio = _arith_minus_geom(a, b) / ms.logarithmic
     lower = upper - (2.0 / 81.0) * ratio * ratio * (arith + geom)
-    return Enclosure(_shift(lower, -k), math.ldexp(upper, -k))
+    return Enclosure(ldexp_or_inf(lower, -k), math.ldexp(upper, -k))
 
 
 def reciprocal_log_mean_defect(a: float, b: float) -> Enclosure:
@@ -230,7 +222,7 @@ def identric_enclosure(a: float, b: float, use_printed_constant: bool = False) -
     exponent = _identric_exponent(a, b)
     if use_printed_constant:
         exponent /= 4.0
-    return Enclosure(math.ldexp(lower, -k), _shift(lower * _exp_or_inf(exponent), -k))
+    return Enclosure(math.ldexp(lower, -k), ldexp_or_inf(lower * _exp_or_inf(exponent), -k))
 
 
 def identric_of_squares_enclosure(a: float, b: float) -> Enclosure:

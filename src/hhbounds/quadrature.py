@@ -108,7 +108,7 @@ def integrate_mean_fn(
         nonlocal evals
         if columns is not None and evals + len(xs) <= _MAX_EVALS:
             vs = columns(xs)
-            if vs is not None and math.isfinite(sum(vs)):
+            if vs is not None and (math.isfinite(sum(vs)) or all(map(math.isfinite, vs))):
                 evals += len(xs)
                 return vs
         return [f(x) for x in xs]

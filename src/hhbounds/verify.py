@@ -44,14 +44,25 @@ class Case:
     iv: Interval
 
 
+def _xlogx_anti(t: float) -> float:
+    return t * t * (2.0 * math.log(t) - 1.0) / 4.0
+
+
+# The corpus's named sources in draw order, each with its closed-form mean on [a, b].
+_FAMILIES = (
+    ("exp(x)", lambda a, b: (math.exp(b) - math.exp(a)) / (b - a)),
+    ("1/x", lambda a, b: math.log(b / a) / (b - a)),
+    ("-log(x)", lambda a, b: -((b * math.log(b) - b) - (a * math.log(a) - a)) / (b - a)),
+    ("x*log(x)", lambda a, b: (_xlogx_anti(b) - _xlogx_anti(a)) / (b - a)),
+)
+
+
 class _Context:
     """What every property reads: corpus, trial counts, printed-constant flag.
 
     One context serves every suite of a run, so "all" builds the corpus
     and integrates its means once.
     """
-
-    FAMILIES = ("exp(x)", "1/x", "-log(x)", "x*log(x)")
 
     def __init__(self, samples: int, seed: int, printed_constant: bool):
         self.samples = samples
@@ -72,7 +83,7 @@ class _Context:
             a = rng.uniform(0.1, 4.5)
             b = rng.uniform(a + 0.05, 5.0)
             if kind < 4:
-                src = self.FAMILIES[kind]
+                src = _FAMILIES[kind][0]
             else:
                 src = f"x^{rng.uniform(1.2, 6.0)!r}"
             cases.append(Case(src, parse(src), Interval(a, b)))
@@ -85,16 +96,13 @@ class _Context:
         return self._means[i]
 
     def identities(self, i: int) -> dict[str, bounds.IdentityCheck]:
-        """Both identity checks of case i at tol 1e-9, by function name.
+        """Every `bounds.IDENTITIES` check of case i at tol 1e-9, by row name.
 
-        They run back to back, so the second reuses the first's oracle mean
-        and f'' pairs (`bounds.IDENTITIES`).
+        They read case i's oracle mean, `mean(i)`, and share one table of f'' pairs.
         """
         if i not in self._identities:
             c = self.cases[i]
-            self._identities[i] = {
-                name: getattr(bounds, name)(c.node, c.iv, tol=1e-9) for name in _IDENTITY_CHECKS
-            }
+            self._identities[i] = bounds.identity_residuals(c.node, c.iv, self.mean(i), tol=1e-9)
         return self._identities[i]
 
     @cached_property
@@ -150,27 +158,8 @@ def _prop_oracle_additivity(rng, ctx):
 
 
 def _prop_oracle_closed_forms(rng, ctx):
-    def mean_exp(a, b):
-        return (math.exp(b) - math.exp(a)) / (b - a)
-
-    def mean_recip(a, b):
-        return math.log(b / a) / (b - a)
-
-    def mean_neglog(a, b):
-        return -((b * math.log(b) - b) - (a * math.log(a) - a)) / (b - a)
-
-    def mean_xlogx(a, b):
-        anti = lambda t: t * t * (2.0 * math.log(t) - 1.0) / 4.0
-        return (anti(b) - anti(a)) / (b - a)
-
-    forms = [
-        ("exp(x)", mean_exp),
-        ("1/x", mean_recip),
-        ("-log(x)", mean_neglog),
-        ("x*log(x)", mean_xlogx),
-    ]
     for trial in range(100):
-        src, form = forms[trial % 4]
+        src, form = _FAMILIES[trial % len(_FAMILIES)]
         a = rng.uniform(0.1, 9.0)
         b = rng.uniform(a + 0.05, 10.0)
         exact = form(a, b)
@@ -180,13 +169,10 @@ def _prop_oracle_closed_forms(rng, ctx):
     return _ok(100)
 
 
-_IDENTITY_CHECKS = ("bisected_trapezoid_identity_residual", "simpson_identity_residual")
-
-
-def _identity_prop(residual: str):
+def _identity_prop(row: str):
     def prop(rng, ctx):
         for i, case in enumerate(ctx.cases):
-            check = ctx.identities(i)[residual]
+            check = ctx.identities(i)[row]
             scale = 1.0 + max(abs(check.lhs), abs(check.rhs))
             if check.residual > 1e-8 * scale:
                 return False, f"residual {check.residual:.3e} for {_fmt(case)}"
@@ -476,8 +462,8 @@ SUITES = {
         ("oracle-cubic-exactness", _prop_oracle_cubic_exactness),
         ("oracle-additivity", _prop_oracle_additivity),
         ("oracle-closed-forms", _prop_oracle_closed_forms),
-        ("bisected-trapezoid-identity", _identity_prop("bisected_trapezoid_identity_residual")),
-        ("simpson-identity", _identity_prop("simpson_identity_residual")),
+        ("bisected-trapezoid-identity", _identity_prop("bisected-trapezoid")),
+        ("simpson-identity", _identity_prop("simpson")),
         ("affine-exactness", _prop_affine_exactness),
         ("ratio-affine-invariance", _prop_ratio_affine_invariance),
         ("parse-print-roundtrip", _prop_parse_print_roundtrip),

@@ -518,29 +518,39 @@ _RESIDUALS = (bisected_trapezoid_identity_residual, simpson_identity_residual)
 @pytest.mark.parametrize("src, a, b", list(_IDENTITY_BITS))
 @pytest.mark.parametrize("order", [(0,), (1,), (0, 1), (1, 0)])
 def test_identity_checks_keep_their_bits_alone_or_in_either_order(src, a, b, order):
-    bounds._identity_data.cache_clear()
     for k in order:
         check = _RESIDUALS[k](src, Interval(a, b))
         assert (check.lhs.hex(), check.rhs.hex(), check.residual.hex()) == _IDENTITY_BITS[(src, a, b)][k]
 
 
-def test_identity_memo_shares_the_mean_and_f2_pairs_of_the_last_arguments(monkeypatch):
-    counts = _counting_evaluations(monkeypatch)
-    bounds._identity_data.cache_clear()
+def test_identity_residuals_share_one_pair_table_and_take_the_callers_mean(monkeypatch):
+    # each kernel node of either identity is one pair of order-2 jets, made by
+    # whichever row reaches it first; the single-row checks make their own
     node, iv, tol = parse("1/x"), Interval(0.2, 3.0), 1e-11
-    bisected_trapezoid_identity_residual(node, iv, tol)
-    first = counts["jets"]
-    simpson_identity_residual("1/x", iv, tol)  # an equal tree hits
-    info = bounds._identity_data.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    # each kernel node is one pair of jets, made by whichever check reached it first;
-    # here the Simpson kernel refines further, and reuses every node of the first
-    pairs = bounds._identity_data(node, iv, tol)[1]
-    assert first < counts["jets"] == 2 * len(pairs) < 2 * first
-    for args in ((EXP, iv, tol), (node, Interval(0.2, 3.5), tol), (node, iv, 1e-10)):
-        before = bounds._identity_data.cache_info().misses
-        simpson_identity_residual(*args)
-        assert bounds._identity_data.cache_info().misses == before + 1, args
+    points = []
+    jet, column = bounds.jet_coefficients, bounds.jet_column
+
+    def point_jet(f, x, order=4):
+        points.append((x, order))
+        return jet(f, x, order)
+
+    def column_jets(f, xs, order=4):
+        points.extend((x, order) for x in xs)
+        return column(f, xs, order=order)
+
+    monkeypatch.setattr(bounds, "jet_coefficients", point_jet)
+    monkeypatch.setattr(bounds, "jet_column", column_jets)
+    singles, union, made = {}, set(), 0
+    for row, single in zip(bounds.IDENTITIES, _RESIDUALS):
+        points.clear()
+        singles[row] = repr(single(node, iv, tol))
+        union.update(points)
+        made += len(points)
+    points.clear()
+    checks = bounds.identity_residuals("1/x", iv, integrate_mean(node, iv, tol).value, tol)
+    assert {row: repr(check) for row, check in checks.items()} == singles
+    assert len(points) == len(set(points)) and set(points) == union
+    assert {order for _, order in points} == {2} and len(union) < made
 
 
 def test_bisected_trapezoid_kernel_matches_mpmath():
@@ -1020,9 +1030,9 @@ def test_the_bounds_loops_build_no_jet_value_objects(monkeypatch):
         lambda: adaptive_enclosure("x*log(x)", iv, 1e-9),
         lambda: bisected_trapezoid_identity_residual("x*log(x)", iv),
         lambda: simpson_identity_residual("x*log(x)", iv),
+        lambda: bounds.identity_residuals("x*log(x)", iv, 1.0),
         lambda: simpson_estimate("x*log(x)", iv),
     ]
-    bounds._identity_data.cache_clear()
     want = [repr(call()) for call in calls]
 
     class NoJet4:
@@ -1034,5 +1044,4 @@ def test_the_bounds_loops_build_no_jet_value_objects(monkeypatch):
     monkeypatch.setattr(bounds, "eval_column", lambda *args, **kwargs: None)
     with pytest.raises(AssertionError, match="a Jet4 was built"):
         eval_jet("x", 1.0)
-    bounds._identity_data.cache_clear()
     assert [repr(call()) for call in calls] == want

@@ -278,11 +278,11 @@ def _outcome(fn):
 
 
 def _caller_outcomes(node, iv):
-    bounds._identity_data.cache_clear()
     return [
         _outcome(lambda: integrate_mean(node, iv, 1e-9)),
         _outcome(lambda: bounds.bisected_trapezoid_identity_residual(node, iv, 1e-9)),
         _outcome(lambda: bounds.simpson_identity_residual(node, iv, 1e-9)),
+        _outcome(lambda: bounds.identity_residuals(node, iv, integrate_mean(node, iv).value, 1e-9)),
         _outcome(lambda: simpson_estimate(node, iv)),
     ]
 
@@ -342,13 +342,24 @@ def test_exp_takes_the_column_path(monkeypatch):
 
     monkeypatch.setattr(quadrature, "eval_value", counted_value)
     monkeypatch.setattr(bounds, "jet_coefficients", counted_jet)
-    bounds._identity_data.cache_clear()
     iv = Interval(0.0, 5.0)
     assert integrate_mean("exp(x)", iv, 1e-12).evaluations == 45
     bounds.bisected_trapezoid_identity_residual("exp(x)", iv)
     bounds.simpson_identity_residual("exp(x)", iv)
     simpson_estimate("exp(x)", iv)
     assert counts == {"values": 0, "jets": 0}
+
+
+def test_a_finite_column_whose_sum_overflows_is_read_as_finite(monkeypatch):
+    # the column of x*1e308 at 1.0 and 1.5 sums past the float range, and 15 values
+    # near 1.5e307 do too, though every entry is finite
+    node = parse("log(x*1e308)")
+    assert repr(eval_column(node, [1.0, 1.5])) == repr([eval_value(node, x) for x in (1.0, 1.5)])
+    calls = []
+    value = quadrature.eval_value
+    monkeypatch.setattr(quadrature, "eval_value", lambda node, x: calls.append(x) or value(node, x))
+    assert integrate_mean("x*1e307", Interval(1.0, 1.7)).evaluations == 45
+    assert calls == []
 
 
 @pytest.mark.parametrize("src", ["sqrt(x)*x", "x*sqrt(x)", "x^1.5"])

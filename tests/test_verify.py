@@ -62,6 +62,25 @@ def test_determinism():
     ]
 
 
+def test_a_single_identity_call_before_a_run_leaves_its_oracle_calls_alone(monkeypatch):
+    # the library keeps nothing between calls: the run's integrate_mean calls are
+    # the same with or without a check of its first case, at its tol, just before
+    calls = []
+
+    def counted(integrate):
+        return lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs)
+
+    for module in (bounds, verify):
+        monkeypatch.setattr(module, "integrate_mean", counted(module.integrate_mean))
+    run_suite("identities", 3, 1)
+    cold = len(calls)
+    case = verify._Context(3, 1, False).cases[0]
+    bounds.bisected_trapezoid_identity_residual(case.node, case.iv, tol=1e-9)
+    calls.clear()
+    run_suite("identities", 3, 1)
+    assert len(calls) == cold
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("everything", samples=10, seed=1)
@@ -132,15 +151,15 @@ _FAULTS = [
     (
         "identities:bisected-trapezoid-identity",
         bounds,
-        "bisected_trapezoid_identity_residual",
-        _returns(IdentityCheck(0.0, 0.0, 1.0)),
+        "identity_residuals",
+        _returns({"bisected-trapezoid": IdentityCheck(0.0, 0.0, 1.0), "simpson": None}),
         f"residual 1.000e+00 {_AT_1_OVER_X}",
     ),
     (
         "identities:simpson-identity",
         bounds,
-        "simpson_identity_residual",
-        _returns(IdentityCheck(0.0, 0.0, 1.0)),
+        "identity_residuals",
+        _returns({"bisected-trapezoid": None, "simpson": IdentityCheck(0.0, 0.0, 1.0)}),
         f"residual 1.000e+00 {_AT_1_OVER_X}",
     ),
     (
