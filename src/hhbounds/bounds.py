@@ -14,11 +14,12 @@ the oracle mean its caller passes, as the `DEFECTS` rows take theirs,
 and its rows share one f'' pair per kernel node.  The pairs a kernel panel
 adds come from one order-2 column walk, `simpson_estimate` samples
 f'''' in one order-4 walk (`jets.jet_column`), and the adaptive
-refinement evaluates each generation of panels' new points in one walk,
-order-2 jets under a shape and values (`expr.eval_column`) without one,
-then splits in the order it would split one point at a time, so every
-panel, bracket and error is the same bit for bit.  Where a walk
-declines, they evaluate point by point as before.
+refinement's simpson row evaluates each generation of panels' new points
+in one order-2 walk, then splits in the order it would split one point
+at a time, so every panel, bracket and error is the same bit for bit.
+Its n14 row reads each value with `_point`: a value walk there costs
+more than the dispatch it saves.  Where a walk declines, they evaluate
+point by point as before.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BudgetError, DomainError, Enclosure, Interval, WeightPair
-from .expr import Node, as_node, eval_column, eval_value, used_names
+from .expr import Node, as_node, eval_value, used_names
 from .jets import jet_coefficients, jet_column
 from .quadrature import integrate_mean, integrate_mean_fn
 
@@ -550,16 +551,18 @@ def adaptive_enclosure(
     n14 row.  The widest panel is split first; the panels are summed exactly
     with math.fsum and widened by the allowance of `_ROUNDING`.  A tol below
     twice that is refused at the first pass that shows it, before any split
-    unless the summed magnitude grows as the panels refine.  prof=None
-    profiles f.
+    unless the summed magnitude grows as the panels refine, and a summed
+    magnitude past the float range is refused by name.  prof=None profiles f.
 
-    The new points come a generation of panels at a time: when the widest
-    panel's quarter points are not known yet, those of the widest panels
-    whose widths cover the excess over the target, as many as the budget
-    lets split, are evaluated in one column walk.  The splits read them in
-    the same heap order, so every panel, the bracket, each error and the
-    `BudgetError` are those of one evaluation per split, bit for bit.  A
-    walk that declines leaves the rest of the call to `_point`.
+    On the simpson row the new jets come a generation of panels at a time:
+    when the widest panel's quarter points are not known yet, those of the
+    widest panels whose widths cover the excess over the target, as many as
+    the budget lets split, are evaluated in one order-2 column walk.  The
+    splits read them in the same heap order, so every panel, the bracket,
+    each error and the `BudgetError` are those of one jet per split, bit for
+    bit.  A walk that declines leaves the rest of the call to `_point`.
+    The n14 row evaluates each split's two values with `_point`, where a
+    value walk would cost more than the dispatch it saves.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -575,8 +578,9 @@ def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosur
     """The heap loop of `adaptive_enclosure`; its row follows from the shape:
     simpson where f'' has one, n14 (shape None) where it has none.
 
-    A split reads its quarter points from `known`, which `fetch` fills one
-    generation of panels at a time, or, once a walk has declined, from `_point`.
+    A simpson split reads its quarter points from `known`, which `fetch` fills
+    one generation of panels at a time, or, once a walk has declined, from
+    `_point`; an n14 split reads them from `_point`.
     """
     row, total = RULES["n14" if shape is None else "simpson"], iv.length
     known: dict[float, tuple] = {}
@@ -590,7 +594,7 @@ def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosur
     def fetch(need: float) -> bool:
         """The `_point`s at the quarter points of the widest panels, as many as
         the budget lets split, until their widths sum to need: into `known`
-        from one column walk, or False where the walk declines."""
+        from one order-2 jet walk, or False where the walk declines."""
         xs = []
         for neg_gap, a, b, *_ in sorted(heap)[: _MAX_PANELS - len(heap)]:
             if need <= 0.0:
@@ -600,29 +604,28 @@ def _bisect(node: Node, iv: Interval, tol: float, shape: str | None) -> Enclosur
             ql, qr = 0.5 * (a + m), 0.5 * (m + b)
             if not (ql in known and qr in known):
                 xs += (ql, qr)
-        if shape is None:
-            vs = eval_column(node, xs)
-            if vs is None:
-                return False
-            known.update(zip(xs, [(v, 0.0) for v in vs]))
-        else:
-            cs = jet_column(node, xs, order=2)
-            if cs is None:
-                return False
-            known.update(zip(xs, [(c[0], c[2] * 2.0) for c in cs]))
+        cs = jet_column(node, xs, order=2)
+        if cs is None:
+            return False
+        known.update(zip(xs, [(c[0], c[2] * 2.0) for c in cs]))
         return True
 
     heap = [panel(iv.a, iv.b, *(_point(node, x, shape) for x in (iv.a, iv.mid, iv.b)))]
     width = -heap[0][0]
-    batched = True
+    batched = shape is not None
     while True:
         # Adding a panel's -w*(hi - lo) to its upper term gives its lower term.
         highs = [p[6] for p in heap]
-        magnitude = math.fsum(
-            [(b - a) * (abs(pa[0]) + 2.0 * abs(pm[0]) + abs(pb[0]))
-             for _, a, b, pa, pm, pb, _ in heap]
-        )
+        try:
+            magnitude = math.fsum(
+                [(b - a) * (abs(pa[0]) + 2.0 * abs(pm[0]) + abs(pb[0]))
+                 for _, a, b, pa, pm, pb, _ in heap]
+            )
+        except OverflowError:  # finite terms whose sum passes the float range
+            magnitude = math.inf
         allowance = _ROUNDING * magnitude / (4.0 * total)
+        if not math.isfinite(allowance):
+            raise ValueError(f"the bracket's magnitudes overflow on [{iv.a!r}, {iv.b!r}]")
         if 2.0 * allowance > tol:
             raise ValueError(
                 f"tol {tol:g} is below the rounding floor {2.0 * allowance:.2g} of this bracket"

@@ -28,7 +28,12 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed integration domain [a, b] with a < b, both finite."""
+    """Closed integration domain [a, b] with a < b, both inside (-2^1023, 2^1023).
+
+    Any two floats inside that range have a finite sum and difference, so
+    no midpoint, quarter point, quadrature or Chebyshev node, or panel
+    length on the interval leaves the float range.
+    """
 
     a: float
     b: float
@@ -36,6 +41,10 @@ class Interval:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("interval endpoints must be finite")
+        if not max(abs(self.a), abs(self.b)) < 2.0 ** 1023:
+            raise ValueError(
+                f"interval endpoints must lie inside (-2^1023, 2^1023), got [{self.a}, {self.b}]"
+            )
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
 

@@ -59,6 +59,28 @@ def test_interval_validation():
     assert iv.mid == 2.0 and iv.length == 2.0
 
 
+def test_an_interval_endpoint_at_or_past_2_to_the_1023_is_refused_by_name():
+    # the length overflowed: the oracle's mean of 1 read nan
+    message = "interval endpoints must lie inside (-2^1023, 2^1023), got [-1e+308, 1e+308]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate_mean("1", Interval(-1e308, 1e308))
+    # the whole interval's midpoint and length are finite here, a panel's midpoint is not
+    with pytest.raises(ValueError, match=r"\(-2\^1023, 2\^1023\)"):
+        Interval(1e307, 9e307)
+    for a, b in ((-(2.0 ** 1023), 0.0), (0.0, 2.0 ** 1023)):
+        with pytest.raises(ValueError, match=r"\(-2\^1023, 2\^1023\)"):
+            Interval(a, b)
+
+
+def test_the_widest_interval_has_finite_panels():
+    top = math.nextafter(2.0 ** 1023, 0.0)
+    iv = Interval(-top, top)
+    assert (iv.mid, iv.length) == (0.0, math.nextafter(math.inf, 0.0))
+    assert integrate_mean("1", iv).value == 1.0
+    # a + b of the narrowest panel at the top end stays below the float range
+    assert Interval(math.nextafter(top, 0.0), top).mid == math.nextafter(top, 0.0)
+
+
 def test_enclosure_validation_and_contains():
     with pytest.raises(ValueError):
         Enclosure(1.0, 0.5)
@@ -761,8 +783,7 @@ SIMPSON_ROW_JETS_AT_1E9 = {
 def _counting_evaluations(monkeypatch) -> dict:
     """Count the values and jets bounds asks for; a column counts one per point."""
     counts = {"values": 0, "jets": 0}
-    value, jet = bounds.eval_value, bounds.jet_coefficients
-    value_column, jet_column = bounds.eval_column, bounds.jet_column
+    value, jet, jet_column = bounds.eval_value, bounds.jet_coefficients, bounds.jet_column
 
     def counted_value(*args, **kwargs):
         counts["values"] += 1
@@ -772,17 +793,12 @@ def _counting_evaluations(monkeypatch) -> dict:
         counts["jets"] += 1
         return jet(*args, **kwargs)
 
-    def counted_value_column(f, xs, *args, **kwargs):
-        counts["values"] += len(xs)
-        return value_column(f, xs, *args, **kwargs)
-
     def counted_jet_column(f, xs, *args, **kwargs):
         counts["jets"] += len(xs)
         return jet_column(f, xs, *args, **kwargs)
 
     monkeypatch.setattr(bounds, "eval_value", counted_value)
     monkeypatch.setattr(bounds, "jet_coefficients", counted_jet)
-    monkeypatch.setattr(bounds, "eval_column", counted_value_column)
     monkeypatch.setattr(bounds, "jet_column", counted_jet_column)
     return counts
 
@@ -890,6 +906,24 @@ def test_adaptive_tol_below_the_rounding_floor_fails_at_once(monkeypatch):
     assert counts == {"values": 0, "jets": 3}
 
 
+@pytest.mark.parametrize(
+    "src, a, b, tol",
+    [
+        # len*(|f(a)| + 2|f(m)| + |f(b)|) is inf on the first panel, which passes `_panel`:
+        # these read "tol 0.001 is below the rounding floor inf of this bracket"
+        ("exp(x)", 700.0, 709.7, 1e-3),
+        ("x^2", 1e150, 2e150, 1e-3),
+        # on the n14 row every panel's term is finite, but after one split their sum
+        # passes the float range: this raised fsum's "intermediate overflow in fsum"
+        ("4e307*(x^2 - 1) + abs(x)*1e-300", -1.0, 1.0, 1e300),
+    ],
+)
+def test_adaptive_names_a_bracket_whose_magnitudes_overflow(src, a, b, tol):
+    message = f"the bracket's magnitudes overflow on [{a!r}, {b!r}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        adaptive_enclosure(src, Interval(a, b), tol)
+
+
 def _adaptive_outcome(node, iv: Interval, tol: float):
     """repr of adaptive_enclosure's answer, or the type and message of its error."""
     try:
@@ -898,19 +932,15 @@ def _adaptive_outcome(node, iv: Interval, tol: float):
         return type(exc).__name__, str(exc)
 
 
-def _declining_columns(monkeypatch) -> dict:
-    """Make bounds' column walks always decline; count the attempts."""
-    attempts = {"values": 0, "jets": 0}
+def _declining_columns(monkeypatch) -> list:
+    """Make bounds' column walks always decline; list the attempts."""
+    attempts = []
 
-    def declining(kind):
-        def column(*args, **kwargs):
-            attempts[kind] += 1
-            return None
+    def declining(*args, **kwargs):
+        attempts.append(args)
+        return None
 
-        return column
-
-    monkeypatch.setattr(bounds, "eval_column", declining("values"))
-    monkeypatch.setattr(bounds, "jet_column", declining("jets"))
+    monkeypatch.setattr(bounds, "jet_column", declining)
     return attempts
 
 
@@ -940,10 +970,10 @@ def test_batched_refinement_equals_the_per_point_refinement(monkeypatch):
     assert sum(isinstance(out, str) for out in batched) > 200
     attempts = _declining_columns(monkeypatch)
     for (node, iv, tol), want in zip(cases, batched):
-        attempts.update(values=0, jets=0)
+        attempts.clear()
         assert _adaptive_outcome(node, iv, tol) == want, (to_source(node), iv, tol)
         # a walk that declines is not tried again in the same refinement
-        assert attempts["values"] <= 1 and attempts["jets"] <= 1, (to_source(node), iv, tol)
+        assert len(attempts) <= 1, (to_source(node), iv, tol)
 
 
 def test_a_walk_that_declines_mid_call_leaves_the_rest_to_the_per_point_path(monkeypatch):
@@ -963,20 +993,18 @@ def test_a_walk_that_declines_mid_call_leaves_the_rest_to_the_per_point_path(mon
     assert counts["jets"] - sum(walks) > 3
 
 
-def test_the_panel_budget_is_reached_in_one_walk_per_generation(monkeypatch):
-    # each walk sorts the heap, so a walk per split would take quadratic time here
-    walks, column = [], bounds.eval_column
-
-    def counted(node, xs):
-        walks.append(len(xs))
-        assert len(walks) <= 40, "more walks than generations of panels"
-        return column(node, xs)
-
-    monkeypatch.setattr(bounds, "eval_column", counted)
+def test_the_n14_row_reaches_the_panel_budget_point_by_point(monkeypatch):
+    # a value walk per generation costs more here than one value per point
+    node = parse("hyp(x - 0.5, 0.1)")
+    prof = convexity_profile(node, UNIT)
+    counts = _counting_evaluations(monkeypatch)
+    walks = []
+    monkeypatch.setattr(bounds, "jet_column", lambda f, xs, order=4: walks.append(xs))
     with pytest.raises(BudgetError, match="^subdivision budget of 100000 panels exhausted$"):
-        adaptive_enclosure("hyp(x - 0.5, 0.1)", UNIT, 1e-13)
-    # two points for each of the 99,999 splits, and none that no split reads
-    assert (len(walks), sum(walks)) == (18, 2 * 99_999)
+        adaptive_enclosure(node, UNIT, 1e-13, prof)
+    # the first panel's three values and two for each of the 99,999 splits
+    assert counts == {"values": 3 + 2 * 99_999, "jets": 0}
+    assert walks == []
 
 
 def test_adaptive_deterministic():
@@ -1041,7 +1069,6 @@ def test_the_bounds_loops_build_no_jet_value_objects(monkeypatch):
 
     monkeypatch.setattr(jets, "Jet4", NoJet4)
     monkeypatch.setattr(bounds, "jet_column", lambda *args, **kwargs: None)
-    monkeypatch.setattr(bounds, "eval_column", lambda *args, **kwargs: None)
     with pytest.raises(AssertionError, match="a Jet4 was built"):
         eval_jet("x", 1.0)
     assert [repr(call()) for call in calls] == want

@@ -521,6 +521,38 @@ def test_a_panel_check_that_overflows_names_the_overflow(f, a, b, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the length overflowed: "integrand returned non-finite value -inf at x=-inf"
+        ("ratio", "x", "-1e308", "1e308"),
+        # a Chebyshev node overflowed: "... (indeterminate: f'' = nan at x = inf)"
+        ("enclose", "x^2", "-1.7e308", "1.7e308"),
+        ("defect", "x^2", "-1e308", "1e308", "--theorem=2"),
+        # a + b overflowed, so the midpoint was inf: "f or f'' is not finite on [...]"
+        ("enclose", "x", "1e308", "1.7e308"),
+    ],
+)
+def test_an_endpoint_past_2_to_the_1023_is_refused_by_name(argv, capsys):
+    command, f, a, b, *options = argv
+    assert cli.main(["--json", command, f"--f={f}", f"--a={a}", f"--b={b}", *options]) == 2
+    out, err = capsys.readouterr()
+    error = f"interval endpoints must lie inside (-2^1023, 2^1023), got [{float(a)}, {float(b)}]"
+    assert json.loads(out)["outputs"] == {"error": error}
+    assert err == ""
+
+
+@pytest.mark.parametrize("f, a, b", [("exp(x)", "700", "709.7"), ("x^2", "1e150", "2e150")])
+def test_an_adaptive_bracket_whose_magnitudes_overflow_names_the_overflow(f, a, b, capsys):
+    # these read "tol 0.001 is below the rounding floor inf of this bracket"
+    argv = ["--json", "enclose", f"--f={f}", f"--a={a}", f"--b={b}", "--method=adaptive"]
+    assert cli.main([*argv, "--tol=1e-3"]) == 2
+    out, err = capsys.readouterr()
+    on = f"on [{float(a)!r}, {float(b)!r}]"
+    assert json.loads(out)["outputs"] == {"error": f"the bracket's magnitudes overflow {on}"}
+    assert err == ""
+
+
 # --- ratio -------------------------------------------------------------------
 
 
