@@ -24,6 +24,7 @@ point by point as before.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -262,18 +263,50 @@ def simpson_value(f: Node | str, iv: Interval) -> float:
 # --- convexity profiling -----------------------------------------------------
 
 
+@functools.cache
+def _unit_nodes(n: int) -> tuple[float, ...]:
+    """cos((2j - 1)pi/(2n)) for j = 1..n: the n Chebyshev nodes of [-1, 1], descending.
+
+    A pure function of n, computed once per n; it holds no result of any call.
+    """
+    return tuple(math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(1, n + 1))
+
+
 def _chebyshev_nodes(iv: Interval, n: int) -> list[float]:
-    half = 0.5 * iv.length
-    return [iv.mid + half * math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(1, n + 1)]
+    """The n Chebyshev nodes of iv: mid + half*u over the `_unit_nodes` table, no cosine per call."""
+    mid, half = iv.mid, 0.5 * iv.length
+    return [mid + half * u for u in _unit_nodes(n)]
+
+
+def _classify(vals: list[float], pos: str, neg: str) -> tuple[str, float | None]:
+    """(pos or neg where every value has that sign to the tolerance, else "indeterminate";
+    min(vals), or None where a value is not finite).
+
+    One finiteness test, whose finite sum shows every value finite at once as
+    in `expr.column_head`, and one min and max: the tolerance
+    1e-10 * (1 + max(-lo, hi)) reads the largest |v| from them.
+    """
+    if not (math.isfinite(sum(vals)) or all(map(math.isfinite, vals))):
+        return "indeterminate", None
+    lo, hi = min(vals), max(vals)
+    tol = 1e-10 * (1.0 + max(-lo, hi))
+    if lo >= -tol:
+        return pos, lo
+    if hi <= tol:
+        return neg, lo
+    return "indeterminate", lo
 
 
 def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityProfile:
     """Classify sign of f'' and of f'''' from n Chebyshev samples.
 
-    Tolerance is scale-relative: 1e-10 * (1 + max sampled magnitude).
-    Mixed signs (or non-finite samples) yield "indeterminate".  The
-    f2_shape of a tree that calls abs is "indeterminate", which every
-    bound that needs a shape refuses.
+    The samples sit at `_chebyshev_nodes`, one order-4 jet each.  Tolerance
+    is scale-relative: 1e-10 * (1 + max sampled magnitude).  Mixed signs (or
+    non-finite samples) yield "indeterminate".  Each sample list is tested
+    for finiteness once and gives its min and max once (`_classify`); only
+    where an f'' is not finite does the profile look for the finite min and
+    the first sample that is not.  The f2_shape of a tree that calls abs is
+    "indeterminate", which every bound that needs a shape refuses.
     """
     if n < 33:
         raise ValueError(f"need at least 33 sample points, got {n}")
@@ -281,25 +314,16 @@ def convexity_profile(f: Node | str, iv: Interval, n: int = 129) -> ConvexityPro
     xs = _chebyshev_nodes(iv, n)
     cs = [jet_coefficients(node, x) for x in xs]
     d2s = [c[2] * 2.0 for c in cs]
-
-    def classify(vals: list[float], pos: str, neg: str) -> str:
-        if not all(map(math.isfinite, vals)):
-            return "indeterminate"
-        tol = 1e-10 * (1.0 + max(map(abs, vals)))
-        if min(vals) >= -tol:
-            return pos
-        if max(vals) <= tol:
-            return neg
-        return "indeterminate"
-
-    f_convex = classify(d2s, "yes", "no")
+    f_convex, min_f2 = _classify(d2s, "yes", "no")
     f2_shape = "indeterminate"
     if "abs" not in used_names(node):
-        f2_shape = classify([c[4] * 24.0 for c in cs], "convex", "concave")
-    finite_d2 = [v for v in d2s if math.isfinite(v)]
-    min_f2 = min(finite_d2) if finite_d2 else math.nan
-    bad = [k for k, v in enumerate(d2s) if not math.isfinite(v)]
-    k = bad[0] if bad else d2s.index(min_f2)
+        f2_shape = _classify([c[4] * 24.0 for c in cs], "convex", "concave")[0]
+    if min_f2 is None:  # an f'' is not finite
+        finite_d2 = [v for v in d2s if math.isfinite(v)]
+        min_f2 = min(finite_d2) if finite_d2 else math.nan
+        k = next(k for k, v in enumerate(d2s) if not math.isfinite(v))
+    else:
+        k = d2s.index(min_f2)
     return ConvexityProfile(f_convex, f2_shape, min_f2, n, (xs[k], d2s[k]))
 
 

@@ -34,7 +34,11 @@ _SERIES_GAP = 1e-6
 
 @dataclass(frozen=True)
 class MeanSet:
-    """The six elementary means of one positive pair, in chain order."""
+    """The six elementary means of one positive pair, in chain order.
+
+    Construction checks the chain: one chained comparison where it holds,
+    a ValueError naming the fault where it does not (`__post_init__`).
+    """
 
     harmonic: float
     geometric: float
@@ -46,7 +50,16 @@ class MeanSet:
     def __post_init__(self):
         """ValueError naming the first mean that is not finite or, if all are,
         the first neighbours whose lower one exceeds the upper by more than
-        1e-12 of the largest mean."""
+        1e-12 of the largest mean.
+
+        A finite chain ordered from 0 up passes one chained comparison; the
+        loops would pass it too, since its slack is not negative.  Any other
+        chain walks the two loops, which name the fault."""
+        if (
+            0.0 <= self.harmonic <= self.geometric <= self.logarithmic
+            <= self.identric <= self.arithmetic <= self.gini < math.inf
+        ):
+            return
         chain = (self.harmonic, self.geometric, self.logarithmic, self.identric, self.arithmetic, self.gini)
         for name, value in zip(_CHAIN_NAMES, chain):
             if not math.isfinite(value):

@@ -7,9 +7,13 @@ estimate |K - G|.  A heap splits the panel with the largest estimate
 first, until the summed estimate is at most tol * length, so tol
 applies to the mean.  For smooth integrands |K - G| is far larger than
 the Kronrod value's true error, so the estimate is conservative; it is
-still an estimate, not a proof.  The nodes are interior: the endpoints
-of the interval are never evaluated.  Values and estimates are summed
-in left-endpoint order, so results are bit-identical across runs.
+still an estimate, not a proof.  Where K and G agree to the last bit,
+|K - G| is 0 for a value that is still rounded, so the reported
+estimate is at least QUADPACK's rounding floor, 50 eps times the summed
+|panel integral| over the length; the stopping rule does not read it.
+The nodes are interior: the endpoints of the interval are never
+evaluated.  Values and estimates are summed in left-endpoint order, so
+results are bit-identical across runs.
 
 `integrate_mean` evaluates each panel's 15 nodes in one column walk
 (`expr.eval_column`).  Where the walk declines, a value is not finite
@@ -31,6 +35,9 @@ from .expr import Node, as_node, eval_column, eval_value
 
 _MAX_DEPTH = 56
 _MAX_EVALS = 1_000_000
+
+# QUADPACK's rounding floor on an error estimate, per unit of summed |integral|.
+_ERR_FLOOR = 50.0 * 2.0 ** -52
 
 TOL_MIN = 1e-13
 TOL_MAX = 1e-3
@@ -89,10 +96,21 @@ def integrate_mean_fn(
     finite and the budget holds all 15; otherwise the panel calls fn node
     by node, with the budget and finiteness checked before and after each
     call, so the columns change no result and no error.
+
+    Each panel's integral and error are formed at the power-of-two scale
+    s = 2^-e, e = frexp(length)[1], which puts length*s in [1/2, 1): the
+    panels use h*s for their half-width h, the goal is tol*(length*s),
+    and the sums are divided by length*s at the end.  Scaling by a power
+    of two is exact, so a mean whose integral passes the float range stays
+    finite, and a result whose terms stayed in the normal range keeps its
+    bits.  The reported error is
+    at least `_ERR_FLOOR` times the summed |panel integral| over length*s.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
     evals = 0
+    s = math.ldexp(1.0, -math.frexp(iv.length)[1])
+    scaled = iv.length * s
 
     def f(x: float) -> float:
         nonlocal evals
@@ -114,7 +132,7 @@ def integrate_mean_fn(
         return [f(x) for x in xs]
 
     def panel(a: float, b: float, depth: int) -> tuple[float, float, float, float, int]:
-        """(-err, a, b, integral, depth): a heap entry for the G7K15 panel [a, b]."""
+        """(-err, a, b, integral, depth): a heap entry for the G7K15 panel [a, b], at scale s."""
         c = 0.5 * (a + b)
         h = 0.5 * (b - a)
         # the centre, then each pair of nodes from the outside in
@@ -129,11 +147,12 @@ def integrate_mean_fn(
         gauss = _WG[3] * fs[0]
         for w, pair in zip(_WG, pairs[1::2]):
             gauss += w * pair
-        return -abs(kronrod - gauss) * h, a, b, kronrod * h, depth
+        hs = h * s
+        return -abs(kronrod - gauss) * hs, a, b, kronrod * hs, depth
 
     heap = [panel(iv.a, iv.b, 0)]
     err = -heap[0][0]
-    goal = tol * iv.length
+    goal = tol * scaled
     while err > goal:
         neg_err, a, b, _, depth = heapq.heappop(heap)
         m = 0.5 * (a + b)
@@ -147,11 +166,12 @@ def integrate_mean_fn(
     heap.sort(key=lambda p: p[1])
     # a plain left-to-right sum: `sum()` of floats is compensated from
     # Python 3.12 on, and would make the result depend on the interpreter
-    integral = err = 0.0
+    integral = err = magnitude = 0.0
     for p in heap:
         integral += p[3]
         err -= p[0]
-    return QuadResult(integral / iv.length, err / iv.length, evals)
+        magnitude += abs(p[3])
+    return QuadResult(integral / scaled, max(err, _ERR_FLOOR * magnitude) / scaled, evals)
 
 
 def integrate_mean(f: Node | str, iv: Interval, tol: float = 1e-10) -> QuadResult:

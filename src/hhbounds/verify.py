@@ -74,8 +74,18 @@ class _Context:
         self._identities: dict[int, dict[str, bounds.IdentityCheck]] = {}
 
     @cached_property
+    def family_trees(self) -> list[Node]:
+        """The tree of each `_FAMILIES` source, parsed once per context and read by
+        the corpus cases, the oracle's closed-form check and the means cross-module check."""
+        return [parse(src) for src, _ in _FAMILIES]
+
+    @cached_property
     def cases(self) -> list[Case]:
-        """Random convex integrands over subintervals of (0.1, 5)."""
+        """Random convex integrands over subintervals of (0.1, 5).
+
+        The cases of a family share its tree in `family_trees`; each x^p
+        case parses its own source.
+        """
         rng = random.Random(self.seed)
         cases = []
         for _ in range(self.samples):
@@ -83,10 +93,11 @@ class _Context:
             a = rng.uniform(0.1, 4.5)
             b = rng.uniform(a + 0.05, 5.0)
             if kind < 4:
-                src = _FAMILIES[kind][0]
+                src, node = _FAMILIES[kind][0], self.family_trees[kind]
             else:
                 src = f"x^{rng.uniform(1.2, 6.0)!r}"
-            cases.append(Case(src, parse(src), Interval(a, b)))
+                node = parse(src)
+            cases.append(Case(src, node, Interval(a, b)))
         return cases
 
     def mean(self, i: int) -> float:
@@ -159,11 +170,12 @@ def _prop_oracle_additivity(rng, ctx):
 
 def _prop_oracle_closed_forms(rng, ctx):
     for trial in range(100):
-        src, form = _FAMILIES[trial % len(_FAMILIES)]
+        kind = trial % len(_FAMILIES)
+        src, form = _FAMILIES[kind]
         a = rng.uniform(0.1, 9.0)
         b = rng.uniform(a + 0.05, 10.0)
         exact = form(a, b)
-        got = integrate_mean(src, Interval(a, b), 1e-10).value
+        got = integrate_mean(ctx.family_trees[kind], Interval(a, b), 1e-10).value
         if abs(got - exact) > 1e-9 * (1.0 + abs(exact)):
             return False, f"{src} on [{a:.6g},{b:.6g}] off by {got - exact:.3e}"
     return _ok(100)
@@ -421,7 +433,7 @@ def _prop_means_cross_module(rng, ctx):
     # Every trial interval lies in [0.2, 5] (in its logarithm for e^t),
     # where 1/t, e^t and -log t all have f'''' > 0, so one profile of each
     # integrand over that range gives every trial its f'' shape.
-    f_recip, f_exp, f_neglog = parse("1/x"), parse("exp(x)"), parse("-log(x)")
+    f_exp, f_recip, f_neglog, _ = ctx.family_trees
     recip_prof = bounds.convexity_profile(f_recip, Interval(0.2, 5.0))
     exp_prof = bounds.convexity_profile(f_exp, Interval(math.log(0.2), math.log(5.0)))
     neglog_prof = bounds.convexity_profile(f_neglog, Interval(0.2, 5.0))

@@ -241,6 +241,90 @@ def test_profile_with_an_infinite_f2_sample_is_indeterminate():
     assert prof.worst == (c, math.inf)
 
 
+def _nodes_by_cosine(iv, n):
+    """The Chebyshev nodes as formed before the unit-node table: one cosine per node."""
+    half = 0.5 * iv.length
+    return [iv.mid + half * math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(1, n + 1)]
+
+
+def test_chebyshev_nodes_keep_the_bits_of_one_cosine_per_node():
+    rng = random.Random(34)
+    ivs = [Interval(-1e300, 1e300), Interval(-1.7e300, -0.9e300), Interval(1.2e300, 1.6e300)]
+    for _ in range(100):
+        a = rng.uniform(-5.0, 5.0)
+        ivs += [Interval(a, a + rng.uniform(1e-3, 5.0)), Interval(a, a + rng.uniform(1e-14, 1e-12))]
+    ivs += [Interval(1.0, math.nextafter(1.0, 2.0)), Interval(0.0, 5e-324), Interval(-1e-300, 1e-300)]
+    for n in (33, 65, 129, 257):
+        for iv in ivs:
+            got, want = bounds._chebyshev_nodes(iv, n), _nodes_by_cosine(iv, n)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (n, iv)
+
+
+def _profile_by_seven_passes(node, iv, n=129):
+    """`convexity_profile` as it classified before its one-pass checks."""
+    xs = _nodes_by_cosine(iv, n)
+    cs = [jets.jet_coefficients(node, x) for x in xs]
+    d2s = [c[2] * 2.0 for c in cs]
+
+    def classify(vals, pos, neg):
+        if not all(map(math.isfinite, vals)):
+            return "indeterminate"
+        tol = 1e-10 * (1.0 + max(map(abs, vals)))
+        if min(vals) >= -tol:
+            return pos
+        if max(vals) <= tol:
+            return neg
+        return "indeterminate"
+
+    f_convex = classify(d2s, "yes", "no")
+    f2_shape = "indeterminate"
+    if "abs" not in bounds.used_names(node):
+        f2_shape = classify([c[4] * 24.0 for c in cs], "convex", "concave")
+    finite_d2 = [v for v in d2s if math.isfinite(v)]
+    min_f2 = min(finite_d2) if finite_d2 else math.nan
+    bad = [k for k, v in enumerate(d2s) if not math.isfinite(v)]
+    k = bad[0] if bad else d2s.index(min_f2)
+    return bounds.ConvexityProfile(f_convex, f2_shape, min_f2, n, (xs[k], d2s[k]))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as e:
+        return (type(e).__name__, str(e))
+
+
+def test_profile_classifies_as_its_seven_pass_form_field_by_field():
+    cases = [
+        (parse("1e308*exp(x)"), UNIT),  # f'' overflows to inf past x = 0.54
+        (parse("1e306*x^2"), Interval(1.0, 2.0)),  # finite f'' whose sum overflows
+        (parse("1e308*exp(x)"), Interval(1.0, 2.0)),  # no f'' is finite
+        # a small f'' of the wrong sign, inside the tolerance of the largest |f''|
+        (parse("2.5e-8*x^2 - 1e3*x^4"), Interval(-1.0, 1.0)),
+        (parse("1e3*x^4 - 2.5e-8*x^2"), Interval(-1.0, 1.0)),
+    ]
+    rng = random.Random(7)
+    for _ in range(400):
+        node = _random_expr(rng, 3)
+        a = rng.uniform(-2.0, 2.0)
+        cases.append((node, Interval(a, a + rng.uniform(1e-3, 3.0))))
+    outcomes = []
+    for node, iv in cases:
+        want = _outcome(_profile_by_seven_passes, node, iv)
+        assert _outcome(convexity_profile, node, iv) == want, (to_source(node), iv)
+        outcomes.append(want)
+    overflow, large, infinite, concave, convex = outcomes[:5]
+    assert "f_convex='indeterminate'" in overflow and "worst=(0.9999629323566323, inf)" in overflow
+    assert "f_convex='yes', f2_shape='convex', min_f2=2e+306" in large
+    assert "min_f2=nan" in infinite
+    assert "f_convex='no', f2_shape='concave'" in concave
+    assert "f_convex='yes', f2_shape='convex', min_f2=-5e-08" in convex
+    profiles = [out for out in outcomes[5:] if isinstance(out, str)]
+    assert len(profiles) >= 300
+    for verdict in ("'yes'", "'no'", "'indeterminate'", "'convex'", "'concave'"):
+        assert any(verdict in out for out in profiles), verdict
+
+
 def test_profile_minimum_sample_count():
     with pytest.raises(ValueError):
         convexity_profile(EXP, UNIT, 32)

@@ -569,6 +569,14 @@ def test_ratio_degenerate_is_ok_not_error():
     assert rep["outputs"]["value"] is None
 
 
+def test_ratio_answers_where_the_integral_passes_the_float_range():
+    # the mean 4.99e307 is finite though len * mean is not; x is affine, so degenerate
+    rc, rep = run_json("ratio", "--f=x", "--a=1e307", "--b=8.98e307")
+    assert rc == 0
+    assert rep["status"] == "ok"
+    assert rep["outputs"]["degenerate"] is True
+
+
 def test_ratio_power_overflow_names_the_operation():
     rc, rep = run_json("ratio", "--f=x^400", "--a=10", "--b=100")
     assert rc == 2

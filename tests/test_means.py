@@ -666,3 +666,37 @@ def test_chain_constructor_names_the_first_failure_in_chain_order():
         MeanSet(1.0 + 3e-12, 1.0, 1.0, 1.0, 1.0, 2.0)
     # finite means whose sum leaves the float range are finite
     MeanSet(*[1e308] * 6)
+
+
+def _chain_check_by_loops(chain):
+    """`MeanSet`'s check as two loops, the form its one chained comparison short-cuts."""
+    for name, value in zip(("harmonic", "geometric", "logarithmic", "identric", "arithmetic", "gini"), chain):
+        if not math.isfinite(value):
+            return f"{name} mean is not finite ({value})"
+    slack = 1e-12 * max(chain)
+    for lo, hi in zip(chain, chain[1:]):
+        if lo > hi + slack:
+            return f"mean chain violated: {lo} > {hi}"
+    return None
+
+
+def test_chain_constructor_accepts_and_refuses_as_its_loops():
+    # ordered, tied, within and past the slack, negative (whose slack is
+    # negative), signed zeros, and non-finite members
+    rng = random.Random(34)
+    pool = [0.0, -0.0, 1.0, -1.0, 1.0 + 1.5e-12, 1.0 - 1.5e-12, 2.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]
+    chains = [sorted(rng.choice(pool) for _ in range(6)) for _ in range(3000)]
+    chains += [[rng.choice(pool) for _ in range(6)] for _ in range(3000)]
+    chains += [list(vars(all_means(rng.uniform(1e-3, 1e3), rng.uniform(1e-3, 1e3))).values()) for _ in range(500)]
+    chains += [[-1.0] * 6, [-0.0] * 6, [0.0] * 6, [-2.0, -1.0, -1.0, -1.0, -1.0, -1.0]]
+    refused = 0
+    for chain in chains:
+        want = _chain_check_by_loops(chain)
+        try:
+            MeanSet(*chain)
+            got = None
+        except ValueError as e:
+            got = str(e)
+            refused += 1
+        assert got == want, chain
+    assert 1000 < refused < len(chains) - 1000

@@ -122,18 +122,47 @@ def test_narrow_interval():
 
 # Bit-for-bit record of the G7K15 oracle: (value, err_estimate)
 # as float.hex, and the evaluation count.  A change of integrator moves
-# these on purpose and re-records them.
-@pytest.mark.parametrize(
-    "f, a, b, tol, value, err, evaluations",
-    [
-        ("exp(x)", 0.0, 1.0, 1e-10, "0x1.b7e151628aed2p+0", "0x0.0p+0", 15),
-        ("-log(x)", 0.318818443, 4.50592161, 1e-9, "-0x1.6a03a5123c570p-1", "0x1.b06a260000000p-36", 105),
-        ("x^2.5", 0.1, 2.0, 1e-11, "0x1.b385e7f956c1fp+0", "0x1.b238a00000001p-38", 75),
-    ],
-)
+# these on purpose and re-records them.  The exp row's K15 and G7 agree to
+# the last bit, so its err_estimate is the rounding floor, 50 eps |mean|.
+_PINNED = [
+    ("exp(x)", 0.0, 1.0, 1e-10, "0x1.b7e151628aed2p+0", "0x1.57a80794fc894p-46", 15),
+    ("-log(x)", 0.318818443, 4.50592161, 1e-9, "-0x1.6a03a5123c570p-1", "0x1.b06a260000000p-36", 105),
+    ("x^2.5", 0.1, 2.0, 1e-11, "0x1.b385e7f956c1fp+0", "0x1.b238a00000001p-38", 75),
+]
+
+
+@pytest.mark.parametrize("f, a, b, tol, value, err, evaluations", _PINNED)
 def test_oracle_is_pinned_bit_for_bit(f, a, b, tol, value, err, evaluations):
     got = integrate_mean(f, Interval(a, b), tol)
     assert (got.value.hex(), got.err_estimate.hex(), got.evaluations) == (value, err, evaluations)
+
+
+@pytest.mark.parametrize("f, a, b, tol, value, err, evaluations", _PINNED)
+def test_err_estimate_covers_the_error_of_every_pinned_row(f, a, b, tol, value, err, evaluations):
+    mpmath = pytest.importorskip("mpmath")
+    got = integrate_mean(f, Interval(a, b), tol)
+    with mpmath.workdps(50):
+        g = {"exp(x)": mpmath.exp, "-log(x)": lambda t: -mpmath.log(t), "x^2.5": lambda t: t ** 2.5}[f]
+        lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+        exact = mpmath.quad(g, [lo, hi]) / (hi - lo)
+        assert abs(mpmath.mpf(got.value) - exact) <= got.err_estimate
+    assert got.err_estimate > 0.0
+
+
+def test_an_exact_rule_reports_the_rounding_floor_not_zero():
+    # K15 and G7 agree to the last bit on exp over [0, 1], and the value is
+    # 1 ulp below e - 1 rounded to nearest: |K - G| alone would report 0
+    got = integrate_mean("exp(x)", Interval(0.0, 1.0), 1e-10)
+    assert math.nextafter(got.value, math.inf) == float.fromhex("0x1.b7e151628aed3p+0")
+    assert got.err_estimate == quadrature._ERR_FLOOR * got.value
+
+
+def test_a_mean_whose_integral_passes_the_float_range_stays_finite():
+    # len * mean is 3.98e615: each panel is integrated at the scale 2^-e of the length
+    got = integrate_mean("x", Interval(1e307, 8.98e307))
+    assert got.value == pytest.approx(4.99e307, rel=1e-15)
+    assert 0.0 < got.err_estimate < 1e-13 * got.value
+    assert got.evaluations == 15
 
 
 def test_callable_oracle_is_pinned_bit_for_bit():

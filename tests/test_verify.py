@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hhbounds import SUITE_NAMES, bounds, run_suite, verify
+from hhbounds import SUITE_NAMES, bounds, expr, parse, run_suite, verify
 from hhbounds.bounds import IdentityCheck, OneSidedBound, SimpsonEstimate
 from hhbounds.core import Enclosure
 from hhbounds.means import MeanSet
@@ -325,3 +325,25 @@ def test_a_faulty_function_fails_the_property_that_checks_it(
     [result] = run_suite(suite, samples=3, seed=1)
     assert (result.name, result.passed) == (prop, False)
     assert result.detail == detail
+
+
+def test_corpus_cases_share_one_tree_per_family():
+    for seed in (1, 3, 4, 6):
+        ctx = verify._Context(200, seed, False)
+        trees = dict(zip((src for src, _ in verify._FAMILIES), ctx.family_trees))
+        for case in ctx.cases:
+            assert case.node == parse(case.label), (seed, case.label)
+            if case.label in trees:
+                assert case.node is trees[case.label]
+        assert {case.label for case in ctx.cases} >= set(trees)
+        powers = [case.node for case in ctx.cases if case.label.startswith("x^")]
+        assert len({id(node) for node in powers}) == len(powers) > 0
+
+
+def test_a_run_parses_each_family_source_once(monkeypatch):
+    parsed = []
+    for module in (expr, verify):
+        real = module.parse
+        monkeypatch.setattr(module, "parse", lambda src, real=real: parsed.append(src) or real(src))
+    run_suite("all", 200, 1)
+    assert [parsed.count(src) for src, _ in verify._FAMILIES] == [1, 1, 1, 1]
