@@ -48,13 +48,14 @@ class MeanSet:
     gini: float
 
     def __post_init__(self):
-        """ValueError naming the first mean that is not finite or, if all are,
-        the first neighbours whose lower one exceeds the upper by more than
-        1e-12 of the largest mean.
+        """ValueError naming the first mean that is not finite, else the first
+        that is negative (the means of a positive pair never are), else the
+        first neighbours whose lower one exceeds the upper by more than 1e-12
+        of the largest mean.
 
         A finite chain ordered from 0 up passes one chained comparison; the
         loops would pass it too, since its slack is not negative.  Any other
-        chain walks the two loops, which name the fault."""
+        chain walks the three loops, which name the fault."""
         if (
             0.0 <= self.harmonic <= self.geometric <= self.logarithmic
             <= self.identric <= self.arithmetic <= self.gini < math.inf
@@ -64,6 +65,9 @@ class MeanSet:
         for name, value in zip(_CHAIN_NAMES, chain):
             if not math.isfinite(value):
                 raise ValueError(f"{name} mean is not finite ({value})")
+        for name, value in zip(_CHAIN_NAMES, chain):
+            if value < 0.0:
+                raise ValueError(f"{name} mean is negative ({value})")
         slack = 1e-12 * max(chain)
         for lo, hi in zip(chain, chain[1:]):
             if lo > hi + slack:

@@ -10,10 +10,11 @@ For every convex f the ratio sits in [0, 1/4]; it tends to 1/6 as the
 interval shrinks; a documented witness integrand pushes it to 0.18128,
 and smoothed tents approach 1/4.  best_constant_search maximizes the
 ratio over small parametric families with a seeded, fully
-deterministic derivative-free strategy.  Each family has its mean on
-[0, 1] and its convexity in closed form, so the search scores a member
-from three point values of its tree and integrates nothing; f_ratio's
-quadrature oracle serves arbitrary integrands.
+deterministic derivative-free strategy.  Each family row gives its
+members' values at 0, 1/2 and 1, their mean on [0, 1] and their
+convexity in closed form, so the search scores a member from three
+floats and builds, walks and integrates no tree; f_ratio's quadrature
+oracle serves arbitrary integrands.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .core import Interval
-from .expr import BinOp, Const, Hyp, Node, Pow, Var, as_node, eval_value
+from .expr import Node, as_node, eval_value
 from .quadrature import integrate_mean
 
 __all__ = [
@@ -131,19 +132,22 @@ def smoothed_tent_ratio(eps: float) -> float:
 # --- family definitions -------------------------------------------------------
 
 
-def _power_expr(params: tuple[float, ...]) -> Node:
+def _power_values(params: tuple[float, ...]) -> tuple[float, float, float]:
     (p,) = params
-    return Pow(Var(), p)
+    return 0.0 ** p, 0.5 ** p, 1.0 ** p
 
 
-def _power_combo_expr(params: tuple[float, ...]) -> Node:
+def _power_combo_values(params: tuple[float, ...]) -> tuple[float, float, float]:
     p, c = params
-    return BinOp("-", Pow(Var(), p), BinOp("*", Const(c), Pow(Var(), 4.0)))
+    return 0.0 ** p - c * 0.0 ** 4.0, 0.5 ** p - c * 0.5 ** 4.0, 1.0 ** p - c * 1.0 ** 4.0
 
 
-def _tent_expr(params: tuple[float, ...]) -> Node:
+def _tent_values(params: tuple[float, ...]) -> tuple[float, float, float]:
+    """hypot(x - 1/2, eps) at x = 0, 1/2, 1, refusing the softness `expr.Hyp` refuses."""
     (eps,) = params
-    return Hyp(BinOp("-", Var(), Const(0.5)), eps)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"hyp softness must be a positive finite constant, got {eps!r}")
+    return math.hypot(-0.5, eps), math.hypot(0.0, eps), math.hypot(0.5, eps)
 
 
 def _power_combo_convex(params: tuple[float, ...]) -> bool:
@@ -160,29 +164,37 @@ def _power_combo_mean(params: tuple[float, ...]) -> float:
 
 
 def _tent_mean(params: tuple[float, ...]) -> float:
-    """2 * integral of hypot(u, eps) for u in [0, 1/2]."""
+    """2 * integral of hypot(u, eps) for u in [0, 1/2].
+
+    Where eps * eps underflows to 0 the asinh term, below 1e-600, is left
+    out: past eps = 2.8e-309, 0.5 / eps overflows and 0 * inf is nan."""
     (eps,) = params
-    return 0.5 * math.hypot(0.5, eps) + eps * eps * math.asinh(0.5 / eps)
+    half_hyp = 0.5 * math.hypot(0.5, eps)
+    eps2 = eps * eps
+    return half_hyp + eps2 * math.asinh(0.5 / eps) if eps2 else half_hyp
 
 
-# Each family: box, integrand, its mean on [0, 1], and its convexity there
-# (x^p, p > 1, and hyp, eps > 0, always are convex).
+# Each family is its row: the box, and in closed form its members' values
+# (f(0), f(1/2), f(1)), their mean on [0, 1] and their convexity there (x^p,
+# p > 1, and hyp, eps > 0, always are convex).  The values repeat the float
+# operations of the members' trees, x^p, x^p - c*x^4 and hyp(x - 0.5, eps),
+# in the same order, so each keeps the bits of a walk of its tree.
 FAMILIES: dict[str, dict] = {
     "power": {
         "box": [(1.01, 20.0)],
-        "build": _power_expr,
+        "values": _power_values,
         "mean": lambda params: 1.0 / (params[0] + 1.0),
         "convex": lambda params: True,
     },
     "power-combo": {
         "box": [(1.01, 6.0), (0.0, 2.0)],
-        "build": _power_combo_expr,
+        "values": _power_combo_values,
         "mean": _power_combo_mean,
         "convex": _power_combo_convex,
     },
     "smoothed-tent": {
         "box": [(1e-4, 1.0)],
-        "build": _tent_expr,
+        "values": _tent_values,
         "mean": _tent_mean,
         "convex": lambda params: True,
     },
@@ -192,12 +204,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _member_ratio(spec: dict, params: tuple[float, ...]) -> float:
-    """F ratio of a FAMILIES row's member on [0,1] from its tree's values and the row's
-    closed-form mean; SearchError if not convex or degenerate."""
+    """F ratio of a FAMILIES row's member on [0,1] from the row's closed-form values
+    and mean; SearchError if not convex or degenerate."""
     if not spec["convex"](params):
         raise SearchError("integrand is outside the family's convex region")
-    node = spec["build"](params)
-    fa, fm, fb = (eval_value(node, x) for x in (0.0, 0.5, 1.0))
+    fa, fm, fb = spec["values"](params)
     report = RatioReport.of(fa, fm, fb, spec["mean"](params))
     if report.degenerate:
         raise SearchError("integrand reported a degenerate ratio")

@@ -668,11 +668,32 @@ def test_chain_constructor_names_the_first_failure_in_chain_order():
     MeanSet(*[1e308] * 6)
 
 
+def test_chain_constructor_refuses_a_negative_mean_by_name():
+    # the means of a positive pair are never negative: a negative member is named,
+    # not its equal neighbours (whose slack 1e-12*max(chain) is negative), and an
+    # ordered chain that starts below 0 is refused too
+    with pytest.raises(ValueError, match=r"^harmonic mean is negative \(-1\.0\)$"):
+        MeanSet(*[-1.0] * 6)
+    with pytest.raises(ValueError, match=r"^harmonic mean is negative \(-2\.0\)$"):
+        MeanSet(-2.0, -1.0, 0.5, 0.6, 0.7, 0.8)
+    with pytest.raises(ValueError, match=r"^identric mean is negative \(-1e-300\)$"):
+        MeanSet(0.0, 0.0, 0.0, -1e-300, 1.0, 1.0)
+    # a non-finite member is still named first; signed zeros are not negative
+    with pytest.raises(ValueError, match=r"^gini mean is not finite \(nan\)$"):
+        MeanSet(-1.0, 1.0, 1.0, 1.0, 1.0, math.nan)
+    MeanSet(-0.0, 0.0, -0.0, 0.0, 1.0, 1.0)
+    MeanSet(*[-0.0] * 6)
+
+
 def _chain_check_by_loops(chain):
-    """`MeanSet`'s check as two loops, the form its one chained comparison short-cuts."""
-    for name, value in zip(("harmonic", "geometric", "logarithmic", "identric", "arithmetic", "gini"), chain):
+    """`MeanSet`'s check as three loops, the form its one chained comparison short-cuts."""
+    names = ("harmonic", "geometric", "logarithmic", "identric", "arithmetic", "gini")
+    for name, value in zip(names, chain):
         if not math.isfinite(value):
             return f"{name} mean is not finite ({value})"
+    for name, value in zip(names, chain):
+        if value < 0.0:
+            return f"{name} mean is negative ({value})"
     slack = 1e-12 * max(chain)
     for lo, hi in zip(chain, chain[1:]):
         if lo > hi + slack:
@@ -699,4 +720,6 @@ def test_chain_constructor_accepts_and_refuses_as_its_loops():
             got = str(e)
             refused += 1
         assert got == want, chain
-    assert 1000 < refused < len(chains) - 1000
+    # a negative member is refused, so few pool draws pass: about 300 beside the
+    # 500 all_means chains
+    assert 1000 < refused < len(chains) - 700

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import operator
 import random
@@ -16,7 +18,7 @@ from hhbounds import (
     smoothed_tent_ratio,
     witness_ratio,
 )
-from hhbounds.expr import evaluate
+from hhbounds.expr import eval_value, evaluate, parse
 from hhbounds.quadrature import integrate_mean
 
 UNIT = Interval(0.0, 1.0)
@@ -148,9 +150,18 @@ def test_smoothed_tent_ratio_increases_toward_quarter():
 
 
 def test_smoothed_tent_rejects_bad_eps():
+    # the message of the softness check of `expr.Hyp`, which the family's values repeat
     for eps in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^hyp softness must be a positive finite constant, got {eps!r}$"):
             smoothed_tent_ratio(eps)
+
+
+@pytest.mark.parametrize("eps", [1e-310, 1e-320, 5e-324])
+def test_smoothed_tent_ratio_is_a_quarter_at_subnormal_eps(eps):
+    # eps * eps is 0 and 0.5 / eps overflows here; the mean's asinh term, below
+    # 1e-600, is left out rather than read as 0 * inf
+    assert smoothed_tent_ratio(eps) == 0.25
+    assert smoothed_tent_ratio(1e-308) == 0.25
 
 
 # --- closed-form family means -----------------------------------------------------
@@ -181,6 +192,20 @@ FAMILY_MEMBERS = {
     "smoothed-tent": [(1e-4,), (1.0,), (0.5,)],
 }
 
+# Each family's members as source text: the tree a walk of which the row's values
+# repeat, and whose mean the row's mean is
+FAMILY_SOURCES = {
+    "power": ("x^{p!r}", ("p",)),
+    "power-combo": ("x^{p!r} - {c!r}*x^4", ("p", "c")),
+    "smoothed-tent": ("hyp(x - 0.5, {eps!r})", ("eps",)),
+}
+
+
+def _member_tree(family, params):
+    template, names = FAMILY_SOURCES[family]
+    return parse(template.format(**dict(zip(names, params))))
+
+
 # What a mean's rounding is relative to: the sum of its terms' magnitudes.  The
 # terms of power and smoothed-tent are positive, so for them it is the mean.
 TERM_SCALE = {
@@ -192,7 +217,7 @@ TERM_SCALE = {
 
 @pytest.mark.parametrize("family", sorted(search.FAMILIES))
 def test_each_family_mean_is_the_mean_of_its_tree(family):
-    # the built tree is the member's definition; the search reads the row's
+    # the row's mean is the mean of the member's tree; the search reads the
     # closed form instead of integrating it
     mpmath = pytest.importorskip("mpmath")
     spec = search.FAMILIES[family]
@@ -202,12 +227,27 @@ def test_each_family_mean_is_the_mean_of_its_tree(family):
     ]
     arithmetic = _mp_arithmetic(mpmath)
     for params in members:
-        node = spec["build"](params)
+        node = _member_tree(family, params)
         with mpmath.workdps(40):
             want = mpmath.quad(lambda t: evaluate(node, t, arithmetic), [0, 0.5, 1])
         got = spec["mean"](params)
         assert abs(got - want) <= 1e-15 * TERM_SCALE[family](params), params
         assert abs(got - integrate_mean(node, UNIT, 1e-10).value) <= 1e-10, params
+
+
+@pytest.mark.parametrize("family", sorted(search.FAMILIES))
+def test_each_family_values_are_the_values_of_its_tree(family):
+    # the row's closed forms repeat the tree walk's float operations in order, so
+    # f(0), f(1/2) and f(1) keep every bit: at the pins, the box's corners and
+    # 1,000 seeded members
+    spec = search.FAMILIES[family]
+    rng = random.Random(35)
+    members = FAMILY_MEMBERS[family] + list(itertools.product(*spec["box"]))
+    members += [tuple(rng.uniform(lo, hi) for lo, hi in spec["box"]) for _ in range(1000)]
+    for params in members:
+        node = _member_tree(family, params)
+        want = [eval_value(node, x).hex() for x in (0.0, 0.5, 1.0)]
+        assert [v.hex() for v in spec["values"](params)] == want, params
 
 
 # --- budgeted search ------------------------------------------------------------------
@@ -256,7 +296,7 @@ def test_a_candidate_that_fails_the_convexity_gate_scores_minus_inf(monkeypatch)
         raise AssertionError("a candidate outside the convex region was evaluated")
 
     spec = search.FAMILIES["power-combo"]
-    monkeypatch.setattr(search, "eval_value", not_scored)
+    monkeypatch.setitem(spec, "values", not_scored)
     monkeypatch.setitem(spec, "mean", not_scored)
     for params in NOT_CONVEX:
         assert search._candidate_ratio(spec, params) == -math.inf, params
@@ -294,6 +334,34 @@ def test_power_combo_witnesses_are_convex_and_below_the_supremum():
         p, c = map(Fraction, res.witness)
         assert p * (p - 1) - 12 * c >= 0, seed
         assert res.best_ratio <= 0.18147515937743206 + 1e-9, seed
+
+
+def test_the_power_combo_witness_at_seed_5_is_pinned():
+    res = best_constant_search("power-combo", 400, 5)
+    assert res.best_ratio == 0.18147514872715842
+    assert res.witness == (3.8320697927612146, 0.9043907252119122)
+    assert 0.0 <= 0.18147515937743206 - res.best_ratio <= 1.1e-8
+
+
+# sha256 of 300 searches (3 families, budgets 100 and 400, seeds 1-50: ratio,
+# witness and evaluations, floats in hex), witness_ratio() and the tent ratio at
+# eight eps; recorded when each member was scored from a walk of its tree
+SEARCH_OUTCOMES_SHA256 = "ce24d90cf8b832dacf99d49c1f56923b934ae80103098b1b7d51576a1a37e348"
+PINNED_EPS = (1.0, 0.5, 0.1, 0.01, 1e-4, 1e-8, 1e-100, 1e-300)
+
+
+def test_search_outcomes_keep_every_bit():
+    h = hashlib.sha256()
+    for family in sorted(search.FAMILIES):
+        for budget in (100, 400):
+            for seed in range(1, 51):
+                res = best_constant_search(family, budget, seed)
+                witness = " ".join(v.hex() for v in res.witness)
+                h.update(f"{family} {budget} {seed} {res.best_ratio.hex()} {witness} {res.evaluations}\n".encode())
+    h.update(f"{witness_ratio().hex()}\n".encode())
+    for eps in PINNED_EPS:
+        h.update(f"{eps!r} {smoothed_tent_ratio(eps).hex()}\n".encode())
+    assert h.hexdigest() == SEARCH_OUTCOMES_SHA256
 
 
 @pytest.mark.parametrize("family", sorted(search.FAMILIES))
