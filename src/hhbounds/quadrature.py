@@ -98,19 +98,24 @@ def integrate_mean_fn(
     call, so the columns change no result and no error.
 
     Each panel's integral and error are formed at the power-of-two scale
-    s = 2^-e, e = frexp(length)[1], which puts length*s in [1/2, 1): the
-    panels use h*s for their half-width h, the goal is tol*(length*s),
-    and the sums are divided by length*s at the end.  Scaling by a power
-    of two is exact, so a mean whose integral passes the float range stays
-    finite, and a result whose terms stayed in the normal range keeps its
-    bits.  The reported error is
-    at least `_ERR_FLOOR` times the summed |panel integral| over length*s.
+    s = 2^-e, e = frexp(length)[1], with s capped at 2^1023, so length*s
+    lies in [1/2, 1) except on a length below 2^-1024, where it is
+    smaller.  The panels weigh their nodes by (b - a)*(s/2), the goal is
+    tol*(length*s), and the sums are divided by length*s at the end.
+    Scaling by a power of two is exact, so a mean whose integral passes
+    the float range stays finite, a result whose terms stayed in the
+    normal range keeps its bits, and a constant keeps its mean on any
+    length down to 5e-324.  The goal stays absolute, so values near the
+    subnormal range may underflow in the panel sums: the mean of x on
+    [0, 1e-320] reads 0.0 for 5e-321.  The reported error is at least
+    `_ERR_FLOOR` times the summed |panel integral| over length*s.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}], got {tol}")
     evals = 0
-    s = math.ldexp(1.0, -math.frexp(iv.length)[1])
+    s = math.ldexp(1.0, min(-math.frexp(iv.length)[1], 1023))
     scaled = iv.length * s
+    half_s = 0.5 * s
 
     def f(x: float) -> float:
         nonlocal evals
@@ -147,7 +152,7 @@ def integrate_mean_fn(
         gauss = _WG[3] * fs[0]
         for w, pair in zip(_WG, pairs[1::2]):
             gauss += w * pair
-        hs = h * s
+        hs = (b - a) * half_s
         return -abs(kronrod - gauss) * hs, a, b, kronrod * hs, depth
 
     heap = [panel(iv.a, iv.b, 0)]

@@ -138,14 +138,20 @@ def _ok(n: int) -> tuple[bool, str]:
 # --- identities ---------------------------------------------------------------
 
 
+def _polynomial(coeffs: list[float]) -> Node:
+    """The tree of c0 + c1*x^1 + c2*x^2 + ..., summed left to right."""
+    node = Const(coeffs[0])
+    for k, c in enumerate(coeffs[1:], 1):
+        node = BinOp("+", node, BinOp("*", Const(c), Pow(Var(), float(k))))
+    return node
+
+
 def _prop_oracle_cubic_exactness(rng, ctx):
     for trial in range(40):
         coeffs = [rng.uniform(-3.0, 3.0) for _ in range(4)]
         a = rng.uniform(-2.0, 2.0)
         b = a + rng.uniform(0.1, 1.5)
-        node = Const(coeffs[0])
-        for k in (1, 2, 3):
-            node = BinOp("+", node, BinOp("*", Const(coeffs[k]), Pow(Var(), float(k))))
+        node = _polynomial(coeffs)
         anti = lambda t: sum(c * t ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
         exact = (anti(b) - anti(a)) / (b - a)
         got = integrate_mean(node, Interval(a, b), 1e-10)
@@ -264,9 +270,7 @@ def _prop_parse_print_roundtrip(rng, ctx):
 def _prop_jet_polynomial_exactness(rng, ctx):
     for trial in range(60):
         coeffs = [rng.uniform(-4.0, 4.0) for _ in range(5)]
-        node = Const(coeffs[0])
-        for k in (1, 2, 3, 4):
-            node = BinOp("+", node, BinOp("*", Const(coeffs[k]), Pow(Var(), float(k))))
+        node = _polynomial(coeffs)
         x = rng.uniform(-2.0, 2.0)
         got = eval_jet(node, x).derivatives
         cur = list(coeffs)

@@ -1,22 +1,29 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from hhbounds import bounds, cli
 
 
-def run_cli(*args):
+# Seconds a command may run where a hang is the fault under test, so that the
+# hang fails the test instead of blocking the run.
+DEADLINE = 20
+
+
+def run_cli(*args, timeout=120):
     proc = subprocess.run(
         [sys.executable, "-m", "hhbounds", *args],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
     return proc
 
@@ -553,6 +560,82 @@ def test_an_adaptive_bracket_whose_magnitudes_overflow_names_the_overflow(f, a, 
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "f, a, b, tol",
+    [
+        # the six integrands of the benchmark's adaptive-tight workload at tol 1e-12
+        ("exp(x)", "0", "1", "1e-12"),
+        ("1/x", "1", "2", "1e-12"),
+        ("x*log(x)", "0.5", "2", "1e-12"),
+        ("-log(x)", "0.5", "3", "1e-12"),
+        ("x^2.5", "0.1", "2", "1e-12"),
+        ("exp(x) + x^2", "-1", "1", "1e-12"),
+        # the fourth-order bracket finishes well inside the panel budget
+        ("exp(x) + x^2", "-1", "1", "1e-10"),
+    ],
+)
+def test_adaptive_tight_tol_answers_within_the_deadline(f, a, b, tol):
+    proc = run_cli(
+        "--json", "enclose", f"--f={f}", f"--a={a}", f"--b={b}", "--method=adaptive",
+        f"--tol={tol}", timeout=DEADLINE,
+    )
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)["outputs"]
+    assert 0.0 < out["upper"] - out["lower"] <= float(tol)
+
+
+def test_adaptive_panel_budget_is_reached_within_the_deadline():
+    # the n14 row reads one value per point until the budget ends
+    proc = run_cli(
+        "--json", "enclose", "--f=hyp(x - 0.5, 0.1)", "--a=0", "--b=1", "--method=adaptive",
+        "--tol=1e-13", timeout=DEADLINE,
+    )
+    assert proc.returncode == 2
+    error = "subdivision budget of 100000 panels exhausted"
+    assert json.loads(proc.stdout)["outputs"] == {"error": error}
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "method, code",
+    [
+        # f''(0) is +inf: adaptive restarts on the n14 row and answers
+        (("--method=adaptive", "--tol=1e-8"), 0),
+        # simpson refuses the panel by name
+        (("--method=simpson",), 2),
+    ],
+)
+def test_x_to_the_1_5_answers_or_refuses_within_the_deadline(method, code):
+    proc = run_cli(
+        "--json", "enclose", "--f=x^1.5", "--a=0", "--b=1", *method, timeout=DEADLINE,
+    )
+    assert proc.returncode == code
+    out = json.loads(proc.stdout)["outputs"]
+    if code == 0:
+        assert out["lower"] <= 0.4 <= out["upper"]
+    else:
+        assert out == {"error": "f or f'' is not finite on [0.0, 1.0]"}
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ("--f=exp(x)", "--method=adaptive", "--tol=1e-16"),
+            "tol 1e-16 is below the rounding floor 6.2e-15 of this bracket",
+        ),
+        # a refused profile names its worst sample
+        (("--f=-x^2",), "integrand is not certified convex (no: f'' = -2.0 at x = 0.9999629323566323)"),
+    ],
+)
+def test_enclose_names_the_rounding_floor_and_the_worst_sample(argv, error, capsys):
+    assert cli.main(["--json", "enclose", *argv, "--a=0", "--b=1"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["outputs"] == {"error": error}
+    assert err == ""
+
+
 # --- ratio -------------------------------------------------------------------
 
 
@@ -620,6 +703,19 @@ def test_ratio_exp_overflow_names_the_operation():
     assert rep["outputs"]["error"] == "exp overflows at 1000"
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [(("ratio", "--f=x"), "degenerate"), (("defect", "--f=x^2", "--theorem=2"), "contained")],
+)
+def test_a_length_below_2_to_the_minus_1024_answers(argv, field, capsys):
+    # the oracle's scale 2^-e of the length overflowed: "math range error"
+    command, f, *options = argv
+    assert cli.main(["--json", command, f, "--a=0", "--b=1e-310", *options]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["outputs"][field] is True
+    assert err == ""
+
+
 # --- search-alpha ------------------------------------------------------------
 
 
@@ -632,6 +728,43 @@ def test_search_alpha_report_shape():
     assert 1.0 / 6.0 - 1e-9 <= out["best_ratio"] <= 0.25 + 1e-9
     assert isinstance(out["witness"], list) and len(out["witness"]) == 1
     assert out["evaluations"] <= 120
+
+
+def test_search_power_combo_witness_is_in_the_convex_region_exactly(capsys):
+    argv = ["--json", "search-alpha", "--family=power-combo", "--budget=400", "--seed=4"]
+    assert cli.main(argv) == 0
+    p, c = map(Fraction, json.loads(capsys.readouterr().out)["outputs"]["witness"])
+    assert p * (p - 1) - 12 * c >= 0
+
+
+def _mp_member(mpmath, family, *params):
+    """(f(0), f(1/2), f(1), mean over [0, 1]) of a search family member, in mpmath."""
+    if family == "power":
+        (p,) = params
+        return 0, mpmath.mpf(0.5) ** p, 1, 1 / (p + 1)
+    if family == "power-combo":
+        p, c = params
+        return 0, mpmath.mpf(0.5) ** p - c / 16, 1 - c, 1 / (p + 1) - c / 5
+    (eps,) = params
+    end = mpmath.sqrt(mpmath.mpf(0.25) + eps**2)
+    return end, eps, end, end / 2 + eps**2 * mpmath.asinh(1 / (2 * eps))
+
+
+@pytest.mark.parametrize(
+    "family, budget, seed",
+    [("power-combo", 400, 1), ("smoothed-tent", 100, 1), ("power", 120, 4)],
+)
+def test_search_best_ratio_is_the_exact_ratio_of_its_witness(family, budget, seed, capsys):
+    # the search scores members from closed forms; F of the witness at 50
+    # digits agrees to 1e-15 relative (read: 1.6e-16 and 2.9e-16)
+    mpmath = pytest.importorskip("mpmath")
+    argv = ["--json", "search-alpha", f"--family={family}", f"--budget={budget}", f"--seed={seed}"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    with mpmath.workdps(50):
+        f0, fm, f1, mean = _mp_member(mpmath, family, *map(mpmath.mpf, out["witness"]))
+        exact = (mean - fm) / (f0 + f1 - 2 * fm)
+        assert abs(out["best_ratio"] - exact) <= 1e-15 * exact
 
 
 # --- verify ------------------------------------------------------------------
@@ -653,6 +786,15 @@ def test_verify_all_invariant():
     assert any(n.startswith("identities:") for n in names)
     assert any(n.startswith("inequalities:") for n in names)
     assert any(n.startswith("means:") for n in names)
+
+
+def test_verify_all_passes_at_the_seed_that_broke_the_simpson_oracle():
+    # draws -log(x) on [0.318818443, 4.50592161], whose kernel integral the
+    # adaptive-Simpson oracle got wrong by 1.17e-8
+    rc, rep = run_json("verify", "--suite=all", "--samples=200", "--seed=772164985")
+    assert rc == 0
+    assert rep["status"] == "ok"
+    assert all(p["passed"] for p in rep["outputs"]["properties"])
 
 
 def test_verify_all_printed_constant_fails():
@@ -688,6 +830,69 @@ def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(args, code):
         os.close(write_end)
     assert proc.returncode == code
     assert proc.stderr == ""
+
+
+# --- float-range edges -------------------------------------------------------
+
+# Integrands, intervals, commands and means pairs at the edges of the float
+# range.  Every run must end in a report, never in a bare libm message.
+EDGE_INTEGRANDS = (
+    "x^2", "exp(x)", "x", "1", "x^1.5", "1/x", "log(x)", "hyp(x, 1e-300)", "abs(x)", "x^-2",
+    "sqrt(x)",
+)
+EDGE_INTERVALS = (
+    (0.0, 5e-324),
+    (0.0, 1e-310),
+    (1e-320, 1e-310),
+    (-5e-324, 5e-324),
+    (1.0, 1.0000000000000002),
+    (-1e-300, 1e-300),
+    (1e-200, 1.5e-200),
+    (1e300, 1.5e300),
+)
+EDGE_COMMANDS = (
+    ("enclose", "--method=n14"),
+    ("enclose", "--method=simpson"),
+    ("enclose", "--method=adaptive"),
+    ("ratio",),
+    ("defect", "--theorem=2"),
+    ("defect", "--theorem=4"),
+)
+EDGE_MEANS = (
+    5e-324, 1e-320, 1e-310, 2.0**-1022, 1e-300, 1e-150, 0.5, 1.0, 1.0 + 2.0**-52, 2.0,
+    1e150, 1e300, 1e308, sys.float_info.max,
+)
+EDGE_ENCLOSE = ((), ("--enclose=L",), ("--enclose=I",), ("--enclose=Isq",), ("--enclose=recipL",))
+
+_LIBM_MESSAGES = (
+    "math range error",
+    "math domain error",
+    "Numerical result out of range",
+    "float division by zero",
+)
+
+
+def _edge_runs():
+    for f, (a, b), (command, *options) in itertools.product(
+        EDGE_INTEGRANDS, EDGE_INTERVALS, EDGE_COMMANDS
+    ):
+        yield [command, f"--f={f}", f"--a={a!r}", f"--b={b!r}", *options]
+    for a, b in itertools.product(EDGE_MEANS, repeat=2):
+        for enclose in EDGE_ENCLOSE:
+            yield ["means", f"--a={a!r}", f"--b={b!r}", *enclose]
+
+
+def test_no_error_at_the_float_range_edges_is_a_bare_libm_message(capsys):
+    # a length below 2^-1024 ended ratio and defect in "math range error"
+    failed = []
+    for argv in _edge_runs():
+        code = cli.main(["--json", *argv])
+        out, err = capsys.readouterr()
+        outputs = json.loads(out)["outputs"]
+        error = outputs.get("error", "") if code == 2 else ""
+        if code not in (0, 1, 2) or err or any(m in error for m in _LIBM_MESSAGES):
+            failed.append((argv, code, error, err))
+    assert not failed, failed[:5]
 
 
 # --- parser ------------------------------------------------------------------

@@ -165,6 +165,22 @@ def test_a_mean_whose_integral_passes_the_float_range_stays_finite():
     assert got.evaluations == 15
 
 
+@pytest.mark.parametrize("c", ["1", "-3.5", "0.1"])
+@pytest.mark.parametrize("a, b", [(0.0, 5e-324), (0.0, 1e-320), (-5e-324, 5e-324)])
+def test_a_constant_keeps_its_mean_on_a_length_below_2_to_the_minus_1024(c, a, b):
+    # 2^-e of the length overflowed ("math range error"), and a half-width
+    # formed before scaling rounds to 0 on [0, 5e-324]
+    got = integrate_mean(c, Interval(a, b))
+    assert got.value == float(c)
+    assert got == integrate_mean(c, Interval(0.0, 1.0))
+
+
+def test_a_mean_on_a_length_below_2_to_the_minus_1024_answers():
+    # this raised OverflowError; the true mean, 8e-648, rounds to 0
+    got = integrate_mean("x^2", Interval(0.0, 5e-324))
+    assert (got.value, got.evaluations) == (0.0, 15)
+
+
 def test_callable_oracle_is_pinned_bit_for_bit():
     got = integrate_mean_fn(math.sqrt, Interval(0.0, 1.0), 1e-10)
     assert got.value.hex() == "0x1.555555555a52bp-1"
